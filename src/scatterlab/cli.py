@@ -1,9 +1,19 @@
 """Command-line interface: config ingestion, experiment orchestration,
 and figure-grade artifact emission.
 
-Configurations are single JSON files (documented in the README); every
-run is fully deterministic, so identical configs produce byte-identical
-CSV artifacts.  Exit codes: 0 success, 2 configuration error, 3 physics
+Configurations are single JSON files.  The keys of each section are the
+fields of its spec class (``center``: SSHCenter, NonHermitianSSHCenter
+or CustomCenter, chosen by its ``type`` "ssh", "nh_ssh" or "custom";
+``lead``: LeadSpec; ``packet``: WavePacketSpec; ``propagator``:
+PropagatorConfig; ``steady``, ``scan``, ``sweep``: the Section classes
+below).  Fields without a default are required, the others take the
+field default, and ``k`` also accepts 'pi/2'-style strings.  steady
+requires center, lead and steady; dynamics requires center, lead and
+packet and allows propagator; mu-scan requires center and scan; q-sweep
+requires sweep and allows lead, packet (figure 3's by default) and
+propagator.  Any other section is rejected.  Every run is fully
+deterministic, so identical configs produce byte-identical CSV
+artifacts.  Exit codes: 0 success, 2 configuration error, 3 physics
 precondition violated, 4 numerical failure.
 
     scatterlab <steady|dynamics|mu-scan|q-sweep> --config FILE [--out DIR]
@@ -19,8 +29,9 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -63,18 +74,6 @@ def _parse_angle(value, where: str) -> float:
     raise ConfigError(f"{where}: expected a number or a 'pi/2'-style string, got {value!r}")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required field '{key}' in section '{where}'")
-    return section[key]
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in section '{where}'")
-
-
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -85,6 +84,57 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true/false")
+    return value
+
+
+def _optional_number(value, where: str) -> float | None:
+    return None if value is None else _number(value, where)
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of numbers")
+    return tuple(_number(v, where) for v in value)
+
+
+def _complex(value, where: str) -> complex:
+    """A number, or an [re, im] pair of numbers."""
+    if not isinstance(value, list):
+        return complex(_number(value, where))
+    if len(value) != 2:
+        raise ConfigError(f"{where}: complex entries are [re, im] pairs")
+    return complex(_number(value[0], where), _number(value[1], where))
+
+
+def _matrix(value, where: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of rows")
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise ConfigError(f"{where} row {i} is not a list")
+        rows.append([_complex(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)])
+    # CustomCenter's own shape check, reported as a config error
+    try:
+        return CustomCenter(np.array(rows, dtype=complex)).matrix
+    except (PhysicsError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# Field annotation -> validator turning a JSON value into that type.
+_COERCE = {
+    float: _number,
+    int: _integer,
+    bool: _boolean,
+    float | None: _optional_number,
+    tuple[float, ...]: _numbers,
+    np.ndarray: _matrix,
+}
 
 
 @dataclass(frozen=True)
@@ -109,6 +159,10 @@ class SweepSection:
     w: float = 4.0
     cells: int = 20
 
+    def __post_init__(self) -> None:
+        if any(q <= 0 for q in self.q_values):
+            raise ConfigError("sweep.q_values must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -126,120 +180,19 @@ class RunConfig:
     propagator: PropagatorConfig = PropagatorConfig()
 
 
-def _parse_center(section: dict) -> CenterSpec:
-    _reject_unknown(section, {"type", "v", "w", "gamma", "cells", "matrix"}, "center")
-    kind = _require(section, "type", "center")
-    if kind == "ssh":
-        return SSHCenter(
-            v=_number(_require(section, "v", "center"), "center.v"),
-            w=_number(_require(section, "w", "center"), "center.w"),
-            cells=_integer(_require(section, "cells", "center"), "center.cells"),
-        )
-    if kind == "nh_ssh":
-        return NonHermitianSSHCenter(
-            v=_number(_require(section, "v", "center"), "center.v"),
-            w=_number(_require(section, "w", "center"), "center.w"),
-            gamma=_number(_require(section, "gamma", "center"), "center.gamma"),
-            cells=_integer(_require(section, "cells", "center"), "center.cells"),
-        )
-    if kind == "custom":
-        raw = _require(section, "matrix", "center")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("center.matrix must be a non-empty list of rows")
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list):
-                raise ConfigError(f"center.matrix row {i} is not a list")
-            entries = []
-            for j, cell in enumerate(row):
-                if isinstance(cell, list):
-                    if len(cell) != 2:
-                        raise ConfigError(
-                            f"center.matrix[{i}][{j}]: complex entries are [re, im] pairs"
-                        )
-                    entries.append(complex(cell[0], cell[1]))
-                else:
-                    entries.append(complex(_number(cell, f"center.matrix[{i}][{j}]")))
-            rows.append(entries)
-        try:
-            return CustomCenter(np.array(rows, dtype=complex))
-        except (PhysicsError, ValueError) as exc:
-            raise ConfigError(f"center.matrix: {exc}") from exc
-    raise ConfigError(f"center.type must be 'ssh', 'nh_ssh', or 'custom', got {kind!r}")
+_CENTER_TYPES = {"ssh": SSHCenter, "nh_ssh": NonHermitianSSHCenter, "custom": CustomCenter}
 
-
-def _parse_lead(section: dict) -> LeadSpec:
-    _reject_unknown(section, {"J", "mu", "length"}, "lead")
-    return LeadSpec(
-        J=_number(_require(section, "J", "lead"), "lead.J"),
-        mu=_number(section.get("mu", 0.0), "lead.mu"),
-        length=_integer(section.get("length", 200), "lead.length"),
-    )
-
-
-def _parse_packet(section: dict) -> WavePacketSpec:
-    _reject_unknown(section, {"center_site", "sigma", "k"}, "packet")
-    return WavePacketSpec(
-        center_site=_integer(_require(section, "center_site", "packet"), "packet.center_site"),
-        sigma=_number(_require(section, "sigma", "packet"), "packet.sigma"),
-        k=_parse_angle(_require(section, "k", "packet"), "packet.k"),
-    )
-
-
-def _parse_steady(section: dict) -> SteadySection:
-    _reject_unknown(section, {"k", "input_site"}, "steady")
-    return SteadySection(
-        k=_parse_angle(_require(section, "k", "steady"), "steady.k"),
-        input_site=_integer(section.get("input_site", 1), "steady.input_site"),
-    )
-
-
-def _parse_scan(section: dict) -> ScanSection:
-    _reject_unknown(section, {"mu_min", "mu_max", "step", "alpha", "J", "k"}, "scan")
-    return ScanSection(
-        mu_min=_number(_require(section, "mu_min", "scan"), "scan.mu_min"),
-        mu_max=_number(_require(section, "mu_max", "scan"), "scan.mu_max"),
-        step=_number(_require(section, "step", "scan"), "scan.step"),
-        alpha=_integer(section.get("alpha", 1), "scan.alpha"),
-        J=_number(section.get("J", 1.0), "scan.J"),
-        k=_parse_angle(section.get("k", "pi/2"), "scan.k"),
-    )
-
-
-def _parse_sweep(section: dict) -> SweepSection:
-    _reject_unknown(section, {"q_values", "w", "cells"}, "sweep")
-    raw = _require(section, "q_values", "sweep")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("sweep.q_values must be a non-empty list of numbers")
-    qs = tuple(_number(v, "sweep.q_values") for v in raw)
-    if any(q <= 0 for q in qs):
-        raise ConfigError("sweep.q_values must be positive")
-    return SweepSection(
-        q_values=qs,
-        w=_number(section.get("w", 4.0), "sweep.w"),
-        cells=_integer(section.get("cells", 20), "sweep.cells"),
-    )
-
-
-def _parse_propagator(section: dict) -> PropagatorConfig:
-    _reject_unknown(
-        section, {"tol_per_time", "snapshot_stride", "t_max", "store_states"}, "propagator"
-    )
-    kwargs = {}
-    if "tol_per_time" in section:
-        kwargs["tol_per_time"] = _number(section["tol_per_time"], "propagator.tol_per_time")
-    if "snapshot_stride" in section and section["snapshot_stride"] is not None:
-        kwargs["snapshot_stride"] = _number(
-            section["snapshot_stride"], "propagator.snapshot_stride"
-        )
-    if "t_max" in section and section["t_max"] is not None:
-        kwargs["t_max"] = _number(section["t_max"], "propagator.t_max")
-    if "store_states" in section:
-        if not isinstance(section["store_states"], bool):
-            raise ConfigError("propagator.store_states: expected true/false")
-        kwargs["store_states"] = section["store_states"]
-    return PropagatorConfig(**kwargs)
-
+# Spec class of each config section; the center's 'type' picks one
+# member of the CenterSpec union.
+_SECTION_SPECS = {
+    "center": CenterSpec,
+    "lead": LeadSpec,
+    "packet": WavePacketSpec,
+    "steady": SteadySection,
+    "scan": ScanSection,
+    "sweep": SweepSection,
+    "propagator": PropagatorConfig,
+}
 
 # Section names each mode requires / tolerates.  Anything else in the file
 # is a contradiction and rejected outright.
@@ -250,15 +203,39 @@ _MODE_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
     "q-sweep": ({"sweep"}, {"lead", "packet", "propagator"}),
 }
 
-_PARSERS = {
-    "center": _parse_center,
-    "lead": _parse_lead,
-    "packet": _parse_packet,
-    "steady": _parse_steady,
-    "scan": _parse_scan,
-    "sweep": _parse_sweep,
-    "propagator": _parse_propagator,
-}
+
+def _parse_section(name: str, section):
+    """Build config section ``name`` from the fields of its spec class.
+
+    Every key must name a field, a field without a default is required,
+    and each value is validated by its field annotation; ``k`` fields also
+    accept 'pi/2'-style strings.  The center's ``type`` key picks its class
+    from ``_CENTER_TYPES``.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{name}' must be a JSON object, got {type(section).__name__}")
+    values = dict(section)
+    cls = _SECTION_SPECS[name]
+    if cls is CenterSpec:
+        if "type" not in values:
+            raise ConfigError(f"missing required field 'type' in section '{name}'")
+        kind = values.pop("type")
+        if kind not in list(_CENTER_TYPES):  # a list: 'type' may be an unhashable JSON value
+            *others, last = map(repr, _CENTER_TYPES)
+            raise ConfigError(f"center.type must be {', '.join(others)}, or {last}, got {kind!r}")
+        cls = _CENTER_TYPES[kind]
+    hints = get_type_hints(cls)
+    for key in values:
+        if key not in hints:
+            raise ConfigError(f"unknown key '{key}' in section '{name}'")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in values:
+            coerce = _parse_angle if f.name == "k" else _COERCE[hints[f.name]]
+            kwargs[f.name] = coerce(values[f.name], f"{name}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required field '{f.name}' in section '{name}'")
+    return cls(**kwargs)
 
 
 def parse_config(path, mode: str) -> RunConfig:
@@ -288,18 +265,15 @@ def parse_config(path, mode: str) -> RunConfig:
     required, optional = _MODE_SECTIONS[mode]
     for name in data:
         if name not in required | optional:
-            if name in _PARSERS:
+            if name in _SECTION_SPECS:
                 raise ConfigError(f"section '{name}' contradicts mode '{mode}'")
             raise ConfigError(f"unknown key '{name}' in config")
     for name in required:
         if name not in data:
             raise ConfigError(f"mode '{mode}' requires a '{name}' section")
 
-    parsed = {name: _PARSERS[name](section) for name, section in data.items()}
-    try:
-        return RunConfig(mode=mode, **parsed)
-    except PhysicsError:
-        raise
+    parsed = {name: _parse_section(name, section) for name, section in data.items()}
+    return RunConfig(mode=mode, **parsed)
 
 
 def _fig3_lead() -> LeadSpec:
@@ -372,17 +346,10 @@ def figure_configs(fig: str) -> tuple[tuple[str, RunConfig], ...]:
 
 
 def _center_payload(center: CenterSpec) -> dict:
-    if isinstance(center, SSHCenter):
-        return {"type": "ssh", "v": center.v, "w": center.w, "cells": center.cells}
-    if isinstance(center, NonHermitianSSHCenter):
-        return {
-            "type": "nh_ssh",
-            "v": center.v,
-            "w": center.w,
-            "gamma": center.gamma,
-            "cells": center.cells,
-        }
-    return {"type": "custom", "n_sites": center.n_sites}
+    kind = next(k for k, cls in _CENTER_TYPES.items() if isinstance(center, cls))
+    if isinstance(center, CustomCenter):
+        return {"type": kind, "n_sites": center.n_sites}
+    return {"type": kind, **asdict(center)}
 
 
 def _ssh_theory_probabilities(center: CenterSpec, energy: float, n_channels: int) -> np.ndarray:
@@ -487,18 +454,14 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
 
     try:
         vis = visibility(p, eta=1)
-    except (PhysicsError, IndexError):
+    except PhysicsError:
         vis = None
 
     summary = {
         "mode": "dynamics",
         "center": _center_payload(cfg.center),
-        "lead": {"J": cfg.lead.J, "mu": cfg.lead.mu, "length": cfg.lead.length},
-        "packet": {
-            "center_site": cfg.packet.center_site,
-            "sigma": cfg.packet.sigma,
-            "k": cfg.packet.k,
-        },
+        "lead": asdict(cfg.lead),
+        "packet": asdict(cfg.packet),
         "incident_energy": energy,
         "final_time": record.final_time,
         "channel_probabilities": p,
@@ -643,14 +606,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     summary = {
         "mode": "mu-scan",
         "center": _center_payload(cfg.center),
-        "scan": {
-            "mu_min": scan_cfg.mu_min,
-            "mu_max": scan_cfg.mu_max,
-            "step": scan_cfg.step,
-            "alpha": scan_cfg.alpha,
-            "J": scan_cfg.J,
-            "k": scan_cfg.k,
-        },
+        "scan": asdict(scan_cfg),
         "resonances": list(scan.resonances),
         "resonance_reflectance": list(scan.resonance_reflectance),
         "dark_states": [f"dark state at mu={mu:.9g}" for mu in scan.dark_states],
@@ -734,9 +690,9 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
 
     summary = {
         "mode": "q-sweep",
-        "sweep": {"q_values": list(sweep.q_values), "w": sweep.w, "cells": sweep.cells},
-        "lead": {"J": lead.J, "mu": lead.mu, "length": lead.length},
-        "packet": {"center_site": packet.center_site, "sigma": packet.sigma, "k": packet.k},
+        "sweep": asdict(sweep),
+        "lead": asdict(lead),
+        "packet": asdict(packet),
         "rows": [
             {
                 "q": r[0],
@@ -774,7 +730,7 @@ def main(argv=None) -> int:
         description="Multichannel resonant scattering on tight-binding lattices.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("steady", "dynamics", "mu-scan", "q-sweep"):
+    for mode in _MODE_SECTIONS:
         p = sub.add_parser(mode, help=f"run a {mode} experiment from a config file")
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default="scatterlab-out", help="output directory")

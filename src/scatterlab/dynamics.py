@@ -38,6 +38,10 @@ _CUTOFF_CEILING = 1e-11
 _CUTOFF_FLOOR = 1e-15
 # Hard cap on the polynomial order of a single step.
 _MAX_ORDER = 5_000_000
+# Scattering counts as finished once every lead holds less probability
+# than this within 5 sites of its junction; the same level flags leakage
+# at the truncated far ends.
+FINISH_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class PropagatorConfig:
     snapshot_stride: float | None = None
     t_max: float | None = None
     store_states: bool = False
-    finish_threshold: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.tol_per_time <= 0:
@@ -283,7 +286,7 @@ def run_experiment(
     stop once scattering has finished, and sum up channel probabilities.
 
     The stop check runs from the base ``stop_time`` estimate onward: the
-    run ends when every lead holds less than ``cfg.finish_threshold``
+    run ends when every lead holds less than ``FINISH_THRESHOLD``
     probability within 5 sites of its junction, or at ``t_max`` (with a
     warning).  A warning is also attached when probability has reached
     the truncated far ends, since whatever follows is a finite-lead
@@ -316,7 +319,7 @@ def run_experiment(
         norms.append(float(np.linalg.norm(psi)))
         if states is not None:
             states.append(psi.copy())
-        if t + 1e-9 >= t_base and _near_junction_probability(prob, reg) < cfg.finish_threshold:
+        if t + 1e-9 >= t_base and _near_junction_probability(prob, reg) < FINISH_THRESHOLD:
             break
         if t + 1e-9 >= t_max:
             msg = (
@@ -329,7 +332,7 @@ def run_experiment(
 
     prob = np.abs(psi) ** 2
     leakage = _end_leakage(prob, reg)
-    if leakage > cfg.finish_threshold:
+    if leakage > FINISH_THRESHOLD:
         msg = (
             f"probability {leakage:.3e} within 5 sites of a truncated lead end at "
             f"t={t:.6g}; results may carry finite-lead artifacts"

@@ -82,6 +82,7 @@ class NonHermitianSSHCenter:
         return 2 * self.cells
 
 
+@dataclass(eq=False)
 class CustomCenter:
     """Arbitrary square complex matrix used verbatim as the center.
 
@@ -89,8 +90,10 @@ class CustomCenter:
     read-only copy of the input.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        m = np.array(matrix, dtype=complex, copy=True)
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.array(self.matrix, dtype=complex, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PhysicsError(f"custom center matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
@@ -278,19 +281,6 @@ class Hamiltonian:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def coo_text(self) -> str:
-        """Coordinate-triplet dump ``row col re im``, one entry per line."""
-        coo = self.matrix.tocoo()
-        lines = [
-            f"{i} {j} {v.real:.17g} {v.imag:.17g}"
-            for i, j, v in zip(coo.row, coo.col, coo.data)
-        ]
-        return "\n".join(lines) + "\n"
-
-    def save_coo(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.coo_text())
 
 
 def _is_hermitian(m: sp.spmatrix) -> bool:

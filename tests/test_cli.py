@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,30 @@ def _small_dynamics_config():
         "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 4},
         "lead": {"J": -0.1, "mu": 0.0, "length": 60},
         "packet": {"center_site": -30, "sigma": 6, "k": "pi/2"},
+    }
+
+
+def _small_steady_config():
+    return {
+        "center": {"type": "ssh", "v": 6.0, "w": 4.0, "cells": 20},
+        "lead": {"J": -0.01, "mu": 0.0},
+        "steady": {"k": "pi/2"},
+    }
+
+
+def _small_mu_scan_config():
+    return {
+        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
+        "scan": {"mu_min": -6.5, "mu_max": 6.5, "step": 0.002, "alpha": 1, "J": 1.0,
+                 "k": "pi/2"},
+    }
+
+
+def _small_q_sweep_config():
+    return {
+        "sweep": {"q_values": [0.5, 1.0, 1.5], "w": 4.0, "cells": 2},
+        "lead": {"J": -0.1, "mu": 0.0, "length": 40},
+        "packet": {"center_site": -15, "sigma": 4, "k": "pi/2"},
     }
 
 
@@ -136,13 +161,130 @@ def test_parse_config_angle_strings(tmp_path):
         cli.parse_config(_write(tmp_path, payload), "dynamics")
 
 
+# One valid config per mode; each section case below edits one section.
+_MODE_CONFIGS = {
+    "steady": _small_steady_config,
+    "dynamics": _small_dynamics_config,
+    "mu-scan": _small_mu_scan_config,
+    "q-sweep": _small_q_sweep_config,
+}
+
+# (mode, section, valid section, a required field or None, a wrongly typed
+# entry, the message it gives)
+_SECTION_CASES = {
+    "center-ssh": (
+        "steady", "center", {"type": "ssh", "v": 6.0, "w": 4.0, "cells": 20}, "v",
+        ("cells", 2.5), "center.cells: expected an integer, got 2.5",
+    ),
+    "center-nh_ssh": (
+        "dynamics", "center", {"type": "nh_ssh", "v": 2.0, "w": 4.0, "gamma": 0.5, "cells": 4},
+        "gamma", ("gamma", "x"), "center.gamma: expected a number, got 'x'",
+    ),
+    "center-custom": (
+        "mu-scan", "center", {"type": "custom", "matrix": [[0.0, 1.0], [1.0, 0.0]]}, "matrix",
+        ("matrix", "abc"), "center.matrix must be a non-empty list of rows",
+    ),
+    "lead": (
+        "dynamics", "lead", {"J": -0.1, "mu": 0.0, "length": 60}, "J",
+        ("length", 1.5), "lead.length: expected an integer, got 1.5",
+    ),
+    "packet": (
+        "dynamics", "packet", {"center_site": -30, "sigma": 6, "k": "pi/2"}, "sigma",
+        ("k", "half pi"), "packet.k: expected a number or a 'pi/2'-style string, got 'half pi'",
+    ),
+    "steady": (
+        "steady", "steady", {"k": "pi/2", "input_site": 1}, "k",
+        ("input_site", True), "steady.input_site: expected an integer, got True",
+    ),
+    "scan": (
+        "mu-scan", "scan", {"mu_min": -1.0, "mu_max": 1.0, "step": 0.5}, "step",
+        ("J", "1"), "scan.J: expected a number, got '1'",
+    ),
+    "sweep": (
+        "q-sweep", "sweep", {"q_values": [0.5], "w": 4.0, "cells": 2}, "q_values",
+        ("q_values", []), "sweep.q_values must be a non-empty list of numbers",
+    ),
+    "propagator": (
+        "dynamics", "propagator", {"tol_per_time": 1e-8, "t_max": None}, None,
+        ("store_states", 1), "propagator.store_states: expected true/false",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SECTION_CASES))
+def test_section_schema_messages(tmp_path, case):
+    mode, name, section, required, (key, bad), message = _SECTION_CASES[case]
+
+    def parse(edit):
+        payload = _MODE_CONFIGS[mode]()
+        payload[name] = dict(section)
+        edit(payload[name])
+        return cli.parse_config(_write(tmp_path, payload), mode)
+
+    assert getattr(parse(lambda s: None), name) is not None
+    with pytest.raises(sl.ConfigError) as err:
+        parse(lambda s: s.update(extra=1.0))
+    assert str(err.value) == f"unknown key 'extra' in section '{name}'"
+    if required is not None:
+        with pytest.raises(sl.ConfigError) as err:
+            parse(lambda s: s.pop(required))
+        assert str(err.value) == f"missing required field '{required}' in section '{name}'"
+    else:  # every propagator field has a default
+        assert parse(lambda s: s.clear()).propagator == sl.PropagatorConfig()
+    with pytest.raises(sl.ConfigError) as err:
+        parse(lambda s: s.update({key: bad}))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "center, key",
+    [
+        ({"type": "ssh", "v": 2.0, "w": 4.0, "cells": 4, "gamma": 10}, "gamma"),
+        ({"type": "ssh", "v": 2.0, "w": 4.0, "cells": 4, "matrix": [[1]]}, "matrix"),
+        ({"type": "nh_ssh", "v": 2.0, "w": 4.0, "gamma": 1.0, "cells": 4, "matrix": [[1]]},
+         "matrix"),
+        ({"type": "custom", "matrix": [[1.0]], "cells": 4}, "cells"),
+    ],
+    ids=["ssh-gamma", "ssh-matrix", "nh_ssh-matrix", "custom-cells"],
+)
+def test_center_rejects_keys_of_another_type(tmp_path, center, key):
+    payload = _small_dynamics_config()
+    payload["center"] = center
+    with pytest.raises(sl.ConfigError) as err:
+        cli.parse_config(_write(tmp_path, payload), "dynamics")
+    assert str(err.value) == f"unknown key '{key}' in section 'center'"
+
+
+@pytest.mark.parametrize(
+    "value, kind", [(5, "int"), ("J", "str"), ([], "list"), (None, "NoneType")]
+)
+def test_non_object_section_is_a_config_error(tmp_path, capsys, value, kind):
+    payload = _small_dynamics_config()
+    payload["lead"] = value
+    path = _write(tmp_path, payload)
+    assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"section 'lead' must be a JSON object, got {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (["a", 1.0], "center.matrix[0][0]: expected a number, got 'a'"),
+        ([True, 1.0], "center.matrix[0][0]: expected a number, got True"),
+        ([1.0, None], "center.matrix[0][0]: expected a number, got None"),
+    ],
+    ids=["string", "bool", "null"],
+)
+def test_custom_matrix_pair_parts_must_be_numbers(tmp_path, cell, message):
+    payload = _small_dynamics_config()
+    payload["center"] = {"type": "custom", "matrix": [[cell]]}
+    with pytest.raises(sl.ConfigError) as err:
+        cli.parse_config(_write(tmp_path, payload), "dynamics")
+    assert str(err.value) == message
+
+
 def test_steady_run_trivial_phase_reflects_everything(tmp_path):
-    config = {
-        "center": {"type": "ssh", "v": 6.0, "w": 4.0, "cells": 20},
-        "lead": {"J": -0.01, "mu": 0.0},
-        "steady": {"k": "pi/2"},
-    }
-    path = _write(tmp_path, config)
+    path = _write(tmp_path, _small_steady_config())
     out = tmp_path / "out"
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -175,11 +317,7 @@ def test_dynamics_run_artifacts_and_determinism(tmp_path):
 
 
 def test_mu_scan_run(tmp_path):
-    config = {
-        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
-        "scan": {"mu_min": -6.5, "mu_max": 6.5, "step": 0.002, "alpha": 1, "J": 1.0,
-                 "k": "pi/2"},
-    }
+    config = _small_mu_scan_config()
     out = tmp_path / "out"
     assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -192,11 +330,7 @@ def test_mu_scan_run(tmp_path):
 
 
 def test_q_sweep_run_marks_transition(tmp_path):
-    config = {
-        "sweep": {"q_values": [0.5, 1.0, 1.5], "w": 4.0, "cells": 2},
-        "lead": {"J": -0.1, "mu": 0.0, "length": 40},
-        "packet": {"center_site": -15, "sigma": 4, "k": "pi/2"},
-    }
+    config = _small_q_sweep_config()
     out = tmp_path / "out"
     rc = cli.main(
         ["q-sweep", "--config", str(_write(tmp_path, config)), "--out", str(out),
@@ -215,6 +349,68 @@ def test_q_sweep_run_marks_transition(tmp_path):
     assert ok_row[1] == "ok"
     assert float(ok_row[3]) == pytest.approx(0.6)
     assert (out / "sweep.svg").exists()
+
+
+# sha256 of each CSV artifact and the config echo of summary.json for the
+# small configs above (recorded with numpy 2.4 and OpenBLAS on x86-64; the
+# CSVs carry 12 significant digits, so another BLAS may flip a last digit).
+_GOLDEN = {
+    "steady": (
+        _small_steady_config,
+        {"amplitudes.csv": "b3462a3f9cbcb156a30f26f2d114e9a1b8a498e1c50eed650341c0bbe0e67824"},
+        {
+            "center": {"type": "ssh", "v": 6.0, "w": 4.0, "cells": 20},
+            "lead": {"J": -0.01, "mu": 0.0},
+        },
+    ),
+    "dynamics": (
+        _small_dynamics_config,
+        {
+            "channels.csv": "024c6183b1b9071591096b5e805f7c6e812e8bb9f9273418c49515706104b096",
+            "snapshots.csv": "b6b7973cdbb90e5165d8fb18ce1e5d397a3d7fd6068c63b832b7e68b81c22b5c",
+            "trajectory.csv": "2f780002f6f8991f4b6de6397ab0ae4d79061e733a1ed12a1bc46626d32a4b2a",
+        },
+        {
+            "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 4},
+            "lead": {"J": -0.1, "mu": 0.0, "length": 60},
+            "packet": {"center_site": -30, "sigma": 6.0, "k": np.pi / 2},
+        },
+    ),
+    "mu-scan": (
+        _small_mu_scan_config,
+        {
+            "resonances.csv": "30719aed93fe636f846c074cb2c81de49baa4d995fc37851579189008b18c040",
+            "scan.csv": "483cf774daa2afd64e996c78f7ba67f739490a72f056b2fce12a4e17b7c67dbc",
+        },
+        {
+            "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
+            "scan": {"mu_min": -6.5, "mu_max": 6.5, "step": 0.002, "alpha": 1, "J": 1.0,
+                     "k": np.pi / 2},
+        },
+    ),
+    "q-sweep": (
+        _small_q_sweep_config,
+        {"sweep.csv": "de40b2d643545c4bc90ece96cb7f7cdc8a3749b10aaf6afaa95854950f09ade7"},
+        {
+            "sweep": {"q_values": [0.5, 1.0, 1.5], "w": 4.0, "cells": 2},
+            "lead": {"J": -0.1, "mu": 0.0, "length": 40},
+            "packet": {"center_site": -15, "sigma": 4.0, "k": np.pi / 2},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_GOLDEN))
+def test_artifacts_match_golden(tmp_path, mode):
+    config, csv_hashes, echo = _GOLDEN[mode]
+    out = tmp_path / "out"
+    path = _write(tmp_path, config())
+    assert cli.main([mode, "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*.csv")}
+    assert got == csv_hashes
+    summary = json.loads((out / "summary.json").read_text())
+    blocks = ("center", "lead", "packet", "scan", "sweep")
+    assert {k: summary[k] for k in blocks if k in summary} == echo
 
 
 def test_exit_code_config_error(tmp_path):

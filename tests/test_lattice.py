@@ -271,18 +271,3 @@ def test_registry_rejects_bad_labels():
         reg.index(REGION_OUTPUT, 1, channel=9)
     with pytest.raises(sl.PhysicsError):
         reg.site(reg.dim)
-
-
-def test_coo_export_round_trip(tmp_path):
-    net = sl.NetworkSpec(
-        center=sl.NonHermitianSSHCenter(v=3.0, w=1.0, gamma=0.5, cells=2),
-        lead=sl.LeadSpec(J=-0.2, mu=0.1, length=4),
-    )
-    H = sl.assemble_network(net)
-    path = tmp_path / "h.coo"
-    H.save_coo(path)
-    rebuilt = np.zeros((H.dim, H.dim), dtype=complex)
-    for line in path.read_text().splitlines():
-        i, j, re, im = line.split()
-        rebuilt[int(i), int(j)] += float(re) + 1j * float(im)
-    np.testing.assert_allclose(rebuilt, H.dense(), atol=0)
