@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -64,7 +65,7 @@ _ANGLE_RE = re.compile(r"^\s*(?:(\d+(?:\.\d*)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d
 def _parse_angle(value, where: str) -> float:
     """Accept a plain number or a 'pi', 'pi/2', '2*pi/5' style string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, where)
     if isinstance(value, str):
         m = _ANGLE_RE.match(value)
         if m:
@@ -77,6 +78,8 @@ def _parse_angle(value, where: str) -> float:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 

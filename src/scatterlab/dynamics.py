@@ -5,22 +5,29 @@ The same operator drives the coupled-waveguide realization, where the
 propagation distance z plays the role of time; ``propagate`` is that
 mapping, there is no separate code path.
 
-Propagation method: Hermitian networks use a Chebyshev expansion of
-exp(-iHt) with Gershgorin spectral bounds (the truncation order grows
-linearly with the spectral radius times the step, so one sparse
-matrix-vector product per polynomial term).  Non-Hermitian networks are
-delegated to scipy's expm_multiply, which handles general complex
-spectra with backward-error control.
+Propagation method: one Chebyshev expansion of exp(-iHt) serves Hermitian
+and gain/loss networks alike.  Gershgorin intervals of the Hermitian part
+(H + H^dag)/2 and of (H - H^dag)/2i bound the numerical range of H by a
+rectangle.  H is shifted by the rectangle's complex centre, so the scalar
+factor exp(-i c t) carries uniform gain or loss exactly, and scaled by its
+larger half-width.  The series in Bessel coefficients J_n(R) then
+converges on the ellipse with foci +-1 through the rectangle's corners,
+with parameter rho >= 1 (rho = 1 for Hermitian H); terms are kept while
+|J_n(R)| rho^n exceeds a fixed cutoff (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 3967, 1984).  The numerical range is a (1 + sqrt 2)-spectral set
+(Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649, 2017), so the
+same weights bound the truncation error for non-normal H.  Each term
+costs one sparse matrix-vector product.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from .errors import NumericalError, PhysicsError
@@ -32,10 +39,9 @@ from .lattice import (
     group_velocity,
 )
 
-# Chebyshev truncation never runs looser than this, regardless of the
-# requested budget; terms beyond the Bessel-coefficient decay are cheap.
-_CUTOFF_CEILING = 1e-11
-_CUTOFF_FLOOR = 1e-15
+# Chebyshev terms are kept while their weight |J_n(R)| rho^n exceeds this,
+# two orders below any physics tolerance used downstream.
+_CUTOFF = 1e-11
 # Hard cap on the polynomial order of a single step.
 _MAX_ORDER = 5_000_000
 # Scattering counts as finished once every lead holds less probability
@@ -69,25 +75,22 @@ class WavePacketSpec:
 class PropagatorConfig:
     """Knobs for propagation and recording.
 
-    ``tol_per_time`` is the local error budget per unit time (the actual
-    Chebyshev truncation is clamped to at least 1e-10 accuracy, two
-    orders below any physics tolerance used downstream).  ``snapshot_stride``
-    is the time between stored snapshots (default: base stop time / 60);
-    ``t_max`` bounds the extension phase (default: 3x base stop time).
-    Snapshots store site probabilities only; set ``store_states`` to keep
-    the full complex states.
+    ``snapshot_stride`` is the time between stored snapshots (default:
+    base stop time / 60); ``t_max`` bounds the extension phase (default:
+    3x base stop time).  Both must be positive.  Snapshots store site
+    probabilities only; set ``store_states`` to keep the full complex
+    states.
     """
 
-    tol_per_time: float = 1e-8
     snapshot_stride: float | None = None
     t_max: float | None = None
     store_states: bool = False
 
     def __post_init__(self) -> None:
-        if self.tol_per_time <= 0:
-            raise PhysicsError("tol_per_time must be positive")
-        if self.snapshot_stride is not None and self.snapshot_stride <= 0:
+        if self.snapshot_stride is not None and not self.snapshot_stride > 0:
             raise PhysicsError("snapshot_stride must be positive")
+        if self.t_max is not None and not self.t_max > 0:
+            raise PhysicsError("t_max must be positive")
 
 
 DEFAULT_CONFIG = PropagatorConfig()
@@ -166,39 +169,42 @@ def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
     return float((d.real - radii).min()), float((d.real + radii).max())
 
 
-def _chebyshev_expm(m: sp.spmatrix, psi: np.ndarray, t: float, cutoff: float) -> np.ndarray:
-    """exp(-i m t) psi for Hermitian m via the Chebyshev/Bessel series."""
-    lo, hi = _gershgorin_interval(m)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+@lru_cache(maxsize=8)
+def _chebyshev_plan(H: Hamiltonian, t: float):
+    """(phase, scaled operator, coefficients) of exp(-iHt) = phase *
+    sum_n coeffs[n] T_n(scaled); for diagonal H the phase alone, with
+    ``None`` for the other two.  Memoised per network object and step."""
+    m = H.matrix
+    re_lo, re_hi = _gershgorin_interval((m + m.getH()) * 0.5)
+    im_lo, im_hi = _gershgorin_interval((m - m.getH()) * -0.5j)
+    mid = complex(0.5 * (re_hi + re_lo), 0.5 * (im_hi + im_lo))
+    re_half, im_half = 0.5 * (re_hi - re_lo), 0.5 * (im_hi - im_lo)
+    half = max(re_half, im_half)
     if half <= 0:
-        return np.exp(-1j * mid * t) * psi
+        return np.exp(-1j * m.diagonal() * t), None, None
+    corner = complex(re_half, im_half) / half
+    rho = abs(corner + np.sqrt(corner**2 - 1))
     big_r = half * t
-    m_max = int(big_r + 60 + 20 * big_r ** (1.0 / 3.0))
+    # |J_n(R)| rho^n <= (R rho / 2)^n / n! < (e R rho / 2n)^n, which is below
+    # e^-26 < cutoff from n = e R rho / 2 + 26 on: every kept order is < m_max
+    m_max = int(0.5 * np.e * rho * big_r + 60)
     if m_max > _MAX_ORDER:
         raise NumericalError(
             f"Chebyshev order {m_max} exceeds the step budget; split the time interval"
         )
     orders = np.arange(m_max + 1)
     bess = jv(orders, big_r)
-    above = np.nonzero(np.abs(bess) > cutoff)[0]
+    # weight > cutoff, with rho^n taken in log space so that it cannot overflow
+    above = np.nonzero(np.abs(bess) > _CUTOFF * np.exp(-orders * np.log(rho)))[0]
     top = int(above[-1]) + 1 if above.size else 2
     top = max(top, 2)
     coeffs = 2.0 * (-1j) ** orders[: top + 1] * bess[: top + 1]
     coeffs[0] *= 0.5
-
     scaled = (m - mid * sp.identity(m.shape[0], format="csr", dtype=complex)) * (1.0 / half)
-    phi_prev = psi.astype(complex, copy=True)
-    phi = scaled.dot(phi_prev)
-    acc = coeffs[0] * phi_prev + coeffs[1] * phi
-    for order in range(2, top + 1):
-        phi_prev, phi = phi, 2.0 * scaled.dot(phi) - phi_prev
-        acc += coeffs[order] * phi
-    return np.exp(-1j * mid * t) * acc
+    return np.exp(-1j * mid * t), scaled, coeffs
 
 
-def propagate(
-    H: Hamiltonian, psi0: np.ndarray, t: float, cfg: PropagatorConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     """Evolved state exp(-iHt) psi0, valid for Hermitian and
     non-Hermitian H alike (no unitarity assumption, no renormalization)."""
     psi0 = np.asarray(psi0, dtype=complex)
@@ -206,14 +212,19 @@ def propagate(
         raise PhysicsError(
             f"state dimension {psi0.shape} does not match Hamiltonian dim {H.dim}"
         )
-    if t < 0:
-        raise PhysicsError(f"propagation time must be nonnegative, got {t}")
+    if not (t >= 0 and np.isfinite(t)):
+        raise PhysicsError(f"propagation time must be finite and nonnegative, got {t}")
     if t == 0:
         return psi0.copy()
-    if H.hermitian:
-        cutoff = float(np.clip(cfg.tol_per_time * max(t, 1.0) * 0.1, _CUTOFF_FLOOR, _CUTOFF_CEILING))
-        return _chebyshev_expm(H.matrix, psi0, t, cutoff)
-    return expm_multiply(H.matrix * (-1j * t), psi0)
+    phase, scaled, coeffs = _chebyshev_plan(H, float(t))
+    if scaled is None:
+        return phase * psi0
+    phi_prev, phi = psi0, scaled.dot(psi0)
+    acc = coeffs[0] * phi_prev + coeffs[1] * phi
+    for coeff in coeffs[2:]:
+        phi_prev, phi = phi, 2.0 * scaled.dot(phi) - phi_prev
+        acc += coeff * phi
+    return phase * acc
 
 
 def channel_probabilities(psi: np.ndarray, registry: SiteRegistry) -> np.ndarray:
@@ -311,7 +322,7 @@ def run_experiment(
         step = min(stride, t_max - t)
         if step <= 0:
             break
-        psi = propagate(network, psi, step, cfg)
+        psi = propagate(network, psi, step)
         t += step
         prob = np.abs(psi) ** 2
         times.append(t)

@@ -205,7 +205,7 @@ _SECTION_CASES = {
         ("q_values", []), "sweep.q_values must be a non-empty list of numbers",
     ),
     "propagator": (
-        "dynamics", "propagator", {"tol_per_time": 1e-8, "t_max": None}, None,
+        "dynamics", "propagator", {"snapshot_stride": 2.0, "t_max": None}, None,
         ("store_states", 1), "propagator.store_states: expected true/false",
     ),
 }
@@ -281,6 +281,27 @@ def test_custom_matrix_pair_parts_must_be_numbers(tmp_path, cell, message):
     with pytest.raises(sl.ConfigError) as err:
         cli.parse_config(_write(tmp_path, payload), "dynamics")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("lead", "J", float("inf")), ("lead", "mu", float("nan")), ("center", "v", float("-inf")),
+     ("steady", "k", float("inf"))],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value):
+    payload = _small_steady_config()
+    payload[section][key] = value  # json writes Infinity / NaN, which json reads back
+    path = _write(tmp_path, payload)
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_nan_snapshot_stride_is_a_physics_error(tmp_path, capsys):
+    path = _write(tmp_path, _small_dynamics_config())
+    argv = ["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--snapshot-stride", "nan"]) == 3
+    assert "snapshot_stride must be positive" in capsys.readouterr().err
 
 
 def test_steady_run_trivial_phase_reflects_everything(tmp_path):

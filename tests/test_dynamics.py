@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import scatterlab as sl
 
@@ -129,7 +130,69 @@ def test_propagate_input_validation():
         sl.propagate(H, psi, -1.0)
     with pytest.raises(sl.PhysicsError):
         sl.propagate(H, psi[:-1], 1.0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(sl.PhysicsError, match="finite"):
+            sl.propagate(H, psi, t)
     assert np.array_equal(sl.propagate(H, psi, 0.0), psi)
+
+
+def _gain_loss_network():
+    return sl.assemble_network(
+        sl.NetworkSpec(
+            center=sl.NonHermitianSSHCenter(v=4.0, w=2.0, gamma=1.0, cells=2),
+            lead=sl.LeadSpec(J=-0.1, mu=0.0, length=40),
+        )
+    )
+
+
+def _custom(matrix):
+    return sl.build_center(sl.CustomCenter(np.array(matrix, dtype=complex)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (_gain_loss_network, 0.5),
+        (_gain_loss_network, 40.0),
+        (lambda: _custom([[1j]]), 5.0),
+        # the complex shift carries the e^-50 decay exactly; a real-only shift
+        # would leave it to cancellation between series terms of order e^50
+        (lambda: _custom([[-10j, 1], [1, -10j]]), 5.0),
+        (lambda: _custom([[0, 1], [0, 0]]), 5.0),
+        (lambda: _custom([[0, 1], [-1, 0]]), 5.0),
+    ],
+    ids=["gain-loss-ssh-short", "gain-loss-ssh-long", "gain", "uniform-loss", "nilpotent",
+         "skew"],
+)
+def test_propagate_non_hermitian_matches_dense_expm(make, t):
+    H = make()
+    assert not H.hermitian
+    rng = np.random.default_rng(11)
+    psi0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    oracle = expm(-1j * t * H.dense()) @ psi0
+    psi = sl.propagate(H, psi0, t)
+    assert np.linalg.norm(psi - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize(
+    "matrix, t", [([[0, 1], [1, 0]], 1e7), ([[0, 1], [-1, 0]], 3e6)], ids=["hermitian", "skew"]
+)
+def test_propagate_order_beyond_cap_raises(matrix, t):
+    H = _custom(matrix)
+    with pytest.raises(sl.NumericalError, match="step budget"):
+        sl.propagate(H, np.array([1.0, 0.0]), t)
+
+
+def test_propagation_plan_does_not_leak_between_networks():
+    cfg = sl.PropagatorConfig(snapshot_stride=40.0)
+    net_a, net_b = _small_net(v=2.0, cells=2, length=40), _small_net(v=3.0, cells=2, length=40)
+    packet = _packet(center_site=-20, sigma=4.0)
+    sl.run_experiment(net_a, packet, cfg)
+    after_a = sl.run_experiment(net_b, packet, cfg).final_state
+    sl.dynamics._chebyshev_plan.cache_clear()
+    fresh = sl.run_experiment(net_b, packet, cfg).final_state
+    assert np.array_equal(after_a, fresh)
 
 
 def test_channel_probabilities_before_scattering():
@@ -230,6 +293,16 @@ def test_run_experiment_t_max_warning():
         rec = sl.run_experiment(_small_net(), _packet(), cfg)
     assert rec.final_time == pytest.approx(50.0)
     assert rec.warnings
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_max", -1.0), ("t_max", 0.0), ("t_max", np.nan),
+     ("snapshot_stride", 0.0), ("snapshot_stride", -2.0), ("snapshot_stride", np.nan)],
+)
+def test_propagator_config_rejects_nonpositive_times(field, value):
+    with pytest.raises(sl.PhysicsError, match=f"{field} must be positive"):
+        sl.PropagatorConfig(**{field: value})
 
 
 def test_run_experiment_store_states():
