@@ -13,7 +13,9 @@ packet and allows propagator; mu-scan requires center and scan; q-sweep
 requires sweep and allows lead, packet (figure 3's by default) and
 propagator.  Any other section is rejected.  Every run is fully
 deterministic, so identical configs produce byte-identical CSV
-artifacts.  Exit codes: 0 success, 2 configuration error, 3 physics
+artifacts.  ``--workers`` must be at least 1; q-sweep runs its points in
+that many processes (default: the CPU count), capped at the number of
+sweep points.  Exit codes: 0 success, 2 configuration error, 3 physics
 precondition violated, 4 numerical failure.
 
     scatterlab <steady|dynamics|mu-scan|q-sweep> --config FILE [--out DIR]
@@ -78,9 +80,13 @@ def _parse_angle(value, where: str) -> float:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, where: str) -> int:
@@ -413,12 +419,11 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     write_csv(out_dir / "trajectory.csv", ["time", "channel", "probability"], rows)
 
     reg = record.registry
+    labels = [reg.site(i) for i in range(reg.dim)]
     snap_rows = []
-    for i, t in enumerate(record.times):
-        prob = record.site_probabilities[i]
+    for t, prob in zip(record.times, record.site_probabilities):
         for idx in np.nonzero(prob > 1e-12)[0]:
-            region, chan, off = reg.site(int(idx))
-            snap_rows.append((t, region, chan, off, prob[idx]))
+            snap_rows.append((t, *labels[idx], prob[idx]))
     write_csv(
         out_dir / "snapshots.csv",
         ["time", "region", "channel", "offset", "probability"],
@@ -428,14 +433,8 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     # Channel x lead-site intensity maps at a few snapshot times.
     n_panels = min(6, len(record.times))
     picks = np.unique(np.linspace(0, len(record.times) - 1, n_panels).astype(int))
-    panels = []
-    for i in picks:
-        prob = record.site_probabilities[i]
-        grid = np.empty((reg.n_outputs + 1, reg.lead_length))
-        grid[0] = prob[reg.input_indices()]
-        for chan in range(1, reg.n_outputs + 1):
-            grid[chan] = prob[reg.output_indices(chan)]
-        panels.append((f"t = {record.times[i]:.6g}", grid))
+    grids = reg.leads(record.site_probabilities)
+    panels = [(f"t = {record.times[i]:.6g}", grids[i]) for i in picks]
     svg_heatmap(
         out_dir / "trajectory.svg",
         panels,
@@ -640,7 +639,8 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
             tasks.append((q, sweep.w, sweep.cells, lead, packet, cfg.propagator))
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker up front, so ask for no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
@@ -714,6 +714,8 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
 
 def run(cfg: RunConfig, out_dir, workers: int | None = None) -> dict:
     """Execute a validated configuration, writing artifacts into out_dir."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.mode == "dynamics":

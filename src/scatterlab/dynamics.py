@@ -230,12 +230,7 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
 def channel_probabilities(psi: np.ndarray, registry: SiteRegistry) -> np.ndarray:
     """Probability collected in each channel: p[0] over the input lead
     (the reflected part after scattering), p[l] over output lead l."""
-    prob = np.abs(np.asarray(psi)) ** 2
-    p = np.empty(registry.n_outputs + 1)
-    p[0] = prob[registry.input_indices()].sum()
-    for chan in range(1, registry.n_outputs + 1):
-        p[chan] = prob[registry.output_indices(chan)].sum()
-    return p
+    return registry.leads(np.abs(np.asarray(psi)) ** 2).sum(axis=-1)
 
 
 def visibility(p: np.ndarray, eta: int = 1, floor: float = 1e-10) -> float:
@@ -271,21 +266,11 @@ def stop_time(net: NetworkSpec, spec: WavePacketSpec) -> float:
     return (abs(spec.center_site) + margin) / v_g
 
 
-def _near_junction_probability(prob: np.ndarray, reg: SiteRegistry, width: int = 5) -> float:
-    """Largest per-lead probability within ``width`` sites of a junction."""
-    worst = prob[reg.input_indices()[:width]].sum()
-    for chan in range(1, reg.n_outputs + 1):
-        worst = max(worst, prob[reg.output_indices(chan)[:width]].sum())
-    return float(worst)
-
-
-def _end_leakage(prob: np.ndarray, reg: SiteRegistry, width: int = 5) -> float:
-    """Largest per-lead probability within ``width`` sites of a truncated
-    far end (re-reflection there is a finite-lead artifact)."""
-    worst = prob[reg.input_indices()[-width:]].sum()
-    for chan in range(1, reg.n_outputs + 1):
-        worst = max(worst, prob[reg.output_indices(chan)[-width:]].sum())
-    return float(worst)
+def _edge_probability(prob: np.ndarray, reg: SiteRegistry, sites: slice) -> float:
+    """Largest per-lead probability over ``sites`` of every lead: ``[:5]``
+    next to the junctions, ``[-5:]`` at the truncated far ends (where
+    re-reflection is a finite-lead artifact)."""
+    return float(reg.leads(prob)[:, sites].sum(axis=-1).max())
 
 
 def run_experiment(
@@ -330,11 +315,11 @@ def run_experiment(
         norms.append(float(np.linalg.norm(psi)))
         if states is not None:
             states.append(psi.copy())
-        if t + 1e-9 >= t_base and _near_junction_probability(prob, reg) < FINISH_THRESHOLD:
+        if t + 1e-9 >= t_base and _edge_probability(prob, reg, np.s_[:5]) < FINISH_THRESHOLD:
             break
         if t + 1e-9 >= t_max:
             msg = (
-                f"t_max={t_max:.6g} reached with {_near_junction_probability(prob, reg):.3e} "
+                f"t_max={t_max:.6g} reached with {_edge_probability(prob, reg, np.s_[:5]):.3e} "
                 "probability still near the junctions; scattering unfinished"
             )
             notes.append(msg)
@@ -342,7 +327,7 @@ def run_experiment(
             break
 
     prob = np.abs(psi) ** 2
-    leakage = _end_leakage(prob, reg)
+    leakage = _edge_probability(prob, reg, np.s_[-5:])
     if leakage > FINISH_THRESHOLD:
         msg = (
             f"probability {leakage:.3e} within 5 sites of a truncated lead end at "

@@ -181,8 +181,8 @@ class SiteRegistry:
     * ``("output", l, j)`` -- site j of output lead l >= 1.
 
     Global ordering is center first, then the input lead, then output
-    leads in channel order; callers should treat the ordering as opaque
-    and go through this registry.
+    leads in channel order; callers treat the ordering as opaque and go
+    through this registry, whose ``leads`` is the per-lead accessor.
     """
 
     def __init__(
@@ -248,6 +248,15 @@ class SiteRegistry:
     def output_indices(self, channel: int) -> np.ndarray:
         start = self.index(REGION_OUTPUT, 1, channel)
         return np.arange(start, start + self.lead_length)
+
+    def leads(self, values: np.ndarray) -> np.ndarray:
+        """View of the last, per-site axis of ``values`` as shape
+        ``(..., n_outputs + 1, lead_length)``: row 0 is the input lead, row l
+        output lead l, each running from the junction (offset 1) outward."""
+        if not self._has_input:
+            raise PhysicsError("registry has no input lead")
+        shape = (*values.shape[:-1], self.n_outputs + 1, self.lead_length)
+        return values[..., self.n_center :].reshape(shape)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

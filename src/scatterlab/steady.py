@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import NumericalError, PhysicsError
-from .lattice import Hamiltonian, dense_eigs, dispersion
+from .lattice import dispersion
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -84,9 +84,7 @@ class ResonanceScan:
     dark_states: tuple[float, ...] = ()
 
 
-def _center_block(center: Hamiltonian | np.ndarray) -> np.ndarray:
-    if isinstance(center, Hamiltonian):
-        return center.dense()
+def _center_block(center: np.ndarray) -> np.ndarray:
     m = np.asarray(center, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PhysicsError(f"center block must be square, got shape {m.shape}")
@@ -118,7 +116,7 @@ def _degeneracy_warning(vals: np.ndarray, energy: float, J: float) -> tuple[str,
 
 
 def solve_multichannel(
-    center: Hamiltonian | np.ndarray,
+    center: np.ndarray,
     J: float,
     mu: float,
     k: float,
@@ -164,7 +162,7 @@ def solve_multichannel(
 
 
 def two_lead_solve(
-    center: Hamiltonian | np.ndarray,
+    center: np.ndarray,
     alpha: int,
     J: float,
     mu: float,
@@ -225,7 +223,7 @@ def _dark_level_amplitude(a: np.ndarray, rhs: np.ndarray, alpha: int) -> complex
 
 
 def mu_scan(
-    center: Hamiltonian | np.ndarray,
+    center: np.ndarray,
     alpha: int,
     J: float,
     k: float,
@@ -275,22 +273,15 @@ def mu_scan(
             resonances.append(float(res.x))
             res_r2.append(float(res.fun))
 
-    dark: list[float] = []
-    vals, vecs = np.linalg.eig(hc)
-    for val, overlap in zip(vals, vecs[alpha - 1, :]):
-        if abs(val.imag) > 1e-9:
-            continue
-        if not mu_lo <= val.real <= mu_hi:
-            continue
-        if abs(overlap) ** 2 < DARK_OVERLAP2:
-            dark.append(float(val.real))
+    vals, weights = resonant_eigenvalues(hc, alpha)
+    dark = vals[(mu_lo <= vals) & (vals <= mu_hi) & (weights < DARK_OVERLAP2)]
 
     return ResonanceScan(
         mu_grid=grid,
         reflectance=curve,
         resonances=tuple(resonances),
         resonance_reflectance=tuple(res_r2),
-        dark_states=tuple(sorted(dark)),
+        dark_states=tuple(dark.tolist()),
     )
 
 
@@ -321,21 +312,15 @@ def eigenfunction_from_transmissions(sol: ScatteringSolution) -> np.ndarray:
     return vec
 
 
-def resonant_eigenvalues(
-    center: Hamiltonian | np.ndarray, alpha: int
-) -> tuple[np.ndarray, np.ndarray]:
+def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Real center eigenvalues and their |<alpha|phi>|^2 weights, sorted.
 
     Convenience for scan cross-checks: an eigenvalue is only visible to a
     two-lead scan at ``alpha`` if its weight there is nonzero.
     """
-    hc = _center_block(center)
-    if isinstance(center, Hamiltonian):
-        vals, vecs = dense_eigs(center)
-    else:
-        vals, vecs = np.linalg.eig(hc)
-        order = np.argsort(vals.real, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = np.linalg.eig(_center_block(center))
+    order = np.argsort(vals.real, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
     weights = np.abs(vecs[alpha - 1, :]) ** 2
     real = np.abs(vals.imag) <= 1e-9
     return vals[real].real, weights[real]

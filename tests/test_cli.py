@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +287,8 @@ def test_custom_matrix_pair_parts_must_be_numbers(tmp_path, cell, message):
 @pytest.mark.parametrize(
     "section, key, value",
     [("lead", "J", float("inf")), ("lead", "mu", float("nan")), ("center", "v", float("-inf")),
-     ("steady", "k", float("inf"))],
+     ("steady", "k", float("inf")),
+     pytest.param("lead", "mu", 10**400, id="lead-mu-beyond-float-range")],
 )
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value):
     payload = _small_steady_config()
@@ -434,6 +436,66 @@ def test_artifacts_match_golden(tmp_path, mode):
     assert {k: summary[k] for k in blocks if k in summary} == echo
 
 
+# sha256 of every CSV and SVG of `reproduce-fig 3a`, recorded as above: the
+# figure-scale network (41 channels) and the trajectory heatmap.
+_FIG3A_GOLDEN = {
+    "channels.csv": "7472f33084e1cf540fdd8b18a18ca561b700bbc806827f24a39d6dffbc48a6b7",
+    "snapshots.csv": "520cf2b5b74f306f3cfa50778ea73abef8c443e0ab72979088bca8ea586b3836",
+    "trajectory.csv": "9ee3da73cbb0b108f7e43d37c13d922b9fc2f15030272330aabcffd486dc0e3b",
+    "final_state.svg": "62b00a9064e73584f8e6fb06d64cb30cd9dd3b34e2dbf49c1c34cca4500403ec",
+    "trajectory.svg": "3ed06afb3c35f0b52a47104585864aa28c152fbb26a48b934585e1e8b23f7cc6",
+}
+
+
+def test_figure_3a_artifacts_match_golden(tmp_path):
+    assert cli.main(["reproduce-fig", "3a", "--out", str(tmp_path)]) == 0
+    files = [f for f in (tmp_path / "fig3a").iterdir() if f.suffix in (".csv", ".svg")]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG3A_GOLDEN
+
+
+def _serial_pool(created: list):
+    """ProcessPoolExecutor stand-in: records max_workers and maps in-process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    return SerialPool
+
+
+def test_q_sweep_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
+    created = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(created))
+    config, csv_hashes, _ = _GOLDEN["q-sweep"]
+    out = tmp_path / "out"
+    argv = ["q-sweep", "--config", str(_write(tmp_path, config())), "--out", str(out)]
+    assert cli.main(argv + ["--workers", "5000"]) == 0
+    assert created == [2]  # q = 1 is excluded, leaving two points
+    got = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert got == csv_hashes["sweep.csv"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_q_sweep_rejects_fewer_than_one_worker(tmp_path, monkeypatch, capsys, workers):
+    created = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(created))
+    path = _write(tmp_path, _small_q_sweep_config())
+    argv = ["q-sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", workers]
+    assert cli.main(argv) == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert created == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_config_error(tmp_path):
     path = tmp_path / "nope.json"
     assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -472,8 +534,12 @@ def test_reproduce_fig_smoke(tmp_path):
 
 
 def test_console_entry_point_help():
+    # run from the directory holding the package, so no PYTHONPATH is needed
     proc = subprocess.run(
-        [sys.executable, "-m", "scatterlab", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "scatterlab", "--help"],
+        capture_output=True,
+        text=True,
+        cwd=Path(sl.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "reproduce-fig" in proc.stdout

@@ -271,3 +271,30 @@ def test_registry_rejects_bad_labels():
         reg.index(REGION_OUTPUT, 1, channel=9)
     with pytest.raises(sl.PhysicsError):
         reg.site(reg.dim)
+
+
+@pytest.mark.parametrize(
+    "n_output_leads, input_attachment", [(None, 1), (1, 3)], ids=["multichannel", "two-lead"]
+)
+def test_registry_leads_rows_match_index_gathers(n_output_leads, input_attachment):
+    net = sl.NetworkSpec(
+        center=sl.SSHCenter(v=1.0, w=2.0, cells=2),
+        lead=sl.LeadSpec(J=1.0, length=3),
+        n_output_leads=n_output_leads,
+        input_attachment=input_attachment,
+    )
+    reg = sl.assemble_network(net).registry
+    values = np.arange(2.0 * reg.dim).reshape(2, reg.dim)
+    rows = reg.leads(values)
+    assert rows.shape == (2, reg.n_outputs + 1, 3)
+    assert np.shares_memory(rows, values)
+    np.testing.assert_array_equal(rows[:, 0], values[:, reg.input_indices()])
+    for chan in range(1, reg.n_outputs + 1):
+        np.testing.assert_array_equal(rows[:, chan], values[:, reg.output_indices(chan)])
+    np.testing.assert_array_equal(reg.leads(values[1]), rows[1])
+
+
+def test_registry_leads_needs_an_input_lead():
+    reg = sl.build_center(sl.SSHCenter(v=1.0, w=2.0, cells=2)).registry
+    with pytest.raises(sl.PhysicsError, match="no input lead"):
+        reg.leads(np.zeros(reg.dim))
