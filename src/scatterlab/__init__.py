@@ -40,7 +40,6 @@ from .lattice import (
     assemble_network,
     build_center,
     center_matrix,
-    dense_eigs,
     dispersion,
     group_velocity,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "build_center",
     "center_matrix",
     "channel_probabilities",
-    "dense_eigs",
     "dispersion",
     "edge_state_amplitudes",
     "eigenfunction_from_transmissions",

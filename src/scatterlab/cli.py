@@ -73,7 +73,9 @@ def _parse_angle(value, where: str) -> float:
         if m:
             num = float(m.group(1)) if m.group(1) else 1.0
             den = float(m.group(2)) if m.group(2) else 1.0
-            return num * np.pi / den
+            if den == 0:
+                raise ConfigError(f"{where}: zero denominator in {value!r}")
+            return _number(num * np.pi / den, where)
     raise ConfigError(f"{where}: expected a number or a 'pi/2'-style string, got {value!r}")
 
 
@@ -92,12 +94,6 @@ def _number(value, where: str) -> float:
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true/false")
     return value
 
 
@@ -139,7 +135,6 @@ def _matrix(value, where: str) -> np.ndarray:
 _COERCE = {
     float: _number,
     int: _integer,
-    bool: _boolean,
     float | None: _optional_number,
     tuple[float, ...]: _numbers,
     np.ndarray: _matrix,
@@ -659,18 +654,15 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
         vis_th = analytic.visibility_theory(q) if q < 1 else np.nan
         rows.append((q, "ok", vis, vis_th, p[0], analytic.reflection_theory(q)))
 
-    write_csv(
-        out_dir / "sweep.csv",
-        [
-            "q",
-            "status",
-            "visibility_measured",
-            "visibility_theory",
-            "reflectance_measured",
-            "reflectance_theory",
-        ],
-        rows,
+    columns = (
+        "q",
+        "status",
+        "visibility_measured",
+        "visibility_theory",
+        "reflectance_measured",
+        "reflectance_theory",
     )
+    write_csv(out_dir / "sweep.csv", columns, rows)
 
     arr = np.array(
         [[r[0], r[2], r[3], r[4], r[5]] for r in rows],
@@ -696,17 +688,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
         "sweep": asdict(sweep),
         "lead": asdict(lead),
         "packet": asdict(packet),
-        "rows": [
-            {
-                "q": r[0],
-                "status": r[1],
-                "visibility_measured": r[2],
-                "visibility_theory": r[3],
-                "reflectance_measured": r[4],
-                "reflectance_theory": r[5],
-            }
-            for r in rows
-        ],
+        "rows": [dict(zip(columns, r)) for r in rows],
     }
     write_summary(out_dir / "summary.json", summary)
     return summary

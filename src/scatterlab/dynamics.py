@@ -23,7 +23,7 @@ costs one sparse matrix-vector product.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,14 +77,11 @@ class PropagatorConfig:
 
     ``snapshot_stride`` is the time between stored snapshots (default:
     base stop time / 60); ``t_max`` bounds the extension phase (default:
-    3x base stop time).  Both must be positive.  Snapshots store site
-    probabilities only; set ``store_states`` to keep the full complex
-    states.
+    3x base stop time).  Both must be positive.
     """
 
     snapshot_stride: float | None = None
     t_max: float | None = None
-    store_states: bool = False
 
     def __post_init__(self) -> None:
         if self.snapshot_stride is not None and not self.snapshot_stride > 0:
@@ -110,9 +107,6 @@ class TrajectoryRecord:
     final_time: float
     final_state: np.ndarray
     registry: SiteRegistry
-    network: NetworkSpec | None = None
-    packet: WavePacketSpec | None = None
-    states: np.ndarray | None = field(default=None, repr=False)
     warnings: tuple[str, ...] = ()
 
     def channel_history(self) -> np.ndarray:
@@ -299,7 +293,6 @@ def run_experiment(
     times = [0.0]
     site_probs = [np.abs(psi) ** 2]
     norms = [float(np.linalg.norm(psi))]
-    states = [psi.copy()] if cfg.store_states else None
     notes: list[str] = []
 
     t = 0.0
@@ -313,8 +306,6 @@ def run_experiment(
         times.append(t)
         site_probs.append(prob)
         norms.append(float(np.linalg.norm(psi)))
-        if states is not None:
-            states.append(psi.copy())
         if t + 1e-9 >= t_base and _edge_probability(prob, reg, np.s_[:5]) < FINISH_THRESHOLD:
             break
         if t + 1e-9 >= t_max:
@@ -345,8 +336,5 @@ def run_experiment(
         final_time=t,
         final_state=psi,
         registry=reg,
-        network=net,
-        packet=packet,
-        states=np.asarray(states) if states is not None else None,
         warnings=tuple(notes),
     )

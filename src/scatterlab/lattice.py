@@ -21,10 +21,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError, PhysicsError
-
-# Entrywise threshold below which H and its adjoint are considered equal.
-HERMITIAN_ATOL = 1e-12
+from .errors import PhysicsError
 
 REGION_CENTER = "center"
 REGION_INPUT = "input"
@@ -86,8 +83,7 @@ class NonHermitianSSHCenter:
 class CustomCenter:
     """Arbitrary square complex matrix used verbatim as the center.
 
-    Hermiticity is detected, never assumed.  The stored matrix is a
-    read-only copy of the input.
+    The stored matrix is a read-only copy of the input.
     """
 
     matrix: np.ndarray
@@ -268,35 +264,15 @@ class SiteRegistry:
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Sparse complex Hamiltonian plus the site registry that labels its
-    basis.  Immutable after construction; ``apply`` is reentrant."""
+    basis.  Immutable after construction."""
 
     matrix: sp.csr_matrix
     registry: SiteRegistry
-    hermitian: bool
     spec: NetworkSpec | CenterSpec | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Exact matrix-vector product H @ psi."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.dim,):
-            raise PhysicsError(
-                f"state dimension {psi.shape} does not match Hamiltonian dim {self.dim}"
-            )
-        return self.matrix.dot(psi.astype(complex, copy=False))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def _is_hermitian(m: sp.spmatrix) -> bool:
-    delta = m - m.getH()
-    if delta.nnz == 0:
-        return True
-    return bool(np.max(np.abs(delta.data)) < HERMITIAN_ATOL)
 
 
 def center_matrix(spec: CenterSpec) -> np.ndarray:
@@ -322,10 +298,8 @@ def center_matrix(spec: CenterSpec) -> np.ndarray:
 
 def build_center(spec: CenterSpec) -> Hamiltonian:
     """Construct the center block as a standalone Hamiltonian."""
-    dense = center_matrix(spec)
-    mat = sp.csr_matrix(dense)
     reg = SiteRegistry(n_center=spec.n_sites)
-    return Hamiltonian(matrix=mat, registry=reg, hermitian=_is_hermitian(mat), spec=spec)
+    return Hamiltonian(matrix=sp.csr_matrix(center_matrix(spec)), registry=reg, spec=spec)
 
 
 def assemble_network(net: NetworkSpec) -> Hamiltonian:
@@ -384,7 +358,7 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
         (np.asarray(vals, dtype=complex), (rows, cols)), shape=(reg.dim, reg.dim)
     ).tocsr()
     mat.sum_duplicates()
-    return Hamiltonian(matrix=mat, registry=reg, hermitian=_is_hermitian(mat), spec=net)
+    return Hamiltonian(matrix=mat, registry=reg, spec=net)
 
 
 def dispersion(J: float, mu: float, k: float) -> float:
@@ -395,32 +369,3 @@ def dispersion(J: float, mu: float, k: float) -> float:
 def group_velocity(J: float, k: float) -> float:
     """Magnitude of the lead group velocity |dE/dk| = 2 |J| sin k."""
     return 2.0 * abs(J) * abs(np.sin(k))
-
-
-# Eigensolves above this size are refused; raise the cap explicitly if a
-# larger dense diagonalization is really wanted.
-DENSE_EIGS_CAP = 2048
-
-
-def dense_eigs(H: Hamiltonian, cap: int = DENSE_EIGS_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigendecomposition, sorted by ascending real part.
-
-    Returns ``(values, vectors)`` with eigenvectors as columns.  Hermitian
-    matrices go through the symmetric solver and come back with real
-    eigenvalues; everything else is diagonalized generally.
-    """
-    if H.dim > cap:
-        raise NumericalError(f"dense_eigs refused: dim {H.dim} exceeds cap {cap}")
-    dense = H.dense()
-    if H.hermitian:
-        w, v = np.linalg.eigh(dense)
-        w = w.astype(complex)
-    else:
-        w, v = np.linalg.eig(dense)
-    order = np.argsort(w.real, kind="stable")
-    w, v = w[order], v[:, order]
-    residual = np.linalg.norm(dense @ v - v * w[np.newaxis, :], axis=0)
-    worst = float(residual.max()) if residual.size else 0.0
-    if worst > 1e-9 * max(1.0, float(np.abs(dense).max())):
-        raise NumericalError(f"eigenpair residual {worst:.3e} above tolerance")
-    return w, v

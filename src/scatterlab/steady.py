@@ -318,7 +318,11 @@ def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np
     Convenience for scan cross-checks: an eigenvalue is only visible to a
     two-lead scan at ``alpha`` if its weight there is nonzero.
     """
-    vals, vecs = np.linalg.eig(_center_block(center))
+    hc = _center_block(center)
+    n = hc.shape[0]
+    if not 1 <= alpha <= n:
+        raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
+    vals, vecs = np.linalg.eig(hc)
     order = np.argsort(vals.real, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     weights = np.abs(vecs[alpha - 1, :]) ** 2

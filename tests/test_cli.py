@@ -160,6 +160,14 @@ def test_parse_config_angle_strings(tmp_path):
     payload["packet"]["k"] = "half pi"
     with pytest.raises(sl.ConfigError, match="packet.k"):
         cli.parse_config(_write(tmp_path, payload), "dynamics")
+    for k, message in [
+        ("pi/0", "zero denominator in 'pi/0'"),
+        ("9" * 400 + "*pi", "expected a finite number, got inf"),
+    ]:
+        payload["packet"]["k"] = k
+        with pytest.raises(sl.ConfigError) as err:
+            cli.parse_config(_write(tmp_path, payload), "dynamics")
+        assert str(err.value) == f"packet.k: {message}"
 
 
 # One valid config per mode; each section case below edits one section.
@@ -207,7 +215,7 @@ _SECTION_CASES = {
     ),
     "propagator": (
         "dynamics", "propagator", {"snapshot_stride": 2.0, "t_max": None}, None,
-        ("store_states", 1), "propagator.store_states: expected true/false",
+        ("t_max", "x"), "propagator.t_max: expected a number, got 'x'",
     ),
 }
 
@@ -297,6 +305,14 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"{section}.{key}: expected a finite number, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_store_states_is_an_unknown_propagator_key(tmp_path, capsys):
+    payload = _small_dynamics_config()
+    payload["propagator"] = {"store_states": True}
+    path = _write(tmp_path, payload)
+    assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'store_states' in section 'propagator'" in capsys.readouterr().err
 
 
 def test_nan_snapshot_stride_is_a_physics_error(tmp_path, capsys):
@@ -543,3 +559,8 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "reproduce-fig" in proc.stdout
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in sl.__all__ if not hasattr(sl, name)]
+    assert missing == []

@@ -184,6 +184,13 @@ def test_mu_scan_reports_dark_states():
     assert r_reduced == pytest.approx(-0.2 - 0.4j, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0, 3, -1])
+def test_resonant_eigenvalues_rejects_site_outside_center(alpha):
+    # alpha = 0 would read site N through vecs[-1]; alpha = N + 1 an IndexError
+    with pytest.raises(sl.PhysicsError, match=rf"attachment site {alpha} outside \[1, 2\]"):
+        sl.resonant_eigenvalues(np.diag([1.0, 2.0]), alpha)
+
+
 def test_two_lead_singular_at_attachment_site_raises():
     # a loss level at mu - 2iJ cancels the lead self-energy 2J e^{ik} at
     # k = pi/2: the singular direction sits on alpha, so r is undefined
