@@ -407,28 +407,37 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     )
 
     history = record.channel_history()
-    rows = []
-    for i, t in enumerate(record.times):
-        for c in channels:
-            rows.append((t, int(c), history[i, c]))
-    write_csv(out_dir / "trajectory.csv", ["time", "channel", "probability"], rows)
+    n_times, n_channels = history.shape
+    write_csv(
+        out_dir / "trajectory.csv",
+        ["time", "channel", "probability"],
+        zip(
+            np.repeat(record.times, n_channels).tolist(),
+            np.tile(channels, n_times).tolist(),
+            history.ravel().tolist(),
+        ),
+    )
 
     reg = record.registry
-    labels = [reg.site(i) for i in range(reg.dim)]
-    snap_rows = []
-    for t, prob in zip(record.times, record.site_probabilities):
-        for idx in np.nonzero(prob > 1e-12)[0]:
-            snap_rows.append((t, *labels[idx], prob[idx]))
+    prob = record.site_probabilities
+    regions, chans, offsets = zip(*(reg.site(i) for i in range(reg.dim)))
+    ti, si = np.nonzero(prob > 1e-12)
     write_csv(
         out_dir / "snapshots.csv",
         ["time", "region", "channel", "offset", "probability"],
-        snap_rows,
+        zip(
+            record.times[ti].tolist(),
+            np.array(regions, dtype=object)[si].tolist(),
+            np.array(chans)[si].tolist(),
+            np.array(offsets)[si].tolist(),
+            prob[ti, si].tolist(),
+        ),
     )
 
     # Channel x lead-site intensity maps at a few snapshot times.
     n_panels = min(6, len(record.times))
     picks = np.unique(np.linspace(0, len(record.times) - 1, n_panels).astype(int))
-    grids = reg.leads(record.site_probabilities)
+    grids = reg.leads(prob)
     panels = [(f"t = {record.times[i]:.6g}", grids[i]) for i in picks]
     svg_heatmap(
         out_dir / "trajectory.svg",

@@ -5,11 +5,20 @@ SVG is hand-rolled on purpose: byte-identical output for identical
 inputs, diff-able in review, no plotting dependency.  Floats are
 formatted with %.12g in CSV and fixed decimals in SVG geometry, so
 repeated runs of the same configuration produce identical files.
+
+A CSV row is formatted by one printf template chosen by the types of
+its cells, one piece per cell: ``None`` gives an empty cell, ``str``
+the text as is, ``int`` and numpy integers ``%d``, and any other value
+``%.12g`` (so NaN prints as ``nan``).  Booleans are refused with
+``TypeError``.  Rows are streamed to the file as they are formatted.
+The JSON summary writes non-finite floats as ``null``, so strict
+parsers accept it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,26 +28,43 @@ import numpy as np
 CSV_VERSION_LINE = "# scatterlab-csv v1"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if np.isnan(x):
-        return "nan"
-    return format(x, ".12g")
+def _cell_piece(kind: type) -> str:
+    """The printf piece that formats one CSV cell of type ``kind``."""
+    if issubclass(kind, (bool, np.bool_)):
+        raise TypeError("write_csv does not format booleans")
+    if kind is type(None):
+        return "%.0s"
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.12g"
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [CSV_VERSION_LINE, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a versioned CSV table: the version line, the header, then one
+    line per row, iterating ``rows`` once.
+
+    Each row is formatted as ``template % tuple(row)``, with one template
+    per tuple of cell types, built from ``_cell_piece``: empty for
+    ``None``, the text of a ``str``, ``%d`` for Python and numpy integers,
+    ``%.12g`` for anything else.  A ``bool`` or ``np.bool_`` cell raises
+    ``TypeError``.  Lines are streamed to the open file, not joined first.
+    """
+    templates: dict[tuple[type, ...], str] = {}
+
+    def lines():
+        for row in rows:
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(map(_cell_piece, kinds)) + "\n"
+            yield template % row
+
+    with open(path, "w") as f:
+        f.write(f"{CSV_VERSION_LINE}\n{','.join(columns)}\n")
+        f.writelines(lines())
 
 
 def _jsonable(obj):
@@ -50,15 +76,19 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     return obj
 
 
 def write_summary(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as sorted, indented strict JSON: numpy scalars and
+    arrays become plain numbers and lists, a complex number an
+    ``{"re", "im"}`` object, and NaN or infinity ``null``."""
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------

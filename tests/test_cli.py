@@ -390,6 +390,23 @@ def test_q_sweep_run_marks_transition(tmp_path):
     assert (out / "sweep.svg").exists()
 
 
+def test_q_sweep_summary_is_strict_json(tmp_path):
+    out = tmp_path / "out"
+    path = _write(tmp_path, _small_q_sweep_config())
+    assert cli.main(["q-sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads((out / "summary.json").read_text(), parse_constant=refuse)["rows"]
+    by_q = {row["q"]: row for row in rows}
+    assert by_q[1.0]["status"] == "excluded (transition)"
+    assert by_q[1.0]["visibility_measured"] is None
+    assert by_q[1.0]["reflectance_theory"] is None
+    assert by_q[1.5]["visibility_theory"] is None
+    assert by_q[0.5]["visibility_theory"] == pytest.approx(0.6)
+
+
 # sha256 of each CSV artifact and the config echo of summary.json for the
 # small configs above (recorded with numpy 2.4 and OpenBLAS on x86-64; the
 # CSVs carry 12 significant digits, so another BLAS may flip a last digit).
@@ -467,6 +484,22 @@ def test_figure_3a_artifacts_match_golden(tmp_path):
     assert cli.main(["reproduce-fig", "3a", "--out", str(tmp_path)]) == 0
     files = [f for f in (tmp_path / "fig3a").iterdir() if f.suffix in (".csv", ".svg")]
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG3A_GOLDEN
+
+
+# sha256 of the fig7f panel of `reproduce-fig 7` (the 8-site gain/loss
+# centre, 20,001 grid points), recorded as above.
+_FIG7F_GOLDEN = {
+    "scan.csv": "f8cace5b6d91db45633cb8d50d96840de397c64ec305aeaf0207441cb9ef37fc",
+    "resonances.csv": "75bfc973d07b028a89db61eda60312d3b3821dc751b8b3d1bcf8d31475c62540",
+    "reflection.svg": "d6d58256f728a0cf339becbba7dbd5685dcdc4dafd574ee68675a751d1aed5f8",
+}
+
+
+def test_figure_7f_artifacts_match_golden(tmp_path):
+    cfg = dict(cli.figure_configs("7"))["fig7f"]
+    cli.run(cfg, tmp_path)
+    files = [f for f in tmp_path.iterdir() if f.suffix in (".csv", ".svg")]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG7F_GOLDEN
 
 
 def _serial_pool(created: list):

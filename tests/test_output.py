@@ -1,5 +1,12 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scatterlab.output import (
     CSV_VERSION_LINE,
@@ -29,6 +36,74 @@ def test_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _reference_cell(value) -> str:
+    """The per-cell rule write_csv must reproduce byte for byte."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    return "nan" if np.isnan(x) else format(x, ".12g")
+
+
+def _reference_csv(columns, rows) -> str:
+    lines = [CSV_VERSION_LINE, ",".join(columns)]
+    lines += [",".join(_reference_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _written(columns, rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, columns, rows)
+        with open(path, newline="") as f:
+            return f.read()
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2e-308, 1e16,
+                -1e16, 1e-300, 1e300, 0.1, 1 / 3)
+_CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(width=64).map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(),
+    st.text(alphabet=st.characters(exclude_categories=("Cs",))),
+    st.sampled_from(("%", "%d", "100%", "%s%%", "%(x)s", "excluded (transition)")),
+    st.none(),
+)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n).map(tuple), max_size=12)
+))
+@example([(0.5, "ok", 0.25, np.int64(3)), (1.0, "excluded (transition)", math.nan, None),
+          (1.5, None, np.float64(-0.0), 7)])
+def test_csv_matches_per_cell_reference(rows):
+    columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    assert _written(columns, rows) == _reference_csv(columns, rows)
+
+
+def test_csv_empty_rows_write_the_header_only():
+    assert _written(["a", "b"], iter(())) == f"{CSV_VERSION_LINE}\na,b\n"
+
+
+def test_csv_consumes_a_one_shot_iterator_once():
+    rows = zip([1, 2, 3], np.array([0.5, 0.25, np.nan]), ["x", "%y", "z"])
+    assert _written(["i", "x", "s"], rows) == (
+        f"{CSV_VERSION_LINE}\ni,x,s\n1,0.5,x\n2,0.25,%y\n3,nan,z\n"
+    )
+    assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False])
+def test_csv_refuses_booleans(tmp_path, flag):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ["i", "flag"], [(1, flag)])
+
+
 def test_summary_sorted_and_typed(tmp_path):
     path = tmp_path / "s.json"
     write_summary(
@@ -43,6 +118,18 @@ def test_summary_sorted_and_typed(tmp_path):
     payload = json.loads(text)
     assert payload["alpha"] == [0, 1, 2]
     assert payload["n"] == 4
+
+
+def test_summary_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "s.json"
+    write_summary(path, {"a": float("nan"), "b": np.float64(np.inf), "c": [1.0, -np.inf],
+                         "z": complex(np.nan, 1.0)})
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(path.read_text(), parse_constant=refuse)
+    assert payload == {"a": None, "b": None, "c": [1.0, None], "z": {"re": None, "im": 1.0}}
 
 
 def test_svg_line_plot_deterministic_and_labeled(tmp_path):
