@@ -15,14 +15,21 @@ doubling the boundary term at the shared site.
 
 Centers are small (a few hundred sites at most), so every solve is a
 dense direct solve.  All functions are pure; scans are deterministic.
+
+Scan resonances are refined by golden-section search (Kiefer 1953), done
+here with the constants and step order of scipy's golden scalar
+minimizer, so every refined zero is bit-identical to it.  The search
+reuses the scan's grid values for its bracket.  scipy's optimize package
+is not a runtime import: loading it would cost every CLI call about a
+third of its import time for these few lines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericalError, PhysicsError
 from .lattice import dispersion
@@ -33,6 +40,12 @@ RESONANCE_R2 = 1e-8
 CANDIDATE_R2 = 1e-2
 # |<alpha|phi>|^2 below this marks an eigenstate invisible to the scan.
 DARK_OVERLAP2 = 1e-12
+# Golden-section search: scipy's rounded ratio (not the exact
+# (sqrt(5) - 1) / 2), relative x tolerance and iteration cap.
+_gR = 0.61803399
+_gC = 1.0 - _gR
+GOLDEN_XTOL = 1e-13
+GOLDEN_MAXITER = 5000
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,10 @@ def solve_multichannel(
         raise PhysicsError(f"input site {input_site} outside [1, {n}]")
     energy = dispersion(J, mu, k)
     phase = J * np.exp(1j * k)
-    a = hc - energy * np.eye(n) + phase * np.eye(n)
+    a = hc.copy()
+    diag = a.ravel()[:: n + 1]  # a view: the copy is C-contiguous
+    diag -= energy
+    diag += phase
     a[input_site - 1, input_site - 1] += phase
     rhs = np.zeros(n, dtype=complex)
     rhs[input_site - 1] = 2j * J * np.sin(k)
@@ -189,7 +205,8 @@ def two_lead_solve(
     if not 1 <= alpha <= n:
         raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
     energy = dispersion(J, mu, k)
-    a = hc - energy * np.eye(n)
+    a = hc.copy()
+    a.ravel()[:: n + 1] -= energy
     a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
     rhs = np.zeros(n, dtype=complex)
     rhs[alpha - 1] = 2j * J * np.sin(k)
@@ -222,6 +239,42 @@ def _dark_level_amplitude(a: np.ndarray, rhs: np.ndarray, alpha: int) -> complex
     return complex(vh[keep, alpha - 1] @ coeffs)
 
 
+def _golden_minimum(
+    f: Callable[[float], float], xs: Sequence[float], fs: Sequence[float]
+) -> tuple[float, float]:
+    """Golden-section minimum ``(x, f(x))`` of ``f`` in the bracket
+    ``xs = (xa, xb, xc)``, xa < xb < xc, given ``fs``, the values of ``f``
+    there.
+
+    This is scipy's golden scalar minimizer step for step (same
+    constants, first split of the longer side, stop test, cap and final
+    tie rule), so ``x`` and ``f(x)`` are bit-identical to it with
+    ``bracket=xs`` and ``xtol=GOLDEN_XTOL``.  Only f(xb) enters the
+    search, and no bracket point is evaluated again.  Where f(xb) ties f(xa) or f(xc),
+    scipy rejects the bracket; here the search runs all the same.
+    """
+    x0, xb, x3 = (float(x) for x in xs)
+    fb = float(fs[1])
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + _gC * (x3 - xb)
+        f1, f2 = fb, f(x2)
+    else:
+        x1, x2 = xb - _gC * (xb - x0), xb
+        f1, f2 = f(x1), fb
+    for _ in range(GOLDEN_MAXITER):
+        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _gR * x1 + _gC * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _gR * x2 + _gC * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def mu_scan(
     center: np.ndarray,
     alpha: int,
@@ -234,15 +287,22 @@ def mu_scan(
     zeros.
 
     Candidate local minima below 1e-2 are refined by golden-section
-    minimization; only minima reaching |r|^2 < 1e-8 are reported as
-    resonances.  Eigenstates with vanishing weight at the attachment site
-    are reported separately as dark states.  A grid point that lands
+    minimization over the bracket of their two grid neighbours.  The
+    search is scipy's golden scalar minimizer step for step, with its
+    rounded ratio 0.61803399, xtol 1e-13 and 5,000-iteration cap, so the
+    refined mu* and |r|^2 are bit-identical to it.  The bracket's |r|^2 is
+    taken from the grid rather than solved again, and scipy's optimize
+    package is not imported.  Only minima reaching |r|^2 < 1e-8 are
+    reported as resonances.  Eigenstates with vanishing weight at the
+    attachment site are reported separately as dark states.  A grid point that lands
     exactly on a dark level is solved as by ``two_lead_solve``: the dark
     level drops out and r is that of the remaining center.
     """
     mu_lo, mu_hi = mu_range
-    if resolution <= 0:
-        raise PhysicsError(f"scan resolution must be positive, got {resolution}")
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise PhysicsError(f"scan resolution must be positive and finite, got {resolution}")
+    if not (np.isfinite(mu_lo) and np.isfinite(mu_hi)):
+        raise PhysicsError(f"scan range [{mu_lo}, {mu_hi}] must be finite")
     if mu_hi <= mu_lo:
         raise PhysicsError(f"empty scan range [{mu_lo}, {mu_hi}]")
     hc = _center_block(center)
@@ -263,15 +323,10 @@ def mu_scan(
             continue
         if curve[i] >= CANDIDATE_R2:
             continue
-        res = minimize_scalar(
-            r2,
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            options={"xtol": 1e-13},
-        )
-        if res.fun < RESONANCE_R2:
-            resonances.append(float(res.x))
-            res_r2.append(float(res.fun))
+        mu_star, r2_star = _golden_minimum(r2, grid[i - 1 : i + 2], curve[i - 1 : i + 2])
+        if r2_star < RESONANCE_R2:
+            resonances.append(mu_star)
+            res_r2.append(r2_star)
 
     vals, weights = resonant_eigenvalues(hc, alpha)
     dark = vals[(mu_lo <= vals) & (vals <= mu_hi) & (weights < DARK_OVERLAP2)]

@@ -502,6 +502,22 @@ def test_figure_7f_artifacts_match_golden(tmp_path):
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG7F_GOLDEN
 
 
+# sha256 of the fig7b panel of `reproduce-fig 7` (the 40-site v=2 SSH
+# centre, 14,001 grid points), recorded as above.  Its edge pair is split
+# by 5.7e-6, inside one grid step, so the refinement must resolve both zeros.
+_FIG7B_GOLDEN = {
+    "scan.csv": "9ef6df8a5cf75c4ee615805fc10af5421de5df0211814822e7a91f3181d9851a",
+    "resonances.csv": "17f735b63a4ae759d80b8a1fe99dec39e13313a7526fbe8cd823c81b9325152f",
+}
+
+
+def test_figure_7b_artifacts_match_golden(tmp_path):
+    cfg = dict(cli.figure_configs("7"))["fig7b"]
+    cli.run(cfg, tmp_path)
+    files = [f for f in tmp_path.iterdir() if f.suffix == ".csv"]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG7B_GOLDEN
+
+
 def _serial_pool(created: list):
     """ProcessPoolExecutor stand-in: records max_workers and maps in-process."""
 
@@ -592,6 +608,20 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "reproduce-fig" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize (and the scipy.spatial, scipy.fft and scipy.linalg it
+    # pulls in) would add about a third to every CLI call's import time
+    code = "import sys, scatterlab.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(sl.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_every_public_name_resolves():

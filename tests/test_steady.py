@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
+from scatterlab.steady import _golden_minimum
 
 
 def _ssh(v, w=4.0, cells=20):
@@ -203,6 +205,80 @@ def test_mu_scan_input_validation():
         sl.mu_scan(_ssh(2.0), 1, 1.0, K, (1.0, 1.0), 1e-3)
     with pytest.raises(sl.PhysicsError):
         sl.mu_scan(_ssh(2.0), 1, 1.0, K, (0.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    ("mu_range", "resolution"),
+    [
+        ((0.0, 1.0), np.nan),
+        ((0.0, 1.0), np.inf),
+        ((np.nan, 1.0), 1e-3),
+        ((0.0, np.inf), 1e-3),
+    ],
+)
+def test_mu_scan_rejects_non_finite_inputs(mu_range, resolution):
+    with pytest.raises(sl.PhysicsError, match="finite"):
+        sl.mu_scan(_ssh(2.0, cells=3), 1, 1.0, K, mu_range, resolution)
+
+
+def _candidate_brackets(center, mu_range):
+    """Every (f, grid bracket, grid values) the refinement of a step-1e-2
+    scan of ``center`` starts from, by mu_scan's candidate rule."""
+    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=mu_range, resolution=1e-2)
+    grid, curve = scan.mu_grid, scan.reflectance
+
+    def r2(mu):
+        return float(abs(sl.two_lead_solve(center, 1, 1.0, mu, K)[0]) ** 2)
+
+    return [
+        (r2, grid[i - 1 : i + 2], curve[i - 1 : i + 2])
+        for i in range(1, len(grid) - 1)
+        if curve[i] < curve[i - 1] and curve[i] <= curve[i + 1] and curve[i] < 1e-2
+    ]
+
+
+def _scipy_golden(f, xs):
+    return minimize_scalar(f, bracket=tuple(xs), method="golden", options={"xtol": 1e-13})
+
+
+@pytest.mark.parametrize(
+    ("center", "mu_range"),
+    [
+        (_ssh(2.0, cells=3), (-6.5, 6.5)),
+        (sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4)), (30.0, 50.0)),
+    ],
+    ids=["ssh-3-cells", "gain-loss-8-sites"],
+)
+def test_golden_minimum_matches_scipy_on_scan_brackets(center, mu_range):
+    brackets = _candidate_brackets(center, mu_range)
+    assert len(brackets) >= 4
+    for f, xs, fs in brackets:
+        ref = _scipy_golden(f, xs)
+        assert _golden_minimum(f, xs, fs) == (float(ref.x), float(ref.fun))
+
+
+def test_golden_minimum_matches_scipy_at_an_exact_zero():
+    # the minimum sits on x = 0, so the relative stop test |x3 - x0| <=
+    # xtol (|x1| + |x2|) is met only after many steps: this pins termination
+    def f(x):
+        return x * x
+
+    ref = _scipy_golden(f, (-1.0, 0.1, 1.0))
+    assert ref.nit == 837
+    assert _golden_minimum(f, (-1.0, 0.1, 1.0), (1.0, 0.01, 1.0)) == (float(ref.x), float(ref.fun))
+
+
+def test_golden_minimum_accepts_a_tie_with_the_right_bracket_value():
+    # mu_scan's candidate rule admits f(xb) == f(xc), which scipy rejects
+    def f(x):
+        return (x - 0.5) ** 2
+
+    xs, fs = (-1.0, 0.0, 1.0), (2.25, 0.25, 0.25)
+    with pytest.raises(ValueError, match="Bracketing values"):
+        _scipy_golden(f, xs)
+    x, fun = _golden_minimum(f, xs, fs)
+    assert x == pytest.approx(0.5, abs=1e-12)
+    assert fun == pytest.approx(0.0, abs=1e-24)
 
 
 def test_eigenfunction_from_transmissions_images_edge_state():
