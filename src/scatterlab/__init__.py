@@ -38,7 +38,6 @@ from .lattice import (
     SiteRegistry,
     SSHCenter,
     assemble_network,
-    build_center,
     center_matrix,
     dispersion,
     group_velocity,
@@ -76,7 +75,6 @@ __all__ = [
     "TrajectoryRecord",
     "WavePacketSpec",
     "assemble_network",
-    "build_center",
     "center_matrix",
     "channel_probabilities",
     "dispersion",

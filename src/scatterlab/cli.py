@@ -420,16 +420,16 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
 
     reg = record.registry
     prob = record.site_probabilities
-    regions, chans, offsets = zip(*(reg.site(i) for i in range(reg.dim)))
+    regions, chans, offsets = reg.labels()
     ti, si = np.nonzero(prob > 1e-12)
     write_csv(
         out_dir / "snapshots.csv",
         ["time", "region", "channel", "offset", "probability"],
         zip(
             record.times[ti].tolist(),
-            np.array(regions, dtype=object)[si].tolist(),
-            np.array(chans)[si].tolist(),
-            np.array(offsets)[si].tolist(),
+            regions[si].tolist(),
+            chans[si].tolist(),
+            offsets[si].tolist(),
             prob[ti, si].tolist(),
         ),
     )

@@ -112,15 +112,12 @@ class TrajectoryRecord:
     def channel_history(self) -> np.ndarray:
         """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1)."""
         reg = self.registry
-        out = np.empty((len(self.times), reg.n_outputs + 1))
-        out[:, 0] = self.site_probabilities[:, reg.input_indices()].sum(axis=1)
-        for chan in range(1, reg.n_outputs + 1):
-            out[:, chan] = self.site_probabilities[:, reg.output_indices(chan)].sum(axis=1)
-        return out
+        return self.site_probabilities[:, reg.leads(np.arange(reg.dim))].sum(axis=-1)
 
 
 def init_gaussian(network: Hamiltonian, spec: WavePacketSpec) -> np.ndarray:
-    """Unit-norm Gaussian packet on the input lead, zero elsewhere.
+    """Unit-norm Gaussian packet on the input lead of an assembled
+    ``network``, zero elsewhere.
 
     Amplitude at physical site j is exp(-(j - N_c)^2 / 2 sigma^2) e^{i k j}
     up to normalization, with N_c = ``spec.center_site``.
@@ -132,8 +129,6 @@ def init_gaussian(network: Hamiltonian, spec: WavePacketSpec) -> np.ndarray:
     within a window much narrower than sigma the packet is e^{ikj}.
     """
     reg = network.registry
-    if not reg.has_input:
-        raise PhysicsError("network has no input lead to host the packet")
     L = reg.lead_length
     if abs(spec.center_site) + 4 * spec.sigma >= L:
         raise PhysicsError(
@@ -143,17 +138,16 @@ def init_gaussian(network: Hamiltonian, spec: WavePacketSpec) -> np.ndarray:
     psi = np.zeros(reg.dim, dtype=complex)
     j = -np.arange(1.0, L + 1.0)  # input offset o holds physical site -o
     envelope = np.exp(-((j - spec.center_site) ** 2) / (2.0 * spec.sigma**2))
-    psi[reg.input_indices()] = envelope * np.exp(1j * spec.k * j)
+    reg.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
     psi /= np.linalg.norm(psi)
 
-    if isinstance(network.spec, NetworkSpec):
-        J = network.spec.lead.J
-        if J * np.sin(spec.k) > 0:
-            _warnings.warn(
-                "packet group velocity points away from the scattering center "
-                f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet",
-                stacklevel=2,
-            )
+    J = network.spec.lead.J
+    if J * np.sin(spec.k) > 0:
+        _warnings.warn(
+            "packet group velocity points away from the scattering center "
+            f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet",
+            stacklevel=2,
+        )
     return psi
 
 
@@ -332,7 +326,7 @@ def run_experiment(
         site_probabilities=np.asarray(site_probs),
         norms=np.asarray(norms),
         channel_probabilities=channel_probabilities(psi, reg),
-        center_probability=float(prob[reg.center_indices()].sum()),
+        center_probability=float(prob[: reg.n_center].sum()),
         final_time=t,
         final_state=psi,
         registry=reg,

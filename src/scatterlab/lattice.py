@@ -1,13 +1,17 @@
 """Tight-binding scattering networks: centers, leads, and assembly.
 
 A scattering network is a finite cluster (the *center*) with uniform
-tight-binding chains (the *leads*) attached to its sites.  Two geometries
-are supported:
+tight-binding chains (the *leads*) attached to its sites.
+``NetworkSpec.alpha`` picks one of two geometries:
 
-* multichannel -- one output lead per center site, plus one input lead
-  sharing the attachment site of output lead 1;
-* two-lead -- a single input and a single output lead, both attached to
-  one arbitrary center site.
+* multichannel (``alpha=None``) -- one output lead per center site, plus
+  one input lead sharing the attachment site of output lead 1;
+* two-lead (``alpha`` an int) -- a single input and a single output lead,
+  both attached to center site ``alpha``.
+
+``SiteRegistry.leads`` is the one place that maps a lead to its global
+indices; assembly, packet injection, channel sums and site labels all
+read through it.
 
 All specs are immutable; assembled Hamiltonians are safe for shared
 concurrent reads.
@@ -132,143 +136,81 @@ class LeadSpec:
 class NetworkSpec:
     """Declarative description of a full scattering network.
 
-    ``n_output_leads`` is either the center size N (multichannel geometry:
-    output lead l attaches at center site l, the input lead attaches at
-    ``input_attachment``, site 1 by default) or 1 (two-lead geometry: the
-    single output lead shares the input's attachment site).
+    ``alpha`` picks the geometry, named as in ``two_lead_solve``: ``None``
+    is multichannel (output lead l attaches at center site l, the input
+    lead at site 1), an int is two-lead (the input and the single output
+    lead both attach at center site ``alpha``).
     """
 
     center: CenterSpec
     lead: LeadSpec
-    n_output_leads: int | None = None
-    input_attachment: int = 1
+    alpha: int | None = None
 
     def __post_init__(self) -> None:
         n = self.center.n_sites
-        n_out = self.n_output_leads if self.n_output_leads is not None else n
-        if n_out not in (n, 1):
-            raise PhysicsError(
-                f"n_output_leads must be {n} (multichannel) or 1 (two-lead), got {n_out}"
-            )
-        if not 1 <= self.input_attachment <= n:
-            raise PhysicsError(
-                f"input attachment site {self.input_attachment} outside [1, {n}]"
-            )
+        if self.alpha is not None and not 1 <= self.alpha <= n:
+            raise PhysicsError(f"attachment site alpha={self.alpha} outside [1, {n}]")
 
     @property
-    def n_outputs(self) -> int:
-        return self.n_output_leads if self.n_output_leads is not None else self.center.n_sites
-
-    @property
-    def output_attachments(self) -> tuple[int, ...]:
-        if self.n_outputs == 1:
-            return (self.input_attachment,)
-        return tuple(range(1, self.center.n_sites + 1))
+    def attachments(self) -> tuple[int, ...]:
+        """1-based center site of each lead in ``SiteRegistry.leads`` row
+        order: the input lead first, then each output lead."""
+        if self.alpha is None:
+            return (1, *range(1, self.center.n_sites + 1))
+        return (self.alpha, self.alpha)
 
 
+@dataclass(frozen=True)
 class SiteRegistry:
-    """Bijection between site labels ``(region, channel, offset)`` and
-    global matrix indices.
+    """Site layout of an assembled network's basis: ``n_center`` center
+    sites, then ``n_outputs + 1`` leads of ``lead_length`` sites each, the
+    input lead before output leads 1..n_outputs.
 
-    Regions and their 1-based offsets:
-
-    * ``("center", 0, j)`` -- center site j in [1, N];
-    * ``("input", 0, j)`` -- input-lead site at physical position -j;
-    * ``("output", l, j)`` -- site j of output lead l >= 1.
-
-    Global ordering is center first, then the input lead, then output
-    leads in channel order; callers treat the ordering as opaque and go
-    through this registry, whose ``leads`` is the per-lead accessor.
+    ``leads`` is the only code that knows where a lead lives; ``labels``
+    names every global index by writing through it.
     """
 
-    def __init__(
-        self,
-        n_center: int,
-        lead_length: int = 0,
-        output_attachments: tuple[int, ...] = (),
-        input_attachment: int | None = None,
-    ):
-        self.n_center = int(n_center)
-        self.lead_length = int(lead_length)
-        self.output_attachments = tuple(int(a) for a in output_attachments)
-        self.input_attachment = input_attachment
-        self.n_outputs = len(self.output_attachments)
-        self._has_input = input_attachment is not None
-        n_leads = self.n_outputs + (1 if self._has_input else 0)
-        self.dim = self.n_center + n_leads * self.lead_length
+    n_center: int
+    lead_length: int
+    n_outputs: int
 
     @property
-    def has_input(self) -> bool:
-        return self._has_input
-
-    def index(self, region: str, offset: int, channel: int = 0) -> int:
-        L = self.lead_length
-        if region == REGION_CENTER:
-            if not 1 <= offset <= self.n_center:
-                raise PhysicsError(f"center offset {offset} outside [1, {self.n_center}]")
-            return offset - 1
-        if not 1 <= offset <= L:
-            raise PhysicsError(f"lead offset {offset} outside [1, {L}]")
-        if region == REGION_INPUT:
-            if not self._has_input:
-                raise PhysicsError("registry has no input lead")
-            return self.n_center + offset - 1
-        if region == REGION_OUTPUT:
-            if not 1 <= channel <= self.n_outputs:
-                raise PhysicsError(f"output channel {channel} outside [1, {self.n_outputs}]")
-            block = (1 if self._has_input else 0) + channel - 1
-            return self.n_center + block * L + offset - 1
-        raise PhysicsError(f"unknown region {region!r}")
-
-    def site(self, index: int) -> tuple[str, int, int]:
-        if not 0 <= index < self.dim:
-            raise PhysicsError(f"global index {index} outside [0, {self.dim})")
-        if index < self.n_center:
-            return (REGION_CENTER, 0, index + 1)
-        rest = index - self.n_center
-        block, offset = divmod(rest, self.lead_length)
-        if self._has_input:
-            if block == 0:
-                return (REGION_INPUT, 0, offset + 1)
-            block -= 1
-        return (REGION_OUTPUT, block + 1, offset + 1)
-
-    def center_indices(self) -> np.ndarray:
-        return np.arange(self.n_center)
-
-    def input_indices(self) -> np.ndarray:
-        if not self._has_input:
-            raise PhysicsError("registry has no input lead")
-        return np.arange(self.n_center, self.n_center + self.lead_length)
-
-    def output_indices(self, channel: int) -> np.ndarray:
-        start = self.index(REGION_OUTPUT, 1, channel)
-        return np.arange(start, start + self.lead_length)
+    def dim(self) -> int:
+        return self.n_center + (self.n_outputs + 1) * self.lead_length
 
     def leads(self, values: np.ndarray) -> np.ndarray:
         """View of the last, per-site axis of ``values`` as shape
         ``(..., n_outputs + 1, lead_length)``: row 0 is the input lead, row l
         output lead l, each running from the junction (offset 1) outward."""
-        if not self._has_input:
-            raise PhysicsError("registry has no input lead")
         shape = (*values.shape[:-1], self.n_outputs + 1, self.lead_length)
         return values[..., self.n_center :].reshape(shape)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"SiteRegistry(n_center={self.n_center}, lead_length={self.lead_length}, "
-            f"n_outputs={self.n_outputs}, has_input={self._has_input})"
-        )
+    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Region, channel and 1-based offset of every global index:
+        ``("center", 0, j)`` for center site j, ``("input", 0, j)`` for the
+        input-lead site at physical position -j, ``("output", l, j)`` for
+        site j of output lead l."""
+        region = np.full(self.dim, REGION_CENTER, dtype=object)
+        channel = np.zeros(self.dim, dtype=int)
+        offset = np.zeros(self.dim, dtype=int)
+        offset[: self.n_center] = np.arange(1, self.n_center + 1)
+        self.leads(region)[0] = REGION_INPUT
+        self.leads(region)[1:] = REGION_OUTPUT
+        self.leads(channel)[:] = np.arange(self.n_outputs + 1)[:, None]
+        self.leads(offset)[:] = np.arange(1, self.lead_length + 1)
+        return region, channel, offset
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Sparse complex Hamiltonian plus the site registry that labels its
-    basis.  Immutable after construction."""
+    """Sparse complex Hamiltonian.  ``assemble_network`` attaches the site
+    ``registry`` that labels its basis and the ``spec`` it was built from;
+    a bare matrix, as handed to ``propagate``, needs neither.  Immutable
+    after construction."""
 
     matrix: sp.csr_matrix
-    registry: SiteRegistry
-    spec: NetworkSpec | CenterSpec | None = field(default=None, repr=False)
+    registry: SiteRegistry | None = None
+    spec: NetworkSpec | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -296,12 +238,6 @@ def center_matrix(spec: CenterSpec) -> np.ndarray:
     return m
 
 
-def build_center(spec: CenterSpec) -> Hamiltonian:
-    """Construct the center block as a standalone Hamiltonian."""
-    reg = SiteRegistry(n_center=spec.n_sites)
-    return Hamiltonian(matrix=sp.csr_matrix(center_matrix(spec)), registry=reg, spec=spec)
-
-
 def assemble_network(net: NetworkSpec) -> Hamiltonian:
     """Assemble center + leads + junction bonds into one global matrix.
 
@@ -309,53 +245,27 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
     bonds of amplitude J connect each lead's innermost site to its
     attachment site on the center.
     """
-    n = net.center.n_sites
-    L = net.lead.length
     J, mu = net.lead.J, net.lead.mu
-    reg = SiteRegistry(
-        n_center=n,
-        lead_length=L,
-        output_attachments=net.output_attachments,
-        input_attachment=net.input_attachment,
-    )
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
+    reg = SiteRegistry(net.center.n_sites, net.lead.length, len(net.attachments) - 1)
+    leads = reg.leads(np.arange(reg.dim))
 
     hc = center_matrix(net.center)
     ci, cj = np.nonzero(hc)
-    rows.extend(ci.tolist())
-    cols.extend(cj.tolist())
-    vals.extend(hc[ci, cj].tolist())
-
-    def add_chain(start: int) -> None:
-        for off in range(L):
-            if mu != 0.0:
-                rows.append(start + off)
-                cols.append(start + off)
-                vals.append(mu)
-        for off in range(L - 1):
-            a, b = start + off, start + off + 1
-            rows.extend((a, b))
-            cols.extend((b, a))
-            vals.extend((J, J))
-
-    def add_junction(lead_end: int, center_site: int) -> None:
-        c = center_site - 1
-        rows.extend((lead_end, c))
-        cols.extend((c, lead_end))
-        vals.extend((J, J))
-
-    add_chain(reg.index(REGION_INPUT, 1))
-    add_junction(reg.index(REGION_INPUT, 1), net.input_attachment)
-    for chan, attach in enumerate(net.output_attachments, start=1):
-        start = reg.index(REGION_OUTPUT, 1, chan)
-        add_chain(start)
-        add_junction(start, attach)
+    # Bonds (a, b): adjacent sites of each lead chain, then each lead's
+    # innermost site and its attachment site; both directions carry J.
+    a = np.concatenate((leads[:, :-1].ravel(), leads[:, 0]))
+    b = np.concatenate((leads[:, 1:].ravel(), np.asarray(net.attachments) - 1))
+    rows = [ci, a, b]
+    cols = [cj, b, a]
+    vals = [hc[ci, cj], np.full(2 * a.size, J, dtype=complex)]
+    if mu != 0.0:
+        rows.append(leads.ravel())
+        cols.append(leads.ravel())
+        vals.append(np.full(leads.size, mu, dtype=complex))
 
     mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(reg.dim, reg.dim)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(reg.dim, reg.dim),
     ).tocsr()
     mat.sum_duplicates()
     return Hamiltonian(matrix=mat, registry=reg, spec=net)

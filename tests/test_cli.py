@@ -469,6 +469,29 @@ def test_artifacts_match_golden(tmp_path, mode):
     assert {k: summary[k] for k in blocks if k in summary} == echo
 
 
+# sha256 of the CSVs of a small gain/loss dynamics run, recorded as above:
+# the lead potential mu sits on the first real level of the centre, so this
+# pins a mu != 0 network and the non-Hermitian propagator's output.
+_GAIN_LOSS_DYNAMICS_GOLDEN = {
+    "channels.csv": "442469260003405958bd590bcae9161a31791a3327faf821bc01487ddeb74225",
+    "snapshots.csv": "b290a3105f13cc54321ca5ddf6266b8cc11050af548260ec0b465140cd246e07",
+    "trajectory.csv": "63ec98b5ad1caac25bacdea9702277c78c35840499168974764bd53b2e3dd6c9",
+}
+
+
+def test_gain_loss_dynamics_artifacts_match_golden(tmp_path):
+    mu = sl.nh_spectrum(8.0, 2.0, 1.0, 2).level(0).real_energy
+    config = {
+        "center": {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2},
+        "lead": {"J": -0.1, "mu": mu, "length": 60},
+        "packet": {"center_site": -30, "sigma": 6, "k": "pi/2"},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["dynamics", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*.csv")}
+    assert got == _GAIN_LOSS_DYNAMICS_GOLDEN
+
+
 # sha256 of every CSV and SVG of `reproduce-fig 3a`, recorded as above: the
 # figure-scale network (41 channels) and the trajectory heatmap.
 _FIG3A_GOLDEN = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -27,8 +28,8 @@ def test_gaussian_packet_unit_norm_and_peak():
     psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-100, sigma=20.0, k=K))
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     peak = int(np.argmax(np.abs(psi)))
-    assert H.registry.site(peak) == ("input", 0, 100)
-    assert np.abs(psi[H.registry.center_indices()]).max() == 0.0
+    assert tuple(labels[peak] for labels in H.registry.labels()) == ("input", 0, 100)
+    assert np.abs(psi[: H.registry.n_center]).max() == 0.0
 
 
 def test_gaussian_plane_wave_limit():
@@ -36,7 +37,7 @@ def test_gaussian_plane_wave_limit():
     # plane wave e^{ikj}: compare the 201 sites within 100 of its center
     H = sl.assemble_network(_small_net(length=2000))
     psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-1000, sigma=240.0, k=0.7))
-    lead = psi[H.registry.input_indices()]
+    lead = H.registry.leads(psi)[0]
     j = -np.arange(1.0, 2001.0)  # input offset o holds physical site -o
     near = np.abs(j + 1000) <= 100
     plane = np.exp(1j * 0.7 * j[near])
@@ -48,7 +49,7 @@ def test_gaussian_plane_wave_limit():
 def test_gaussian_zero_momentum_is_real_positive():
     H = sl.assemble_network(_small_net())
     psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-30, sigma=5.0, k=0.0))
-    lead = psi[H.registry.input_indices()]
+    lead = H.registry.leads(psi)[0]
     assert np.all(lead.imag == 0)
     assert np.all(lead.real > 0)
 
@@ -67,7 +68,7 @@ def test_gaussian_warns_when_packet_moves_away():
 
 def test_rabi_half_period():
     v = 0.7
-    H = sl.build_center(sl.CustomCenter(np.array([[0.0, v], [v, 0.0]])))
+    H = sl.Hamiltonian(sp.csr_matrix(np.array([[0.0, v], [v, 0.0]], dtype=complex)))
     psi = sl.propagate(H, np.array([1.0, 0.0]), np.pi / (2 * v))
     target = np.array([0.0, -1.0j])
     assert abs(np.vdot(target, psi)) == pytest.approx(1.0, abs=1e-9)
@@ -76,7 +77,7 @@ def test_rabi_half_period():
 def test_propagate_matches_dense_spectral_evolution():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
-    H = sl.build_center(sl.CustomCenter(a + a.conj().T))
+    H = sl.Hamiltonian(sp.csr_matrix(a + a.conj().T))
     psi0 = rng.normal(size=200) + 1j * rng.normal(size=200)
     psi0 /= np.linalg.norm(psi0)
     w, v = np.linalg.eigh(H.matrix.toarray())
@@ -146,7 +147,7 @@ def _gain_loss_network():
 
 
 def _custom(matrix):
-    return sl.build_center(sl.CustomCenter(np.array(matrix, dtype=complex)))
+    return sl.Hamiltonian(sp.csr_matrix(np.array(matrix, dtype=complex)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -268,7 +269,7 @@ def test_run_experiment_two_lead_geometry():
     net = sl.NetworkSpec(
         center=center,
         lead=sl.LeadSpec(J=-1.0, mu=mid, length=120),
-        n_output_leads=1,
+        alpha=1,
     )
     rec = sl.run_experiment(net, sl.WavePacketSpec(center_site=-60, sigma=12.0, k=K))
     r, t = sl.two_lead_solve(sl.center_matrix(center), 1, -1.0, mid, K)

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterlab as sl
-from scatterlab.lattice import (
-    REGION_CENTER,
-    REGION_INPUT,
-    REGION_OUTPUT,
-    SiteRegistry,
-)
+from scatterlab.lattice import REGION_CENTER, REGION_INPUT, REGION_OUTPUT
 
 
 def test_ssh_center_matrix_alternating_bonds():
@@ -84,34 +79,61 @@ def test_assemble_two_lead_dimensions():
     net = sl.NetworkSpec(
         center=sl.SSHCenter(v=2.0, w=4.0, cells=3),
         lead=sl.LeadSpec(J=1.0, mu=0.0, length=50),
-        n_output_leads=1,
-        input_attachment=4,
+        alpha=4,
     )
     H = sl.assemble_network(net)
     assert H.dim == 6 + 2 * 50
     assert H.registry.n_outputs == 1
-    assert H.registry.output_attachments == (4,)
+    assert net.attachments == (4, 4)
     # junction bonds present at the shared attachment site
     dense = H.matrix.toarray()
-    in_first = H.registry.index(REGION_INPUT, 1)
-    out_first = H.registry.index(REGION_OUTPUT, 1, 1)
+    in_first, out_first = H.registry.leads(np.arange(H.dim))[:, 0]
     assert dense[in_first, 3] == 1.0
     assert dense[out_first, 3] == 1.0
 
 
 def test_assemble_rejects_bad_attachment():
-    with pytest.raises(sl.PhysicsError):
-        sl.NetworkSpec(
-            center=sl.SSHCenter(v=1.0, w=2.0, cells=2),
-            lead=sl.LeadSpec(J=1.0),
-            input_attachment=5,
-        )
-    with pytest.raises(sl.PhysicsError):
-        sl.NetworkSpec(
-            center=sl.SSHCenter(v=1.0, w=2.0, cells=2),
-            lead=sl.LeadSpec(J=1.0),
-            n_output_leads=3,
-        )
+    for alpha in (0, 5):  # outside the 4-site center [1, 4]
+        with pytest.raises(sl.PhysicsError, match=f"alpha={alpha} outside"):
+            sl.NetworkSpec(
+                center=sl.SSHCenter(v=1.0, w=2.0, cells=2),
+                lead=sl.LeadSpec(J=1.0),
+                alpha=alpha,
+            )
+
+
+def _dense_network(hc, J, mu, length, attachments):
+    # The layout written out by hand: center block first, then one block of
+    # `length` sites per lead in `attachments` order (input lead first).
+    n = hc.shape[0]
+    dim = n + len(attachments) * length
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:n, :n] = hc
+    for lead, site in enumerate(attachments):
+        start = n + lead * length
+        m[start, site - 1] = m[site - 1, start] = J  # junction at lead offset 1
+        for o in range(start, start + length):
+            m[o, o] = mu
+            if o + 1 < start + length:
+                m[o, o + 1] = m[o + 1, o] = J
+    return m
+
+
+@pytest.mark.parametrize(
+    "alpha, attachments", [(None, (1, 1, 2, 3, 4)), (3, (3, 3))], ids=["multichannel", "two-lead"]
+)
+def test_assemble_matches_dense_reference(alpha, attachments):
+    center = sl.NonHermitianSSHCenter(v=3.0, w=1.5, gamma=0.5, cells=2)
+    hc = sl.center_matrix(center)
+    for mu in (0.35, 0.0):
+        lead = sl.LeadSpec(J=-0.7, mu=mu, length=3)
+        net = sl.NetworkSpec(center=center, lead=lead, alpha=alpha)
+        assert net.attachments == attachments
+        H = sl.assemble_network(net)
+        expected = _dense_network(hc, -0.7, mu, 3, attachments)
+        np.testing.assert_array_equal(H.matrix.toarray(), expected)
+        # no explicit zeros: with mu = 0 the lead diagonal is not stored
+        assert H.matrix.nnz == np.count_nonzero(expected)
 
 
 def test_hermitian_closure_for_random_hermitian_center():
@@ -192,63 +214,44 @@ def test_ssh_chiral_symmetry_exact(v, w, cells):
 
 
 @settings(max_examples=60)
-@given(
-    n_center=st.integers(1, 8),
-    length=st.integers(1, 6),
-    two_lead=st.booleans(),
-    data=st.data(),
-)
-def test_registry_round_trip(n_center, length, two_lead, data):
-    alpha = data.draw(st.integers(1, n_center))
-    attachments = (alpha,) if two_lead else tuple(range(1, n_center + 1))
-    reg = SiteRegistry(
-        n_center=n_center,
-        lead_length=length,
-        output_attachments=attachments,
-        input_attachment=alpha if two_lead else 1,
+@given(n_center=st.integers(1, 8), length=st.integers(1, 6), data=st.data())
+def test_registry_labels_cover_the_layout(n_center, length, data):
+    alpha = data.draw(st.none() | st.integers(1, n_center))
+    net = sl.NetworkSpec(
+        center=sl.CustomCenter(np.zeros((n_center, n_center))),
+        lead=sl.LeadSpec(J=1.0, length=length),
+        alpha=alpha,
     )
-    assert reg.dim == n_center + (len(attachments) + 1) * length
-    seen = set()
-    for idx in range(reg.dim):
-        region, channel, offset = reg.site(idx)
-        assert reg.index(region, offset, channel) == idx
-        seen.add((region, channel, offset))
-    assert len(seen) == reg.dim
+    reg = sl.assemble_network(net).registry
+    n_leads = len(net.attachments)
+    assert reg.dim == n_center + n_leads * length
+    region, channel, offset = reg.labels()
+    assert len(set(zip(region, channel, offset))) == len(region) == reg.dim
+    rows = np.broadcast_to(np.arange(n_leads)[:, None], (n_leads, length))
+    np.testing.assert_array_equal(reg.leads(channel), rows)
+    np.testing.assert_array_equal(reg.leads(offset), np.broadcast_to(np.arange(1, length + 1),
+                                                                     (n_leads, length)))
+    assert set(reg.leads(region)[0]) == {REGION_INPUT}
+    assert set(reg.leads(region)[1:].ravel()) == {REGION_OUTPUT}
+    assert set(region[:n_center]) == {REGION_CENTER}
+    np.testing.assert_array_equal(channel[:n_center], 0)
+    np.testing.assert_array_equal(offset[:n_center], np.arange(1, n_center + 1))
 
 
-def test_registry_rejects_bad_labels():
-    reg = SiteRegistry(n_center=4, lead_length=3, output_attachments=(1, 2, 3, 4),
-                       input_attachment=1)
-    with pytest.raises(sl.PhysicsError):
-        reg.index(REGION_CENTER, 5)
-    with pytest.raises(sl.PhysicsError):
-        reg.index(REGION_OUTPUT, 1, channel=9)
-    with pytest.raises(sl.PhysicsError):
-        reg.site(reg.dim)
-
-
-@pytest.mark.parametrize(
-    "n_output_leads, input_attachment", [(None, 1), (1, 3)], ids=["multichannel", "two-lead"]
-)
-def test_registry_leads_rows_match_index_gathers(n_output_leads, input_attachment):
+@pytest.mark.parametrize("alpha", [None, 3], ids=["multichannel", "two-lead"])
+def test_registry_leads_rows_match_index_gathers(alpha):
     net = sl.NetworkSpec(
         center=sl.SSHCenter(v=1.0, w=2.0, cells=2),
         lead=sl.LeadSpec(J=1.0, length=3),
-        n_output_leads=n_output_leads,
-        input_attachment=input_attachment,
+        alpha=alpha,
     )
     reg = sl.assemble_network(net).registry
     values = np.arange(2.0 * reg.dim).reshape(2, reg.dim)
     rows = reg.leads(values)
     assert rows.shape == (2, reg.n_outputs + 1, 3)
     assert np.shares_memory(rows, values)
-    np.testing.assert_array_equal(rows[:, 0], values[:, reg.input_indices()])
-    for chan in range(1, reg.n_outputs + 1):
-        np.testing.assert_array_equal(rows[:, chan], values[:, reg.output_indices(chan)])
+    # center block first, then 3-site blocks: input lead, output leads 1, 2, ...
+    for lead in range(reg.n_outputs + 1):
+        start = 4 + 3 * lead
+        np.testing.assert_array_equal(rows[:, lead], values[:, start : start + 3])
     np.testing.assert_array_equal(reg.leads(values[1]), rows[1])
-
-
-def test_registry_leads_needs_an_input_lead():
-    reg = sl.build_center(sl.SSHCenter(v=1.0, w=2.0, cells=2)).registry
-    with pytest.raises(sl.PhysicsError, match="no input lead"):
-        reg.leads(np.zeros(reg.dim))
