@@ -13,8 +13,19 @@ leads) and E_k = 2 J cos k + mu.  The reflection amplitude is r = t_in - 1.
 The two-lead geometry eliminates identically, with the single output lead
 doubling the boundary term at the shared site.
 
-Centers are small (a few hundred sites at most), so every solve is a
-dense direct solve.  All functions are pure; scans are deterministic.
+The multichannel geometry is a dense direct solve: centers are small (a
+few hundred sites at most).  The two-lead geometry needs only t_alpha,
+and every built-in centre is a chain, so there
+
+    t = 2 i J sin k / (h_aa - E + 2 J e^{ik} - S_left(E) - S_right(E)),
+
+where each side's self-energy S is a continued fraction over its sites
+(the recursion method of Haydock, Heine & Kelly 1972): O(N) scalar work
+per probe energy, from a ``center_chain`` built once per scan.  Sites past
+a zero bond are cut off the chain, so a level dark from alpha there drops
+out by construction.  A centre with any entry off the tridiagonal band
+falls back to a dense LU.  All functions are pure; scans are
+deterministic.
 
 Scan resonances are refined by golden-section search (Kiefer 1953), done
 here with the constants and step order of scipy's golden scalar
@@ -26,8 +37,10 @@ third of its import time for these few lines.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +59,8 @@ _gR = 0.61803399
 _gC = 1.0 - _gR
 GOLDEN_XTOL = 1e-13
 GOLDEN_MAXITER = 5000
+# A scan grid may hold at most this many points (fig 7 uses 20,001).
+_MAX_SCAN_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -177,8 +192,61 @@ def solve_multichannel(
     )
 
 
+class CenterChain(NamedTuple):
+    """A tridiagonal centre seen from its attachment site ``alpha``.
+
+    ``onsite`` is h[alpha, alpha].  ``left`` and ``right`` are the two sides
+    of alpha as ``(h[i, i], h[i, i'] * h[i', i])`` pairs, where i' is the
+    neighbour of site i on the way to alpha, listed from the outer end
+    inward.  Each side ends just outside its innermost zero bond, so every
+    listed bond product is nonzero.
+    """
+
+    alpha: int
+    onsite: complex
+    left: tuple[tuple[complex, complex], ...]
+    right: tuple[tuple[complex, complex], ...]
+
+
+def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
+    """The chain form of ``center`` seen from site ``alpha`` (1-based), or
+    None if an entry lies off the tridiagonal band.
+
+    Sites beyond the innermost zero bond on either side are dropped: no
+    path of nonzero bond products joins them to alpha, so they are dark
+    from it and cannot enter r or t.
+    """
+    hc = _center_block(center)
+    n = hc.shape[0]
+    if not 1 <= alpha <= n:
+        raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
+    if np.count_nonzero(np.triu(hc, 2)) or np.count_nonzero(np.tril(hc, -2)):
+        return None
+    onsite = hc.diagonal().tolist()
+    bonds = hc.diagonal(1) * hc.diagonal(-1)  # bonds[i] joins sites i and i + 1
+    a = alpha - 1
+    zero = np.flatnonzero(bonds == 0).tolist()
+    lo = max((z + 1 for z in zero if z < a), default=0)
+    hi = min((z for z in zero if z >= a), default=n - 1)
+    bonds = bonds.tolist()
+    left = tuple(zip(onsite[lo:a], bonds[lo:a]))
+    right = tuple(zip(onsite[a + 1 : hi + 1], bonds[a:hi]))[::-1]
+    return CenterChain(alpha, onsite[a], left, right)
+
+
+def _self_energy(side: tuple[tuple[complex, complex], ...], energy: float) -> complex:
+    """Self-energy of one side at ``energy``: the continued fraction
+    s <- bc / (a - E - s) run from the outer end inward.  A zero
+    denominator gives s = inf, whose limit makes the next term -0."""
+    s: complex = 0.0
+    for a, bc in side:
+        d = a - energy - s
+        s = bc / d if d else math.inf
+    return s
+
+
 def two_lead_solve(
-    center: np.ndarray,
+    center: np.ndarray | CenterChain,
     alpha: int,
     J: float,
     mu: float,
@@ -187,36 +255,64 @@ def two_lead_solve(
     """Solve the two-lead geometry: input and output both attached at
     center site ``alpha``.  Returns ``(r, t)``.
 
+    ``center`` is the dense matrix or its ``center_chain(center, alpha)``.
+    A tridiagonal centre is solved by the chain recursion:
+
+        t = 2 i J sin k / (h_aa - E + 2 J e^{ik} - S_left(E) - S_right(E))
+
+    with each side's self-energy a continued fraction (``_self_energy``),
+    O(N) scalar work.  Sites beyond a zero bond never reach alpha, so a
+    dark level there drops out by construction.  Any other centre is
+    solved by a dense LU; there a probe energy exactly on a dark level (an
+    eigenstate with no weight at alpha) makes the system singular, but
+    the dark direction never reaches alpha, so r and t are those of the
+    center with the dark level removed.
+
     At k = pi/2 with mu equal to a real center eigenvalue whose
     wavefunction does not vanish at alpha, the transmission is perfect
-    (r = 0) for any coupling strength J.
-
-    When the probe energy sits exactly on a dark level (an eigenstate with
-    no weight at alpha), the system is singular but the dark direction
-    never reaches alpha, so every solution shares the same psi_alpha; r and
-    t are then those of the center with the dark level removed.  A
-    singularity that couples to alpha raises ``NumericalError``.
+    (r = 0) for any coupling strength J.  A singularity that couples to
+    alpha raises ``NumericalError``.
     """
     _check_k(k)
     if J == 0:
         raise PhysicsError("lead hopping J must be nonzero")
-    hc = _center_block(center)
+    chain = center if isinstance(center, CenterChain) else center_chain(center, alpha)
+    energy = float(dispersion(J, mu, k))
+    lead = 2.0 * J * np.exp(1j * k)
+    drive = 2j * J * np.sin(k)
+    if chain is None:
+        t = _dense_two_lead_amplitude(_center_block(center), alpha, energy, lead, drive)
+    else:
+        if alpha != chain.alpha:
+            raise PhysicsError(f"attachment site {alpha} differs from the chain's {chain.alpha}")
+        denom = (
+            chain.onsite
+            - energy
+            + complex(lead)
+            - _self_energy(chain.left, energy)
+            - _self_energy(chain.right, energy)
+        )
+        t = complex(drive) / denom if denom else None
+    if t is None:
+        raise NumericalError(f"singular two-lead system at mu={mu}, k={k}")
+    return t - 1.0, t
+
+
+def _dense_two_lead_amplitude(
+    hc: np.ndarray, alpha: int, energy: float, lead: complex, drive: complex
+) -> complex | None:
+    """psi_alpha of (H_c - E + lead P_alpha) psi = drive e_alpha by a dense
+    LU, or None if the system is singular at alpha."""
     n = hc.shape[0]
-    if not 1 <= alpha <= n:
-        raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
-    energy = dispersion(J, mu, k)
     a = hc.copy()
     a.ravel()[:: n + 1] -= energy
-    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
+    a[alpha - 1, alpha - 1] += lead
     rhs = np.zeros(n, dtype=complex)
-    rhs[alpha - 1] = 2j * J * np.sin(k)
+    rhs[alpha - 1] = drive
     try:
-        t = np.linalg.solve(a, rhs)[alpha - 1]
-    except np.linalg.LinAlgError as exc:
-        t = _dark_level_amplitude(a, rhs, alpha)
-        if t is None:
-            raise NumericalError(f"singular two-lead system at mu={mu}, k={k}: {exc}") from exc
-    return t - 1.0, t
+        return np.linalg.solve(a, rhs)[alpha - 1]
+    except np.linalg.LinAlgError:
+        return _dark_level_amplitude(a, rhs, alpha)
 
 
 def _dark_level_amplitude(a: np.ndarray, rhs: np.ndarray, alpha: int) -> complex | None:
@@ -294,9 +390,15 @@ def mu_scan(
     taken from the grid rather than solved again, and scipy's optimize
     package is not imported.  Only minima reaching |r|^2 < 1e-8 are
     reported as resonances.  Eigenstates with vanishing weight at the
-    attachment site are reported separately as dark states.  A grid point that lands
-    exactly on a dark level is solved as by ``two_lead_solve``: the dark
-    level drops out and r is that of the remaining center.
+    attachment site are reported separately as dark states.
+
+    The centre's ``center_chain`` is built once, and every grid point and
+    golden step is one ``two_lead_solve`` call on it: the chain recursion,
+    or a dense LU for a centre off the tridiagonal band.  A grid point
+    that lands exactly on a dark level is solved as by ``two_lead_solve``:
+    the dark level drops out and r is that of the remaining center.  A
+    grid of more than 10,000,000 points raises ``PhysicsError`` before it
+    is allocated.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -305,13 +407,19 @@ def mu_scan(
         raise PhysicsError(f"scan range [{mu_lo}, {mu_hi}] must be finite")
     if mu_hi <= mu_lo:
         raise PhysicsError(f"empty scan range [{mu_lo}, {mu_hi}]")
+    n_steps = np.floor((mu_hi - mu_lo) / resolution + 0.5)
+    if not n_steps < _MAX_SCAN_POINTS:
+        raise PhysicsError(
+            f"scan of [{mu_lo}, {mu_hi}] at step {resolution} needs {n_steps + 1:.3g} "
+            f"grid points, more than the cap of {_MAX_SCAN_POINTS:,}"
+        )
     hc = _center_block(center)
-
-    n_steps = int(np.floor((mu_hi - mu_lo) / resolution + 0.5))
-    grid = mu_lo + resolution * np.arange(n_steps + 1)
+    chain = center_chain(hc, alpha)
+    system = hc if chain is None else chain
+    grid = mu_lo + resolution * np.arange(int(n_steps) + 1)
 
     def r2(mu: float) -> float:
-        r, _ = two_lead_solve(hc, alpha, J, mu, k)
+        r, _ = two_lead_solve(system, alpha, J, mu, k)
         return float(abs(r) ** 2)
 
     curve = np.array([r2(mu) for mu in grid])

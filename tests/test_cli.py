@@ -368,6 +368,19 @@ def test_mu_scan_run(tmp_path):
     assert (out / "reflection.svg").exists()
 
 
+def test_mu_scan_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
+    # 1.4e16 grid points on [-7, 7]: a physics error before any allocation
+    config = {
+        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
+        "scan": {"mu_min": -7.0, "mu_max": 7.0, "step": 1e-15},
+    }
+    out = tmp_path / "out"
+    rc = cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)])
+    assert rc == cli.EXIT_PHYSICS == 3
+    assert "more than the cap of 10,000,000" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
 def test_q_sweep_run_marks_transition(tmp_path):
     config = _small_q_sweep_config()
     out = tmp_path / "out"
@@ -410,6 +423,9 @@ def test_q_sweep_summary_is_strict_json(tmp_path):
 # sha256 of each CSV artifact and the config echo of summary.json for the
 # small configs above (recorded with numpy 2.4 and OpenBLAS on x86-64; the
 # CSVs carry 12 significant digits, so another BLAS may flip a last digit).
+# The scan hashes are those of the chain recursion: where its printed |r|^2
+# differs from a dense LU's, it matches a 40-digit solve at least as often
+# (test_steady.test_chain_scan_matches_oracle_at_least_as_often_as_dense).
 _GOLDEN = {
     "steady": (
         _small_steady_config,
@@ -435,8 +451,8 @@ _GOLDEN = {
     "mu-scan": (
         _small_mu_scan_config,
         {
-            "resonances.csv": "30719aed93fe636f846c074cb2c81de49baa4d995fc37851579189008b18c040",
-            "scan.csv": "483cf774daa2afd64e996c78f7ba67f739490a72f056b2fce12a4e17b7c67dbc",
+            "resonances.csv": "eb6993da45ac3a6475c3868ea0e6d7e7b3c5cd555ec9ddea30b475ba67e50b31",
+            "scan.csv": "8c3d227c98e036a612b4686d80b88a9701dff9c71ca87c48a2ebe9025595aca7",
         },
         {
             "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
@@ -512,8 +528,8 @@ def test_figure_3a_artifacts_match_golden(tmp_path):
 # sha256 of the fig7f panel of `reproduce-fig 7` (the 8-site gain/loss
 # centre, 20,001 grid points), recorded as above.
 _FIG7F_GOLDEN = {
-    "scan.csv": "f8cace5b6d91db45633cb8d50d96840de397c64ec305aeaf0207441cb9ef37fc",
-    "resonances.csv": "75bfc973d07b028a89db61eda60312d3b3821dc751b8b3d1bcf8d31475c62540",
+    "scan.csv": "c1edc2faaf61d9687d38f74d0355d2be20b7f632a21f6aec09b61a178ba4ff0f",
+    "resonances.csv": "02a113cfccbefe724dd91c749216705a525f1cd1d29d76c428e6a609ac856a2a",
     "reflection.svg": "d6d58256f728a0cf339becbba7dbd5685dcdc4dafd574ee68675a751d1aed5f8",
 }
 
@@ -529,8 +545,8 @@ def test_figure_7f_artifacts_match_golden(tmp_path):
 # centre, 14,001 grid points), recorded as above.  Its edge pair is split
 # by 5.7e-6, inside one grid step, so the refinement must resolve both zeros.
 _FIG7B_GOLDEN = {
-    "scan.csv": "9ef6df8a5cf75c4ee615805fc10af5421de5df0211814822e7a91f3181d9851a",
-    "resonances.csv": "17f735b63a4ae759d80b8a1fe99dec39e13313a7526fbe8cd823c81b9325152f",
+    "scan.csv": "cd76b04946ca1ded4a8c3207256a169c5ecc3b5f74aabdc097ef1b1fad818ad4",
+    "resonances.csv": "481aa5d7a1b091bfd23dcbb84bc4212bba8d8c822312d8cffb3786d2d5090550",
 }
 
 

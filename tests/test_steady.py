@@ -1,8 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
+from scatterlab import steady
 from scatterlab.steady import _golden_minimum
 
 
@@ -316,3 +320,175 @@ def test_eigenfunction_from_transmissions_rejects_off_resonance():
     sol = sl.solve_multichannel(_ssh(6.0), J=-0.1, mu=0.0, k=K)
     with pytest.raises(sl.PhysicsError):
         sl.eigenfunction_from_transmissions(sol)
+
+
+def _dense_r(center, alpha, J, mu, k):
+    """r by the dense LU route that serves centres off the tridiagonal band."""
+    energy = float(sl.dispersion(J, mu, k))
+    t = steady._dense_two_lead_amplitude(
+        np.asarray(center, dtype=complex), alpha, energy, 2.0 * J * np.exp(1j * k), 2j * J * np.sin(k)
+    )
+    return t - 1.0
+
+
+def _oracle_r2(center, alpha, J, mu, k):
+    """|r|^2 of the two-lead system by a 40-digit LU, with E, e^{ik} and
+    sin k taken exactly at the float inputs."""
+    with mpmath.workdps(40):
+        n = center.shape[0]
+        kk, jj = mpmath.mpf(k), mpmath.mpf(J)
+        a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in center])
+        energy = 2 * jj * mpmath.cos(kk) + mpmath.mpf(mu)
+        for i in range(n):
+            a[i, i] -= energy
+        a[alpha - 1, alpha - 1] += 2 * jj * mpmath.exp(1j * kk)
+        rhs = mpmath.matrix(n, 1)
+        rhs[alpha - 1] = 2j * jj * mpmath.sin(kk)
+        t = mpmath.lu_solve(a, rhs)[alpha - 1]
+        return float(abs(t - 1) ** 2)
+
+
+@pytest.mark.parametrize(
+    ("center", "mu_range", "step", "near", "stride"),
+    [
+        (_ssh(2.0, cells=3), (-6.5, 6.5), 2e-3, 3, 100),
+        (sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4)), (30.0, 50.0), 1e-3, 6, 400),
+    ],
+    ids=["golden-mu-scan-grid", "fig7f-centre"],
+)
+def test_chain_scan_matches_oracle_at_least_as_often_as_dense(center, mu_range, step, near, stride):
+    # the rows next to each level, where |r|^2 is most sensitive, and a stride
+    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=mu_range, resolution=step)
+    grid = scan.mu_grid
+    levels = np.linalg.eigvals(center).real
+    rows = set(range(0, len(grid), stride))
+    for lam in levels[(grid[0] <= levels) & (levels <= grid[-1])]:
+        i = int(np.argmin(np.abs(grid - lam)))
+        rows.update(range(max(i - near, 0), min(i + near + 1, len(grid))))
+    assert len(rows) <= 120
+    chain_right = dense_right = 0
+    for i in sorted(rows):
+        oracle = "%.12g" % _oracle_r2(center, 1, 1.0, grid[i], K)
+        chain_right += "%.12g" % scan.reflectance[i] == oracle
+        dense_right += "%.12g" % abs(_dense_r(center, 1, 1.0, grid[i], K)) ** 2 == oracle
+    assert chain_right >= dense_right
+    assert chain_right >= 0.9 * len(rows)
+
+
+@st.composite
+def _tridiagonal_centres(draw):
+    """(centre, alpha): Hermitian bonds, some of them zero, and on-site
+    energies with an optional imaginary gain/loss part."""
+    n = draw(st.integers(1, 7))
+    real = st.floats(-3, 3, allow_nan=False)
+    gain_loss = st.just(0.0) | st.floats(-2, 2)
+    onsite = np.array([complex(draw(real), draw(gain_loss)) for _ in range(n)])
+    bonds = np.array(
+        [complex(draw(st.just(0.0) | real), draw(st.just(0.0) | real)) for _ in range(n - 1)]
+    )
+    center = np.diag(onsite) + np.diag(bonds, 1) + np.diag(bonds.conj(), -1)
+    alpha = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    return center, alpha
+
+
+_wave_vector = st.floats(0.01, np.pi - 0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centre=_tridiagonal_centres(),
+    mu=st.floats(-4, 4),
+    J=st.sampled_from([-1.0, -0.1, 0.3, 1.0]),
+    k=_wave_vector,
+)
+def test_chain_agrees_with_dense_lu(centre, mu, J, k):
+    center, alpha = centre
+    r_dense = _dense_r(center, alpha, J, mu, k)
+    r_chain, t_chain = sl.two_lead_solve(center, alpha, J, mu, k)
+    a = center - sl.dispersion(J, mu, k) * np.eye(len(center))
+    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
+    assert abs(r_chain - r_dense) <= 1e-13 * np.linalg.cond(a) * max(1.0, abs(t_chain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(centre=_tridiagonal_centres(), data=st.data(), mu=st.floats(-4, 4), k=_wave_vector)
+def test_zero_bond_gives_exactly_the_reduced_centre(centre, data, mu, k):
+    center, alpha = centre
+    n = len(center)
+    cut = data.draw(st.integers(1, n - 1)) if n > 1 else None
+    if cut is not None:
+        center[cut - 1, cut] = center[cut, cut - 1] = 0.0
+    bonds = np.diagonal(center, 1) * np.diagonal(center, -1)
+    zeros = np.flatnonzero(bonds == 0) + 1  # a zero bond between sites z and z + 1
+    lo = max((z for z in zeros if z < alpha), default=0)
+    hi = min((z for z in zeros if z >= alpha), default=n)
+    reduced = center[lo:hi, lo:hi]
+    assert sl.two_lead_solve(center, alpha, 1.0, mu, k) == sl.two_lead_solve(
+        reduced, alpha - lo, 1.0, mu, k
+    )
+
+
+def test_chain_singular_at_attachment_site_raises():
+    chain = steady.center_chain(np.array([[-2.0j]]), 1)
+    assert chain == (1, -2.0j, (), ())
+    with pytest.raises(sl.NumericalError, match="singular two-lead system"):
+        sl.two_lead_solve(chain, 1, 1.0, 0.0, K)
+
+
+def test_center_chain_lists_each_side_from_its_outer_end():
+    center = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    center += np.diag([0.5, 0.0, 2.0, 3.0], 1) + np.diag([0.5, 0.0, 2.0, 3.0], -1)
+    # the zero bond between sites 2 and 3 hides sites 1 and 2 from site 3
+    assert steady.center_chain(center, 3) == (3, 3.0, (), ((5.0, 9.0), (4.0, 4.0)))
+    assert steady.center_chain(center, 1) == (1, 1.0, (), ((2.0, 0.25),))
+    center[0, 2] = 1e-300
+    assert steady.center_chain(center, 1) is None
+    with pytest.raises(sl.PhysicsError, match="differs from the chain's 1"):
+        sl.two_lead_solve(steady.center_chain(np.eye(2), 1), 2, 1.0, 0.0, K)
+
+
+def _parent_dense_r2(center, alpha, J, mu, k):
+    """|r|^2 by the dense solve every centre took before the chain route,
+    step for step."""
+    hc = np.asarray(center, dtype=complex)
+    n = hc.shape[0]
+    energy = sl.dispersion(J, mu, k)
+    a = hc.copy()
+    a.ravel()[:: n + 1] -= energy
+    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[alpha - 1] = 2j * J * np.sin(k)
+    t = np.linalg.solve(a, rhs)[alpha - 1]
+    return float(abs(t - 1.0) ** 2)
+
+
+def test_full_custom_centre_scans_by_the_dense_path():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    center = m + m.conj().T
+    assert steady.center_chain(center, 2) is None
+    scan = sl.mu_scan(center, alpha=2, J=1.0, k=K, mu_range=(-8.0, 8.0), resolution=1e-2)
+    expected = [_parent_dense_r2(center, 2, 1.0, mu, K) for mu in scan.mu_grid]
+    assert scan.reflectance.tolist() == expected
+    assert len(scan.resonances) >= 3
+
+
+def test_mu_scan_builds_the_chain_once(monkeypatch):
+    built, original = [], steady.center_chain
+
+    def counting(center, alpha):
+        built.append(alpha)
+        return original(center, alpha)
+
+    monkeypatch.setattr(steady, "center_chain", counting)
+    scan = sl.mu_scan(_ssh(2.0, cells=3), alpha=1, J=1.0, k=K, mu_range=(-6.5, 6.5), resolution=1e-2)
+    assert len(scan.resonances) == 6
+    assert built == [1]
+
+
+def test_mu_scan_rejects_a_grid_beyond_the_cap():
+    # 1.4e16 points: refused before numpy is asked for the grid
+    with pytest.raises(sl.PhysicsError, match="grid points, more than the cap"):
+        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (-7.0, 7.0), 1e-15)
+    with pytest.raises(sl.PhysicsError, match="more than the cap"):
+        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (-1e308, 1e308), 1e-3)
