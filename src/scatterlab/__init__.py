@@ -6,9 +6,7 @@ dynamics.
 """
 
 from .analytic import (
-    EdgeStateProfile,
     NHLevel,
-    NHSpectrum,
     edge_state_amplitudes,
     nh_spectrum,
     nh_transmission_profile,
@@ -57,11 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "CustomCenter",
-    "EdgeStateProfile",
     "Hamiltonian",
     "LeadSpec",
     "NHLevel",
-    "NHSpectrum",
     "NetworkSpec",
     "NonHermitianSSHCenter",
     "NumericalError",

@@ -1,14 +1,18 @@
 """Closed-form reference results for SSH-type scattering centers.
 
-Everything here is a pure function of the model parameters: edge-state
-profiles, the resonant transmission/reflection amplitudes of the
-topological zero mode, channel probabilities for an incident packet, the
-visibility and reflection laws as functions of q = v/w, and the
-approximate spectrum of the gain/loss chain in the strongly dimerized
-regime.  These serve as test oracles and as theory overlays in CLI output.
+Everything here is a pure function of the model parameters, returned as
+plain values: the edge-state amplitudes (an array), the resonant
+transmission/reflection amplitudes of the topological zero mode (a pair),
+channel probabilities for an incident packet, the visibility and
+reflection laws as functions of q = v/w (floats), and the approximate
+spectrum of the gain/loss chain in the strongly dimerized regime (a tuple
+of ``NHLevel``) with each level's transmission profile (an array).  These
+serve as test oracles and as theory overlays in CLI output.
 
-The ratio q = 1 marks the localization transition; formulas that lose
-meaning there raise instead of returning a limit value.
+Each law owns its domain: outside it the function raises
+``PhysicsError``, and callers read that as "no theory here".  The ratio
+q = 1 marks the localization transition; formulas that lose meaning there
+raise instead of returning a limit value.
 """
 
 from __future__ import annotations
@@ -20,28 +24,10 @@ import numpy as np
 from .errors import PhysicsError
 
 
-@dataclass(frozen=True)
-class EdgeStateProfile:
-    """Zero-mode amplitudes on the odd sublattice: entry j-1 lives on
-    center site 2j-1, with amplitude (1-q^2)^(1/2) (-q)^(j-1)."""
-
-    q: float
-    amplitudes: np.ndarray
-
-    @property
-    def cells(self) -> int:
-        return len(self.amplitudes)
-
-    def embedded(self) -> np.ndarray:
-        """Amplitudes placed on the full 2*cells center sites (zeros on
-        the even sublattice)."""
-        full = np.zeros(2 * self.cells, dtype=float)
-        full[0::2] = self.amplitudes
-        return full
-
-
-def edge_state_amplitudes(q: float, cells: int) -> EdgeStateProfile:
-    """In-gap zero-mode profile for hopping ratio q = v/w < 1.
+def edge_state_amplitudes(q: float, cells: int) -> np.ndarray:
+    """In-gap zero-mode profile for hopping ratio q = v/w < 1, on the odd
+    sublattice: entry j-1 lives on center site 2j-1, with amplitude
+    (1-q^2)^(1/2) (-q)^(j-1).
 
     The prefactor normalizes the infinite chain; for finite ``cells`` the
     summed weight is 1 - q^(2*cells).
@@ -50,8 +36,7 @@ def edge_state_amplitudes(q: float, cells: int) -> EdgeStateProfile:
         raise PhysicsError(f"edge state requires 0 <= q < 1, got q={q}")
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
-    amps = np.sqrt(1.0 - q * q) * (-q) ** np.arange(cells)
-    return EdgeStateProfile(q=q, amplitudes=amps)
+    return np.sqrt(1.0 - q * q) * (-q) ** np.arange(cells)
 
 
 def zero_mode_amplitudes(q: float) -> tuple[float, float]:
@@ -126,22 +111,7 @@ class NHLevel:
         return self.energy.real
 
 
-@dataclass(frozen=True)
-class NHSpectrum:
-    v: float
-    w: float
-    gamma: float
-    cells: int
-    levels: tuple[NHLevel, ...]
-
-    def real_levels(self) -> tuple[NHLevel, ...]:
-        return tuple(lv for lv in self.levels if lv.is_real)
-
-    def level(self, n: int) -> NHLevel:
-        return self.levels[n]
-
-
-def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> NHSpectrum:
+def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, ...]:
     """Approximate positive-branch spectrum of the staggered gain/loss
     chain in the strongly dimerized regime v >> w.
 
@@ -178,7 +148,7 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> NHSpectrum:
                     is_real=False,
                 )
             )
-    return NHSpectrum(v=v, w=w, gamma=gamma, cells=cells, levels=tuple(levels))
+    return tuple(levels)
 
 
 def nh_transmission_profile(level: NHLevel, cells: int) -> np.ndarray:

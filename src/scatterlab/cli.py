@@ -7,14 +7,14 @@ or CustomCenter, chosen by its ``type`` "ssh", "nh_ssh" or "custom";
 ``lead``: LeadSpec; ``packet``: WavePacketSpec; ``propagator``:
 PropagatorConfig; ``steady``, ``scan``, ``sweep``: the Section classes
 below).  Fields without a default are required, the others take the
-field default, and ``k`` also accepts 'pi/2'-style strings.  steady
-requires center, lead and steady; dynamics requires center, lead and
-packet and allows propagator; mu-scan requires center and scan; q-sweep
-requires sweep and allows lead, packet (figure 3's by default) and
-propagator.  Any other section is rejected.  Every run is fully
-deterministic, so identical configs produce byte-identical CSV
-artifacts.  ``--workers`` must be at least 1; q-sweep runs its points in
-that many processes (default: the CPU count), capped at the number of
+field default, and ``k`` also accepts 'pi/2'-style strings, signed or
+not ('-3*pi/4').  steady requires center, lead and steady; dynamics
+requires center, lead and packet and allows propagator; mu-scan requires
+center and scan; q-sweep requires sweep and allows lead, packet (figure
+3's by default) and propagator.  Any other section is rejected.  Every
+run is fully deterministic, so identical configs produce byte-identical
+CSV artifacts.  ``--workers`` must be at least 1; q-sweep runs its points
+in that many processes (default: the CPU count), capped at the number of
 sweep points.  Exit codes: 0 success, 2 configuration error, 3 physics
 precondition violated, 4 numerical failure.
 
@@ -32,6 +32,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -61,18 +62,22 @@ EXIT_NUMERICAL = 4
 
 FIGURE_IDS = ("3a", "3b", "3c", "3d", "5", "6a", "6b", "6c", "6d", "7")
 
-_ANGLE_RE = re.compile(r"^\s*(?:(\d+(?:\.\d*)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$")
+_ANGLE_RE = re.compile(
+    r"^\s*(-?)\s*(?:(\d+(?:\.\d*)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$"
+)
 
 
 def _parse_angle(value, where: str) -> float:
-    """Accept a plain number or a 'pi', 'pi/2', '2*pi/5' style string."""
+    """Accept a plain number or a 'pi', 'pi/2', '2*pi/5' or '-pi/2' style
+    string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _number(value, where)
     if isinstance(value, str):
         m = _ANGLE_RE.match(value)
         if m:
-            num = float(m.group(1)) if m.group(1) else 1.0
-            den = float(m.group(2)) if m.group(2) else 1.0
+            sign, num, den = m.groups()
+            num = float(sign + (num or "1"))
+            den = float(den) if den else 1.0
             if den == 0:
                 raise ConfigError(f"{where}: zero denominator in {value!r}")
             return _number(num * np.pi / den, where)
@@ -310,7 +315,7 @@ def figure_configs(fig: str) -> tuple[tuple[str, RunConfig], ...]:
         return (("fig5", cfg),)
     if fig in ("6a", "6b", "6c", "6d"):
         n = {"6a": 0, "6b": 1, "6c": 2, "6d": 3}[fig]
-        level = analytic.nh_spectrum(40.0, 2.0, 10.0, 4).level(n)
+        level = analytic.nh_spectrum(40.0, 2.0, 10.0, 4)[n]
         cfg = RunConfig(
             mode="dynamics",
             center=NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4),
@@ -357,25 +362,30 @@ def _center_payload(center: CenterSpec) -> dict:
 
 
 def _ssh_theory_probabilities(center: CenterSpec, energy: float, n_channels: int) -> np.ndarray:
-    """Zero-mode channel-probability overlay where the closed form applies:
-    an SSH center probed at zero energy away from the transition."""
+    """Zero-mode channel-probability overlay for an SSH center probed at
+    zero energy; NaN wherever the closed form does not apply."""
     theory = np.full(n_channels + 1, np.nan)
-    if isinstance(center, SSHCenter) and abs(energy) < 1e-9 and center.w != 0:
-        q = center.q
-        if q > 0 and q != 1:
-            for l in range(n_channels + 1):
-                theory[l] = analytic.predicted_probabilities(q, l)
+    if isinstance(center, SSHCenter) and abs(energy) < 1e-9:
+        with suppress(PhysicsError):
+            theory[:] = [analytic.predicted_probabilities(center.q, l) for l in range(theory.size)]
     return theory
+
+
+def _nh_theory_levels(center: CenterSpec) -> tuple[analytic.NHLevel, ...]:
+    """Real levels of the gain/loss closed form for ``center``; none for
+    other centers or where the closed form does not apply."""
+    if isinstance(center, NonHermitianSSHCenter):
+        with suppress(PhysicsError):
+            levels = analytic.nh_spectrum(center.v, center.w, center.gamma, center.cells)
+            return tuple(lv for lv in levels if lv.is_real)
+    return ()
 
 
 def _nh_theory_profile(center: CenterSpec, mu: float, p: np.ndarray) -> np.ndarray:
     """Sinusoidal per-channel overlay for a gain/loss center probed at one
     of its real levels, rescaled to the measured output maximum."""
     theory = np.full(len(p), np.nan)
-    if not isinstance(center, NonHermitianSSHCenter):
-        return theory
-    spectrum = analytic.nh_spectrum(center.v, center.w, center.gamma, center.cells)
-    real = spectrum.real_levels()
+    real = _nh_theory_levels(center)
     if not real:
         return theory
     nearest = min(real, key=lambda lv: abs(lv.real_energy - mu))
@@ -383,9 +393,8 @@ def _nh_theory_profile(center: CenterSpec, mu: float, p: np.ndarray) -> np.ndarr
         return theory
     profile = analytic.nh_transmission_profile(nearest, center.cells)
     scale = float(p[1:].max()) if len(p) > 1 else 1.0
-    for m in range(1, center.cells + 1):
-        theory[2 * m - 1] = profile[m - 1] * scale
-        theory[2 * m] = profile[m - 1] * scale
+    # the two leads of cell m, channels 2m-1 and 2m, share its value
+    theory[1 : 2 * center.cells + 1] = np.repeat(profile * scale, 2)
     return theory
 
 
@@ -548,13 +557,9 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     )
 
     eigvals, weights = resonant_eigenvalues(center_matrix(cfg.center), scan_cfg.alpha)
-    analytic_levels: list[float] = []
-    if isinstance(cfg.center, NonHermitianSSHCenter):
-        spectrum = analytic.nh_spectrum(
-            cfg.center.v, cfg.center.w, cfg.center.gamma, cfg.center.cells
-        )
-        for lv in spectrum.real_levels():
-            analytic_levels.extend((+lv.real_energy, -lv.real_energy))
+    analytic_levels = [
+        e for lv in _nh_theory_levels(cfg.center) for e in (lv.real_energy, -lv.real_energy)
+    ]
 
     rows = []
     for mu_star, r2 in zip(scan.resonances, scan.resonance_reflectance):
@@ -622,6 +627,14 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     return summary
 
 
+def _or_nan(law, *args) -> float:
+    """``law(*args)``, or NaN where it raises ``PhysicsError``."""
+    try:
+        return law(*args)
+    except PhysicsError:
+        return np.nan
+
+
 def _sweep_point(task: tuple) -> np.ndarray:
     """Worker for one q-sweep point; module-level so it pickles."""
     (q, w, cells, lead, packet, prop) = task
@@ -656,11 +669,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
             rows.append((q, "excluded (transition)", np.nan, np.nan, np.nan, np.nan))
             continue
         p = by_q[q]
-        try:
-            vis = visibility(p, eta=1)
-        except PhysicsError:
-            vis = np.nan
-        vis_th = analytic.visibility_theory(q) if q < 1 else np.nan
+        vis, vis_th = _or_nan(visibility, p), _or_nan(analytic.visibility_theory, q)
         rows.append((q, "ok", vis, vis_th, p[0], analytic.reflection_theory(q)))
 
     columns = (

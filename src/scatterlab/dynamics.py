@@ -48,6 +48,12 @@ _MAX_ORDER = 5_000_000
 # than this within 5 sites of its junction; the same level flags leakage
 # at the truncated far ends.
 FINISH_THRESHOLD = 1e-4
+# Cap on the stored snapshot values, (snapshots) x (network dimension):
+# 200 MB of float64, where a figure needs at most 181 x 8,240.
+_MAX_SNAPSHOT_VALUES = 25_000_000
+# Neighbouring odd channels holding less than this in total have no
+# well-defined visibility.
+_VISIBILITY_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -221,20 +227,21 @@ def channel_probabilities(psi: np.ndarray, registry: SiteRegistry) -> np.ndarray
     return registry.leads(np.abs(np.asarray(psi)) ** 2).sum(axis=-1)
 
 
-def visibility(p: np.ndarray, eta: int = 1, floor: float = 1e-10) -> float:
+def visibility(p: np.ndarray, eta: int = 1) -> float:
     """Contrast of neighboring odd channels:
     |p_{2 eta + 1} - p_{2 eta - 1}| / (p_{2 eta + 1} + p_{2 eta - 1}).
 
-    Raises when both probabilities sit below ``floor`` -- every chain is
-    off-resonant there and the contrast is not well defined.
+    Raises when both probabilities together sit below ``_VISIBILITY_FLOOR``
+    -- every chain is off-resonant there and the contrast is not well
+    defined.
     """
     lo, hi = 2 * eta - 1, 2 * eta + 1
     if eta < 1 or hi >= len(p):
         raise PhysicsError(f"eta={eta} outside the available channel range")
     total = p[lo] + p[hi]
-    if total <= floor:
+    if total <= _VISIBILITY_FLOOR:
         raise PhysicsError(
-            f"visibility not well defined: p_{lo} + p_{hi} = {total:.3e} <= {floor}"
+            f"visibility not well defined: p_{lo} + p_{hi} = {total:.3e} <= {_VISIBILITY_FLOOR}"
         )
     return float(abs(p[hi] - p[lo]) / total)
 
@@ -274,7 +281,8 @@ def run_experiment(
     probability within 5 sites of its junction, or at ``t_max`` (with a
     warning).  A warning is also attached when probability has reached
     the truncated far ends, since whatever follows is a finite-lead
-    artifact.
+    artifact.  A run that would store more than ``_MAX_SNAPSHOT_VALUES``
+    snapshot values raises before propagating.
     """
     network = assemble_network(net)
     reg = network.registry
@@ -283,6 +291,12 @@ def run_experiment(
     t_base = stop_time(net, packet)
     stride = cfg.snapshot_stride if cfg.snapshot_stride is not None else t_base / 60.0
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * t_base
+    n_snapshots = np.ceil(t_max / stride) + 1.0
+    if n_snapshots * network.dim > _MAX_SNAPSHOT_VALUES:
+        raise PhysicsError(
+            f"snapshot stride {stride:.6g} up to t_max {t_max:.6g} stores {n_snapshots:.3g} "
+            f"snapshots of {network.dim} values, more than the cap of {_MAX_SNAPSHOT_VALUES:,}"
+        )
 
     times = [0.0]
     site_probs = [np.abs(psi) ** 2]

@@ -154,10 +154,14 @@ def _tick_label(v: float) -> str:
     return format(v, ".6g")
 
 
+# Line plot size in pixels; heatmap width and intensity exponent.
+_PLOT_SIZE = (640, 420)
+_HEATMAP_WIDTH = 720
+_HEATMAP_GAMMA = 0.35
+
+
 class _Svg:
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
         self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">',
@@ -167,11 +171,10 @@ class _Svg:
     def add(self, element: str) -> None:
         self.parts.append(element)
 
-    def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "middle",
-             color: str = "black") -> None:
+    def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "middle") -> None:
         self.add(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" '
-            f'text-anchor="{anchor}" fill="{color}">{_escape(s)}</text>'
+            f'text-anchor="{anchor}" fill="black">{_escape(s)}</text>'
         )
 
     def line(self, x1, y1, x2, y2, color="black", width=1.0) -> None:
@@ -235,10 +238,9 @@ def svg_line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Line/marker plot with axes, ticks, and a legend."""
+    width, height = _PLOT_SIZE
     svg = _Svg(width, height)
     fr = _Frame(x0=64, y0=40, w=width - 88, h=height - 96, xlo=0, xhi=1, ylo=0, yhi=1)
 
@@ -286,20 +288,18 @@ def svg_heatmap(
     title: str,
     xlabel: str,
     ylabel: str,
-    gamma: float = 0.35,
-    width: int = 720,
 ) -> None:
     """Small-multiple intensity maps (rows x columns per panel).
 
     Each panel is normalized to its own maximum and drawn with a power-law
-    intensity scale so weak outgoing packets stay visible.  Cells whose
-    scaled intensity rounds to the background are skipped to keep files
-    small.
+    intensity scale (exponent ``_HEATMAP_GAMMA``) so weak outgoing packets
+    stay visible.  Cells whose scaled intensity rounds to the background
+    are skipped to keep files small.
     """
     if not panels:
         raise ValueError("svg_heatmap needs at least one panel")
     n_rows, n_cols = panels[0][1].shape
-    panel_w = width - 110
+    panel_w = _HEATMAP_WIDTH - 110
     cell = max(min(panel_w / n_cols, 14.0), 0.8)
     panel_w = cell * n_cols
     panel_h = max(min(260.0, 9.0 * n_rows), 40.0)
@@ -319,7 +319,7 @@ def svg_heatmap(
             f'fill="{_colormap(0.0)}" stroke="black"/>'
         )
         if top > 0:
-            scaled = (data / top) ** gamma
+            scaled = (data / top) ** _HEATMAP_GAMMA
             rows, cols = np.nonzero(scaled >= 1.0 / 255.0)
             for r, c in zip(rows, cols):
                 svg.add(

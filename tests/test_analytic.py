@@ -17,13 +17,13 @@ any_q = st.one_of(
 def test_edge_state_small_chain():
     prof = sl.edge_state_amplitudes(0.5, 3)
     np.testing.assert_allclose(
-        prof.amplitudes, np.sqrt(0.75) * np.array([1.0, -0.5, 0.25]), rtol=1e-15
+        prof, np.sqrt(0.75) * np.array([1.0, -0.5, 0.25]), rtol=1e-15
     )
 
 
 def test_edge_state_fully_localized_at_q_zero():
     prof = sl.edge_state_amplitudes(0.0, 4)
-    np.testing.assert_array_equal(prof.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(prof, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_edge_state_matches_dense_eigenvector():
@@ -32,7 +32,7 @@ def test_edge_state_matches_dense_eigenvector():
     w, v = np.linalg.eigh(sl.center_matrix(sl.SSHCenter(v=2.0, w=4.0, cells=20)))
     vec = v[:, np.argmin(np.abs(w))][0::2]
     vec = vec / np.linalg.norm(vec)
-    prof = sl.edge_state_amplitudes(0.5, 20).amplitudes
+    prof = sl.edge_state_amplitudes(0.5, 20)
     prof = prof / np.linalg.norm(prof)
     assert abs(np.vdot(prof, vec)) > 0.999
 
@@ -48,7 +48,7 @@ def test_edge_state_rejects_delocalized_ratio():
 
 @given(q=topological_q, cells=st.integers(2, 30))
 def test_edge_state_adjacent_cell_ratio(q, cells):
-    amps = sl.edge_state_amplitudes(q, cells).amplitudes
+    amps = sl.edge_state_amplitudes(q, cells)
     ratios = amps[1:] / amps[:-1]
     np.testing.assert_allclose(ratios, -q, rtol=1e-13, atol=0)
 
@@ -125,7 +125,7 @@ def test_reflection_theory_values():
 
 def test_nh_spectrum_reference_level():
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
-    lv = spec.level(0)
+    lv = spec[0]
     assert lv.kappa == pytest.approx(np.pi / 5, rel=1e-15)
     # sqrt((40 - 2 cos(pi/5))^2 - 100), evaluated independently
     expected = np.sqrt((40.0 - 2.0 * np.cos(np.pi / 5)) ** 2 - 100.0)
@@ -136,7 +136,7 @@ def test_nh_spectrum_reference_level():
 
 def test_nh_spectrum_hermitian_limit_continuity():
     spec = sl.nh_spectrum(40.0, 2.0, 1e-12, 4)
-    for lv in spec.levels:
+    for lv in spec:
         assert lv.is_real
         assert lv.real_energy == pytest.approx(
             abs(40.0 - 2.0 * np.cos(lv.kappa)), rel=1e-9
@@ -145,9 +145,9 @@ def test_nh_spectrum_hermitian_limit_continuity():
 
 def test_nh_spectrum_flags_broken_reality():
     spec = sl.nh_spectrum(1.0, 0.5, 2.0, 1)
-    lv = spec.level(0)
+    lv = spec[0]
     assert not lv.is_real
-    assert spec.real_levels() == ()
+    assert tuple(lv for lv in spec if lv.is_real) == ()
     with pytest.raises(sl.PhysicsError):
         lv.real_energy  # noqa: B018
     with pytest.raises(sl.PhysicsError):
@@ -163,21 +163,21 @@ def test_nh_spectrum_rejects_nonpositive_parameters():
 
 def test_nh_profile_lowest_level_symmetric():
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
-    prof = sl.nh_transmission_profile(spec.level(0), 4)
+    prof = sl.nh_transmission_profile(spec[0], 4)
     np.testing.assert_allclose(prof, prof[::-1], rtol=1e-12)
     assert prof.max() == 1.0
 
 
 def test_nh_profile_top_level_mirrors_lowest():
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
-    lo = sl.nh_transmission_profile(spec.level(0), 4)
-    hi = sl.nh_transmission_profile(spec.level(3), 4)
+    lo = sl.nh_transmission_profile(spec[0], 4)
+    hi = sl.nh_transmission_profile(spec[3], 4)
     np.testing.assert_allclose(lo, hi, rtol=1e-12)
 
 
 def test_nh_profile_second_level_node_structure():
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
-    prof = sl.nh_transmission_profile(spec.level(1), 4)
+    prof = sl.nh_transmission_profile(spec[1], 4)
     kappa = 2 * np.pi / 5
     expected = np.sin(kappa * np.arange(1, 5)) ** 2
     np.testing.assert_allclose(prof, expected / expected.max(), rtol=1e-12)

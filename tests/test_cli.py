@@ -63,7 +63,7 @@ def test_figure_3a_expansion():
 
 def test_figure_6_expansion_sets_resonant_mu():
     ((_, cfg),) = cli.figure_configs("6b")
-    level = sl.nh_spectrum(40.0, 2.0, 10.0, 4).level(1)
+    level = sl.nh_spectrum(40.0, 2.0, 10.0, 4)[1]
     assert cfg.lead.mu == pytest.approx(level.real_energy)
     assert cfg.center == sl.NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
 
@@ -157,6 +157,9 @@ def test_parse_config_angle_strings(tmp_path):
     payload["packet"]["k"] = "2*pi/5"
     cfg = cli.parse_config(_write(tmp_path, payload), "dynamics")
     assert cfg.packet.k == pytest.approx(2 * np.pi / 5)
+    for k, value in [("-pi/2", -np.pi / 2), ("-3*pi/4", -3 * np.pi / 4)]:
+        payload["packet"]["k"] = k
+        assert cli.parse_config(_write(tmp_path, payload), "dynamics").packet.k == value
     payload["packet"]["k"] = "half pi"
     with pytest.raises(sl.ConfigError, match="packet.k"):
         cli.parse_config(_write(tmp_path, payload), "dynamics")
@@ -322,6 +325,17 @@ def test_nan_snapshot_stride_is_a_physics_error(tmp_path, capsys):
     assert "snapshot_stride must be positive" in capsys.readouterr().err
 
 
+def test_snapshot_budget_is_a_physics_error(tmp_path, capsys, monkeypatch):
+    # a budget of 1,000 values refuses the 181 default snapshots of this
+    # 500-site network before propagating
+    monkeypatch.setattr(sl.dynamics, "_MAX_SNAPSHOT_VALUES", 1_000)
+    path = _write(tmp_path, _small_dynamics_config())
+    argv = ["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
+    assert "more than the cap of 1,000" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "channels.csv").exists()
+
+
 def test_steady_run_trivial_phase_reflects_everything(tmp_path):
     path = _write(tmp_path, _small_steady_config())
     out = tmp_path / "out"
@@ -379,6 +393,87 @@ def test_mu_scan_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
     assert rc == cli.EXIT_PHYSICS == 3
     assert "more than the cap of 10,000,000" in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
+
+
+def _csv_column(path, name):
+    """Column ``name`` of a scatterlab CSV, as the printed strings."""
+    header, *rows = path.read_text().splitlines()[1:]
+    index = header.split(",").index(name)
+    return [row.split(",")[index] for row in rows]
+
+
+# The steady overlay at each edge of the zero-mode law's domain, as the
+# code that guarded the law in the CLI printed it: w = 0, v < 0, q = 1 and
+# E != 0 have no theory; q > 1 reflects everything; v, w < 0 is q = 0.5.
+@pytest.mark.parametrize(
+    "v, w, mu, expected",
+    [
+        (2.0, 0.0, 0.0, ["nan"] * 5),
+        (-2.0, 4.0, 0.0, ["nan"] * 5),
+        (4.0, 4.0, 0.0, ["nan"] * 5),
+        (2.0, 4.0, 0.05, ["nan"] * 5),
+        (6.0, 4.0, 0.0, ["1", "0", "0", "0", "0"]),
+        (-2.0, -4.0, 0.0, ["0.0204081632653", "0.734693877551", "0", "0.183673469388", "0"]),
+    ],
+    ids=["w0", "v-negative", "q1", "E-nonzero", "q-above-1", "v-w-negative"],
+)
+def test_steady_theory_overlay_domain_edges(tmp_path, v, w, mu, expected):
+    config = {
+        "center": {"type": "ssh", "v": v, "w": w, "cells": 2},
+        "lead": {"J": -0.01, "mu": mu},
+        "steady": {"k": "pi/2"},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert _csv_column(out / "amplitudes.csv", "probability_theory") == expected
+
+
+# A gain/loss centre without gain or loss, or with the sign flipped, is
+# outside the closed form's domain (gamma > 0): the run still succeeds,
+# with no theory overlay.  gamma = 1 is the control with one.
+@pytest.mark.parametrize("gamma", [1.0, 0.0, -1.0])
+def test_gain_loss_overlays_outside_the_closed_form(tmp_path, gamma):
+    center = {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": gamma, "cells": 2}
+    scan = {"center": center, "scan": {"mu_min": 5.0, "mu_max": 11.0, "step": 0.01}}
+    out = tmp_path / "scan"
+    assert cli.main(["mu-scan", "--config", str(_write(tmp_path, scan)), "--out", str(out)]) == 0
+    analytic_energy = _csv_column(out / "resonances.csv", "analytic_energy")
+    assert len(analytic_energy) == 2
+    has_theory = "analytic levels" in (out / "reflection.svg").read_text()
+    assert has_theory == (gamma > 0)
+    assert (analytic_energy == ["nan", "nan"]) == (gamma <= 0)
+
+    dynamics = {
+        "center": center,
+        "lead": {"J": -0.1, "mu": 6.9, "length": 60},
+        "packet": {"center_site": -30, "sigma": 6, "k": "pi/2"},
+    }
+    out = tmp_path / "dynamics"
+    path = _write(tmp_path, dynamics)
+    assert cli.main(["dynamics", "--config", str(path), "--out", str(out)]) == 0
+    theory = _csv_column(out / "channels.csv", "probability_theory")
+    assert (theory == ["nan"] * 5) == (gamma <= 0)
+
+
+def test_nh_theory_profile_matches_the_per_cell_loop():
+    center = sl.NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
+    level = sl.nh_spectrum(40.0, 2.0, 10.0, 4)[1]
+    p = np.linspace(0.0, 0.3, 9)
+    profile = sl.nh_transmission_profile(level, 4)
+    expected = np.full(9, np.nan)
+    for m in range(1, 5):  # channels 2m-1 and 2m of cell m, scaled to max(p[1:])
+        expected[2 * m - 1] = expected[2 * m] = profile[m - 1] * 0.3
+    np.testing.assert_array_equal(cli._nh_theory_profile(center, level.real_energy, p), expected)
+
+
+def test_q_sweep_visibility_theory_above_the_transition(tmp_path):
+    config = _small_q_sweep_config()
+    config["sweep"]["q_values"] = [0.5, 1.5, 2.0]
+    out = tmp_path / "out"
+    path = _write(tmp_path, config)
+    assert cli.main(["q-sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    assert _csv_column(out / "sweep.csv", "visibility_theory") == ["0.6", "nan", "nan"]
+    assert _csv_column(out / "sweep.csv", "reflectance_theory") == ["0.0204081632653", "1", "1"]
 
 
 def test_q_sweep_run_marks_transition(tmp_path):
@@ -496,7 +591,7 @@ _GAIN_LOSS_DYNAMICS_GOLDEN = {
 
 
 def test_gain_loss_dynamics_artifacts_match_golden(tmp_path):
-    mu = sl.nh_spectrum(8.0, 2.0, 1.0, 2).level(0).real_energy
+    mu = sl.nh_spectrum(8.0, 2.0, 1.0, 2)[0].real_energy
     config = {
         "center": {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2},
         "lead": {"J": -0.1, "mu": mu, "length": 60},

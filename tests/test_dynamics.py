@@ -278,13 +278,30 @@ def test_run_experiment_two_lead_geometry():
 
 
 def test_run_experiment_gain_loss_norm_not_renormalized():
-    level = sl.nh_spectrum(8.0, 2.0, 1.0, 2).level(0)
+    level = sl.nh_spectrum(8.0, 2.0, 1.0, 2)[0]
     net = sl.NetworkSpec(
         center=sl.NonHermitianSSHCenter(8.0, 2.0, 1.0, 2),
         lead=sl.LeadSpec(J=-0.1, mu=level.real_energy, length=60),
     )
     rec = sl.run_experiment(net, _packet())
     assert abs(rec.norms[-1] - 1.0) > 1e-3
+
+
+def test_run_experiment_snapshot_budget(monkeypatch):
+    # (ceil(t_max / stride) + 1) snapshots of dim values each: 11 x dim here
+    net, cfg = _small_net(), sl.PropagatorConfig(snapshot_stride=5.0, t_max=50.0)
+    dim = sl.assemble_network(net).dim
+    monkeypatch.setattr(sl.dynamics, "_MAX_SNAPSHOT_VALUES", 11 * dim - 1)
+    calls = []
+    monkeypatch.setattr(sl.dynamics, "propagate", lambda *args: calls.append(args))
+    with pytest.raises(sl.PhysicsError, match="stores 11 snapshots"):
+        sl.run_experiment(net, _packet(), cfg)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(sl.dynamics, "_MAX_SNAPSHOT_VALUES", 11 * dim)
+    with pytest.warns(UserWarning, match="unfinished"):
+        rec = sl.run_experiment(net, _packet(), cfg)
+    assert len(rec.times) == 11
 
 
 def test_run_experiment_t_max_warning():
