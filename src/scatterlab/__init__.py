@@ -33,7 +33,6 @@ from .lattice import (
     LeadSpec,
     NetworkSpec,
     NonHermitianSSHCenter,
-    SiteRegistry,
     SSHCenter,
     assemble_network,
     center_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "ResonanceScan",
     "ScatterlabError",
     "ScatteringSolution",
-    "SiteRegistry",
     "SSHCenter",
     "TrajectoryRecord",
     "WavePacketSpec",

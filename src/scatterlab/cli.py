@@ -18,8 +18,9 @@ in that many processes (default: the CPU count), capped at the number of
 sweep points.  Exit codes: 0 success, 2 configuration error, 3 physics
 precondition violated, 4 numerical failure.
 
-    scatterlab <steady|dynamics|mu-scan|q-sweep> --config FILE [--out DIR]
-               [--workers N] [--snapshot-stride S]
+    scatterlab <steady|mu-scan> --config FILE [--out DIR] [--workers N]
+    scatterlab <dynamics|q-sweep> --config FILE [--out DIR] [--workers N]
+               [--snapshot-stride S]
     scatterlab reproduce-fig {3a|3b|3c|3d|5|6a|6b|6c|6d|7} [--out DIR] ...
 """
 
@@ -404,7 +405,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     p = record.channel_probabilities
     energy = dispersion(cfg.lead.J, cfg.lead.mu, cfg.packet.k)
 
-    theory = _ssh_theory_probabilities(cfg.center, energy, record.registry.n_outputs)
+    theory = _ssh_theory_probabilities(cfg.center, energy, net.n_outputs)
     if np.all(np.isnan(theory)):
         theory = _nh_theory_profile(cfg.center, cfg.lead.mu, p)
 
@@ -427,9 +428,8 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         ),
     )
 
-    reg = record.registry
     prob = record.site_probabilities
-    regions, chans, offsets = reg.labels()
+    regions, chans, offsets = net.labels()
     ti, si = np.nonzero(prob > 1e-12)
     write_csv(
         out_dir / "snapshots.csv",
@@ -446,7 +446,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     # Channel x lead-site intensity maps at a few snapshot times.
     n_panels = min(6, len(record.times))
     picks = np.unique(np.linspace(0, len(record.times) - 1, n_panels).astype(int))
-    grids = reg.leads(prob)
+    grids = net.leads(prob)
     panels = [(f"t = {record.times[i]:.6g}", grids[i]) for i in picks]
     svg_heatmap(
         out_dir / "trajectory.svg",
@@ -740,9 +740,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default="scatterlab-out", help="output directory")
         p.add_argument("--workers", type=int, default=None, help="sweep worker count")
-        p.add_argument(
-            "--snapshot-stride", type=float, default=None, help="time between snapshots"
-        )
+        if "propagator" in _MODE_SECTIONS[mode][1]:
+            p.add_argument(
+                "--snapshot-stride", type=float, default=None, help="time between snapshots"
+            )
     p = sub.add_parser("reproduce-fig", help="one-command reproduction of a figure")
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", default="scatterlab-out")
@@ -756,7 +757,7 @@ def main(argv=None) -> int:
         else:
             jobs = (("", parse_config(args.config, args.mode)),)
         for name, cfg in jobs:
-            if args.snapshot_stride is not None:
+            if getattr(args, "snapshot_stride", None) is not None:
                 cfg = replace(
                     cfg, propagator=replace(cfg.propagator, snapshot_stride=args.snapshot_stride)
                 )

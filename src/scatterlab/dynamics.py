@@ -31,13 +31,7 @@ import scipy.sparse as sp
 from scipy.special import jv
 
 from .errors import NumericalError, PhysicsError
-from .lattice import (
-    Hamiltonian,
-    NetworkSpec,
-    SiteRegistry,
-    assemble_network,
-    group_velocity,
-)
+from .lattice import Hamiltonian, NetworkSpec, assemble_network, group_velocity
 
 # Chebyshev terms are kept while their weight |J_n(R)| rho^n exceeds this,
 # two orders below any physics tolerance used downstream.
@@ -112,21 +106,23 @@ class TrajectoryRecord:
     center_probability: float
     final_time: float
     final_state: np.ndarray
-    registry: SiteRegistry
+    network: NetworkSpec
     warnings: tuple[str, ...] = ()
 
     def channel_history(self) -> np.ndarray:
         """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1)."""
-        reg = self.registry
-        return self.site_probabilities[:, reg.leads(np.arange(reg.dim))].sum(axis=-1)
+        net = self.network
+        return self.site_probabilities[:, net.leads(np.arange(net.dim))].sum(axis=-1)
 
 
-def init_gaussian(network: Hamiltonian, spec: WavePacketSpec) -> np.ndarray:
-    """Unit-norm Gaussian packet on the input lead of an assembled
-    ``network``, zero elsewhere.
+def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
+    """Unit-norm Gaussian packet on the input lead of ``net``, zero
+    elsewhere, laid out in the basis of ``assemble_network(net)``: center
+    sites, then the input lead, then output leads 1..n.
 
     Amplitude at physical site j is exp(-(j - N_c)^2 / 2 sigma^2) e^{i k j}
-    up to normalization, with N_c = ``spec.center_site``.
+    up to normalization, with N_c = ``spec.center_site``; input-lead
+    offset o holds physical site -o.
 
     The packet must fit the L-site input lead, |N_c| + 4 sigma < L, so
     that its tail beyond the lead end is negligible (the stop time relies
@@ -134,20 +130,19 @@ def init_gaussian(network: Hamiltonian, spec: WavePacketSpec) -> np.ndarray:
     ``PhysicsError``.  The plane-wave limit is reached inside this rule:
     within a window much narrower than sigma the packet is e^{ikj}.
     """
-    reg = network.registry
-    L = reg.lead_length
+    L = net.lead.length
     if abs(spec.center_site) + 4 * spec.sigma >= L:
         raise PhysicsError(
             f"packet (center {spec.center_site}, sigma {spec.sigma}) overflows the "
             f"{L}-site input lead: |N_c| + 4 sigma must stay below the lead length"
         )
-    psi = np.zeros(reg.dim, dtype=complex)
-    j = -np.arange(1.0, L + 1.0)  # input offset o holds physical site -o
+    psi = np.zeros(net.dim, dtype=complex)
+    j = -np.arange(1.0, L + 1.0)
     envelope = np.exp(-((j - spec.center_site) ** 2) / (2.0 * spec.sigma**2))
-    reg.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
+    net.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
     psi /= np.linalg.norm(psi)
 
-    J = network.spec.lead.J
+    J = net.lead.J
     if J * np.sin(spec.k) > 0:
         _warnings.warn(
             "packet group velocity points away from the scattering center "
@@ -221,10 +216,11 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     return phase * acc
 
 
-def channel_probabilities(psi: np.ndarray, registry: SiteRegistry) -> np.ndarray:
-    """Probability collected in each channel: p[0] over the input lead
-    (the reflected part after scattering), p[l] over output lead l."""
-    return registry.leads(np.abs(np.asarray(psi)) ** 2).sum(axis=-1)
+def channel_probabilities(psi: np.ndarray, net: NetworkSpec) -> np.ndarray:
+    """Probability collected in each channel of ``net``: p[0] over the
+    input lead (the reflected part after scattering), p[l] over output
+    lead l."""
+    return net.leads(np.abs(np.asarray(psi)) ** 2).sum(axis=-1)
 
 
 def visibility(p: np.ndarray, eta: int = 1) -> float:
@@ -261,11 +257,11 @@ def stop_time(net: NetworkSpec, spec: WavePacketSpec) -> float:
     return (abs(spec.center_site) + margin) / v_g
 
 
-def _edge_probability(prob: np.ndarray, reg: SiteRegistry, sites: slice) -> float:
+def _edge_probability(prob: np.ndarray, net: NetworkSpec, sites: slice) -> float:
     """Largest per-lead probability over ``sites`` of every lead: ``[:5]``
     next to the junctions, ``[-5:]`` at the truncated far ends (where
     re-reflection is a finite-lead artifact)."""
-    return float(reg.leads(prob)[:, sites].sum(axis=-1).max())
+    return float(net.leads(prob)[:, sites].sum(axis=-1).max())
 
 
 def run_experiment(
@@ -282,21 +278,21 @@ def run_experiment(
     warning).  A warning is also attached when probability has reached
     the truncated far ends, since whatever follows is a finite-lead
     artifact.  A run that would store more than ``_MAX_SNAPSHOT_VALUES``
-    snapshot values raises before propagating.
+    snapshot values raises before the network is assembled.
     """
-    network = assemble_network(net)
-    reg = network.registry
-    psi = init_gaussian(network, packet)
-
     t_base = stop_time(net, packet)
     stride = cfg.snapshot_stride if cfg.snapshot_stride is not None else t_base / 60.0
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * t_base
     n_snapshots = np.ceil(t_max / stride) + 1.0
-    if n_snapshots * network.dim > _MAX_SNAPSHOT_VALUES:
+    # an int compared with a Python float stays exact: a lead length beyond
+    # the float range is refused here, not overflowed
+    if net.dim > float(_MAX_SNAPSHOT_VALUES / n_snapshots):
         raise PhysicsError(
             f"snapshot stride {stride:.6g} up to t_max {t_max:.6g} stores {n_snapshots:.3g} "
-            f"snapshots of {network.dim} values, more than the cap of {_MAX_SNAPSHOT_VALUES:,}"
+            f"snapshots of {net.dim} values, more than the cap of {_MAX_SNAPSHOT_VALUES:,}"
         )
+    psi = init_gaussian(net, packet)
+    network = assemble_network(net)
 
     times = [0.0]
     site_probs = [np.abs(psi) ** 2]
@@ -314,11 +310,11 @@ def run_experiment(
         times.append(t)
         site_probs.append(prob)
         norms.append(float(np.linalg.norm(psi)))
-        if t + 1e-9 >= t_base and _edge_probability(prob, reg, np.s_[:5]) < FINISH_THRESHOLD:
+        if t + 1e-9 >= t_base and _edge_probability(prob, net, np.s_[:5]) < FINISH_THRESHOLD:
             break
         if t + 1e-9 >= t_max:
             msg = (
-                f"t_max={t_max:.6g} reached with {_edge_probability(prob, reg, np.s_[:5]):.3e} "
+                f"t_max={t_max:.6g} reached with {_edge_probability(prob, net, np.s_[:5]):.3e} "
                 "probability still near the junctions; scattering unfinished"
             )
             notes.append(msg)
@@ -326,7 +322,7 @@ def run_experiment(
             break
 
     prob = np.abs(psi) ** 2
-    leakage = _edge_probability(prob, reg, np.s_[-5:])
+    leakage = _edge_probability(prob, net, np.s_[-5:])
     if leakage > FINISH_THRESHOLD:
         msg = (
             f"probability {leakage:.3e} within 5 sites of a truncated lead end at "
@@ -339,10 +335,10 @@ def run_experiment(
         times=np.asarray(times),
         site_probabilities=np.asarray(site_probs),
         norms=np.asarray(norms),
-        channel_probabilities=channel_probabilities(psi, reg),
-        center_probability=float(prob[: reg.n_center].sum()),
+        channel_probabilities=channel_probabilities(psi, net),
+        center_probability=float(prob[: net.center.n_sites].sum()),
         final_time=t,
         final_state=psi,
-        registry=reg,
+        network=net,
         warnings=tuple(notes),
     )

@@ -9,9 +9,11 @@ tight-binding chains (the *leads*) attached to its sites.
 * two-lead (``alpha`` an int) -- a single input and a single output lead,
   both attached to center site ``alpha``.
 
-``SiteRegistry.leads`` is the one place that maps a lead to its global
-indices; assembly, packet injection, channel sums and site labels all
-read through it.
+An assembled network's basis holds the center sites first, then the
+input lead, then output leads 1..n, each lead running from its junction
+outward.  ``NetworkSpec.leads`` is the one place that maps a lead to its
+global indices; assembly, packet injection, channel sums and site labels
+all read through it.
 
 All specs are immutable; assembled Hamiltonians are safe for shared
 concurrent reads.
@@ -19,7 +21,7 @@ concurrent reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -140,6 +142,12 @@ class NetworkSpec:
     is multichannel (output lead l attaches at center site l, the input
     lead at site 1), an int is two-lead (the input and the single output
     lead both attach at center site ``alpha``).
+
+    The assembled basis has ``dim`` sites: the center sites, then
+    ``n_outputs + 1`` leads of ``lead.length`` sites each, the input lead
+    before output leads 1..n_outputs.  ``leads`` is the only code that
+    knows where a lead lives; ``labels`` names every global index by
+    writing through it.
     """
 
     center: CenterSpec
@@ -153,64 +161,51 @@ class NetworkSpec:
 
     @property
     def attachments(self) -> tuple[int, ...]:
-        """1-based center site of each lead in ``SiteRegistry.leads`` row
-        order: the input lead first, then each output lead."""
+        """1-based center site of each lead in ``leads`` row order: the
+        input lead first, then each output lead."""
         if self.alpha is None:
             return (1, *range(1, self.center.n_sites + 1))
         return (self.alpha, self.alpha)
 
-
-@dataclass(frozen=True)
-class SiteRegistry:
-    """Site layout of an assembled network's basis: ``n_center`` center
-    sites, then ``n_outputs + 1`` leads of ``lead_length`` sites each, the
-    input lead before output leads 1..n_outputs.
-
-    ``leads`` is the only code that knows where a lead lives; ``labels``
-    names every global index by writing through it.
-    """
-
-    n_center: int
-    lead_length: int
-    n_outputs: int
+    @property
+    def n_outputs(self) -> int:
+        return len(self.attachments) - 1
 
     @property
     def dim(self) -> int:
-        return self.n_center + (self.n_outputs + 1) * self.lead_length
+        return self.center.n_sites + (self.n_outputs + 1) * self.lead.length
 
     def leads(self, values: np.ndarray) -> np.ndarray:
         """View of the last, per-site axis of ``values`` as shape
-        ``(..., n_outputs + 1, lead_length)``: row 0 is the input lead, row l
+        ``(..., n_outputs + 1, lead.length)``: row 0 is the input lead, row l
         output lead l, each running from the junction (offset 1) outward."""
-        shape = (*values.shape[:-1], self.n_outputs + 1, self.lead_length)
-        return values[..., self.n_center :].reshape(shape)
+        shape = (*values.shape[:-1], self.n_outputs + 1, self.lead.length)
+        return values[..., self.center.n_sites :].reshape(shape)
 
     def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Region, channel and 1-based offset of every global index:
         ``("center", 0, j)`` for center site j, ``("input", 0, j)`` for the
         input-lead site at physical position -j, ``("output", l, j)`` for
         site j of output lead l."""
+        n_center = self.center.n_sites
         region = np.full(self.dim, REGION_CENTER, dtype=object)
         channel = np.zeros(self.dim, dtype=int)
         offset = np.zeros(self.dim, dtype=int)
-        offset[: self.n_center] = np.arange(1, self.n_center + 1)
+        offset[:n_center] = np.arange(1, n_center + 1)
         self.leads(region)[0] = REGION_INPUT
         self.leads(region)[1:] = REGION_OUTPUT
         self.leads(channel)[:] = np.arange(self.n_outputs + 1)[:, None]
-        self.leads(offset)[:] = np.arange(1, self.lead_length + 1)
+        self.leads(offset)[:] = np.arange(1, self.lead.length + 1)
         return region, channel, offset
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Sparse complex Hamiltonian.  ``assemble_network`` attaches the site
-    ``registry`` that labels its basis and the ``spec`` it was built from;
-    a bare matrix, as handed to ``propagate``, needs neither.  Immutable
-    after construction."""
+    """Sparse complex Hamiltonian, immutable after construction.  A class
+    rather than a bare matrix because ``propagate`` caches its expansion
+    per Hamiltonian object, and a ``csr_matrix`` is unhashable."""
 
     matrix: sp.csr_matrix
-    registry: SiteRegistry | None = None
-    spec: NetworkSpec | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -246,8 +241,7 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
     attachment site on the center.
     """
     J, mu = net.lead.J, net.lead.mu
-    reg = SiteRegistry(net.center.n_sites, net.lead.length, len(net.attachments) - 1)
-    leads = reg.leads(np.arange(reg.dim))
+    leads = net.leads(np.arange(net.dim))
 
     hc = center_matrix(net.center)
     ci, cj = np.nonzero(hc)
@@ -265,10 +259,9 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
 
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(reg.dim, reg.dim),
+        shape=(net.dim, net.dim),
     ).tocsr()
-    mat.sum_duplicates()
-    return Hamiltonian(matrix=mat, registry=reg, spec=net)
+    return Hamiltonian(mat)
 
 
 def dispersion(J: float, mu: float, k: float) -> float:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import dispersion
+from .lattice import dispersion, group_velocity
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -77,7 +77,6 @@ class ScatteringSolution:
     near-degenerate levels at the probe energy).
     """
 
-    k: float
     energy: float
     r: complex
     t: np.ndarray
@@ -181,13 +180,12 @@ def solve_multichannel(
     flux_error = float(abs(r) ** 2 + np.sum(np.abs(t) ** 2) - 1.0)
     vals = np.linalg.eigvals(hc)
     return ScatteringSolution(
-        k=k,
         energy=energy,
         r=r,
         t=t,
         flux_error=flux_error,
         detuning=float(np.min(np.abs(vals - energy))),
-        width=float(2.0 * abs(J) * np.sin(k)),
+        width=float(group_velocity(J, k)),
         warnings=_degeneracy_warning(vals, energy, J),
     )
 

@@ -336,6 +336,27 @@ def test_snapshot_budget_is_a_physics_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o" / "channels.csv").exists()
 
 
+@pytest.mark.parametrize("length", [10**19, 10**400], ids=["1e19", "beyond-float"])
+def test_oversized_lead_is_refused_before_assembly(tmp_path, capsys, length):
+    # 9 leads of `length` sites: refused by the snapshot budget, before any
+    # array of the network's dimension is asked for
+    payload = _small_dynamics_config()
+    payload["lead"]["length"] = length
+    path = _write(tmp_path, payload)
+    out = tmp_path / "o"
+    assert cli.main(["dynamics", "--config", str(path), "--out", str(out)]) == 3
+    assert "more than the cap" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["steady", "mu-scan"])
+def test_snapshot_stride_is_no_option_without_a_propagator(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([mode, "--config", "c.json", "--snapshot-stride", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --snapshot-stride 5" in capsys.readouterr().err
+
+
 def test_steady_run_trivial_phase_reflects_everything(tmp_path):
     path = _write(tmp_path, _small_steady_config())
     out = tmp_path / "out"

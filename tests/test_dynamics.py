@@ -24,20 +24,19 @@ def test_gaussian_packet_unit_norm_and_peak():
     net = sl.NetworkSpec(
         center=sl.SSHCenter(2.0, 4.0, 20), lead=sl.LeadSpec(J=-0.1, length=200)
     )
-    H = sl.assemble_network(net)
-    psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-100, sigma=20.0, k=K))
+    psi = sl.init_gaussian(net, sl.WavePacketSpec(center_site=-100, sigma=20.0, k=K))
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     peak = int(np.argmax(np.abs(psi)))
-    assert tuple(labels[peak] for labels in H.registry.labels()) == ("input", 0, 100)
-    assert np.abs(psi[: H.registry.n_center]).max() == 0.0
+    assert tuple(labels[peak] for labels in net.labels()) == ("input", 0, 100)
+    assert np.abs(psi[: net.center.n_sites]).max() == 0.0
 
 
 def test_gaussian_plane_wave_limit():
     # the widest packet the fit rule |N_c| + 4 sigma < L allows is locally a
     # plane wave e^{ikj}: compare the 201 sites within 100 of its center
-    H = sl.assemble_network(_small_net(length=2000))
-    psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-1000, sigma=240.0, k=0.7))
-    lead = H.registry.leads(psi)[0]
+    net = _small_net(length=2000)
+    psi = sl.init_gaussian(net, sl.WavePacketSpec(center_site=-1000, sigma=240.0, k=0.7))
+    lead = net.leads(psi)[0]
     j = -np.arange(1.0, 2001.0)  # input offset o holds physical site -o
     near = np.abs(j + 1000) <= 100
     plane = np.exp(1j * 0.7 * j[near])
@@ -47,23 +46,23 @@ def test_gaussian_plane_wave_limit():
 
 
 def test_gaussian_zero_momentum_is_real_positive():
-    H = sl.assemble_network(_small_net())
-    psi = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-30, sigma=5.0, k=0.0))
-    lead = H.registry.leads(psi)[0]
+    net = _small_net()
+    psi = sl.init_gaussian(net, sl.WavePacketSpec(center_site=-30, sigma=5.0, k=0.0))
+    lead = net.leads(psi)[0]
     assert np.all(lead.imag == 0)
     assert np.all(lead.real > 0)
 
 
 def test_gaussian_overflow_rejected():
-    H = sl.assemble_network(_small_net(length=60))
+    net = _small_net(length=60)
     with pytest.raises(sl.PhysicsError):
-        sl.init_gaussian(H, sl.WavePacketSpec(center_site=-50, sigma=6.0, k=K))
+        sl.init_gaussian(net, sl.WavePacketSpec(center_site=-50, sigma=6.0, k=K))
 
 
 def test_gaussian_warns_when_packet_moves_away():
-    H = sl.assemble_network(_small_net(J=0.1))
+    net = _small_net(J=0.1)
     with pytest.warns(UserWarning, match="away from the scattering center"):
-        sl.init_gaussian(H, _packet())
+        sl.init_gaussian(net, _packet())
 
 
 def test_rabi_half_period():
@@ -88,8 +87,9 @@ def test_propagate_matches_dense_spectral_evolution():
 
 
 def test_propagate_preserves_norm_hermitian():
-    H = sl.assemble_network(_small_net())
-    psi = sl.init_gaussian(H, _packet())
+    net = _small_net()
+    H = sl.assemble_network(net)
+    psi = sl.init_gaussian(net, _packet())
     for t in (3.0, 77.0, 431.0):
         assert np.linalg.norm(sl.propagate(H, psi, t)) == pytest.approx(1.0, abs=1e-8)
 
@@ -101,7 +101,7 @@ def test_propagate_gain_loss_matches_adaptive_integration():
     )
     H = sl.assemble_network(net)
     assert H.dim <= 400 and abs(H.matrix - H.matrix.getH()).max() > 0
-    psi0 = sl.init_gaussian(H, sl.WavePacketSpec(center_site=-18, sigma=4.0, k=K))
+    psi0 = sl.init_gaussian(net, sl.WavePacketSpec(center_site=-18, sigma=4.0, k=K))
     t_end = 40.0
     sol = solve_ivp(
         lambda _, y: -1j * H.matrix.dot(y),
@@ -117,16 +117,18 @@ def test_propagate_gain_loss_matches_adaptive_integration():
 
 def test_propagate_deterministic_distance_time_equivalence():
     # fiber-array propagation in z is the identical operation in t
-    H = sl.assemble_network(_small_net())
-    psi = sl.init_gaussian(H, _packet())
+    net = _small_net()
+    H = sl.assemble_network(net)
+    psi = sl.init_gaussian(net, _packet())
     a = sl.propagate(H, psi, 123.0)
     b = sl.propagate(H, psi, 123.0)
     assert np.array_equal(a, b)
 
 
 def test_propagate_input_validation():
-    H = sl.assemble_network(_small_net())
-    psi = sl.init_gaussian(H, _packet())
+    net = _small_net()
+    H = sl.assemble_network(net)
+    psi = sl.init_gaussian(net, _packet())
     with pytest.raises(sl.PhysicsError):
         sl.propagate(H, psi, -1.0)
     with pytest.raises(sl.PhysicsError):
@@ -197,9 +199,9 @@ def test_propagation_plan_does_not_leak_between_networks():
 
 
 def test_channel_probabilities_before_scattering():
-    H = sl.assemble_network(_small_net())
-    psi = sl.init_gaussian(H, _packet())
-    p = sl.channel_probabilities(psi, H.registry)
+    net = _small_net()
+    psi = sl.init_gaussian(net, _packet())
+    p = sl.channel_probabilities(psi, net)
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(p[1:] == 0.0)
 
@@ -302,6 +304,23 @@ def test_run_experiment_snapshot_budget(monkeypatch):
     with pytest.warns(UserWarning, match="unfinished"):
         rec = sl.run_experiment(net, _packet(), cfg)
     assert len(rec.times) == 11
+
+
+@pytest.mark.parametrize(
+    "length, packet, message",
+    [
+        (10**19, _packet(), "more than the cap"),
+        (60, _packet(center_site=-50), "overflows the 60-site input lead"),
+        (60, _packet(k=0.0), "zero group velocity"),
+    ],
+    ids=["snapshot-budget", "packet-fit", "stop-time"],
+)
+def test_run_experiment_checks_preconditions_before_assembly(monkeypatch, length, packet, message):
+    calls = []
+    monkeypatch.setattr(sl.dynamics, "assemble_network", calls.append)
+    with pytest.raises(sl.PhysicsError, match=message):
+        sl.run_experiment(_small_net(length=length), packet)
+    assert calls == []
 
 
 def test_run_experiment_t_max_warning():

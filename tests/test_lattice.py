@@ -83,11 +83,11 @@ def test_assemble_two_lead_dimensions():
     )
     H = sl.assemble_network(net)
     assert H.dim == 6 + 2 * 50
-    assert H.registry.n_outputs == 1
+    assert net.n_outputs == 1
     assert net.attachments == (4, 4)
     # junction bonds present at the shared attachment site
     dense = H.matrix.toarray()
-    in_first, out_first = H.registry.leads(np.arange(H.dim))[:, 0]
+    in_first, out_first = net.leads(np.arange(H.dim))[:, 0]
     assert dense[in_first, 3] == 1.0
     assert dense[out_first, 3] == 1.0
 
@@ -222,17 +222,16 @@ def test_registry_labels_cover_the_layout(n_center, length, data):
         lead=sl.LeadSpec(J=1.0, length=length),
         alpha=alpha,
     )
-    reg = sl.assemble_network(net).registry
     n_leads = len(net.attachments)
-    assert reg.dim == n_center + n_leads * length
-    region, channel, offset = reg.labels()
-    assert len(set(zip(region, channel, offset))) == len(region) == reg.dim
+    assert net.dim == n_center + n_leads * length
+    region, channel, offset = net.labels()
+    assert len(set(zip(region, channel, offset))) == len(region) == net.dim
     rows = np.broadcast_to(np.arange(n_leads)[:, None], (n_leads, length))
-    np.testing.assert_array_equal(reg.leads(channel), rows)
-    np.testing.assert_array_equal(reg.leads(offset), np.broadcast_to(np.arange(1, length + 1),
+    np.testing.assert_array_equal(net.leads(channel), rows)
+    np.testing.assert_array_equal(net.leads(offset), np.broadcast_to(np.arange(1, length + 1),
                                                                      (n_leads, length)))
-    assert set(reg.leads(region)[0]) == {REGION_INPUT}
-    assert set(reg.leads(region)[1:].ravel()) == {REGION_OUTPUT}
+    assert set(net.leads(region)[0]) == {REGION_INPUT}
+    assert set(net.leads(region)[1:].ravel()) == {REGION_OUTPUT}
     assert set(region[:n_center]) == {REGION_CENTER}
     np.testing.assert_array_equal(channel[:n_center], 0)
     np.testing.assert_array_equal(offset[:n_center], np.arange(1, n_center + 1))
@@ -245,13 +244,12 @@ def test_registry_leads_rows_match_index_gathers(alpha):
         lead=sl.LeadSpec(J=1.0, length=3),
         alpha=alpha,
     )
-    reg = sl.assemble_network(net).registry
-    values = np.arange(2.0 * reg.dim).reshape(2, reg.dim)
-    rows = reg.leads(values)
-    assert rows.shape == (2, reg.n_outputs + 1, 3)
+    values = np.arange(2.0 * net.dim).reshape(2, net.dim)
+    rows = net.leads(values)
+    assert rows.shape == (2, net.n_outputs + 1, 3)
     assert np.shares_memory(rows, values)
     # center block first, then 3-site blocks: input lead, output leads 1, 2, ...
-    for lead in range(reg.n_outputs + 1):
+    for lead in range(net.n_outputs + 1):
         start = 4 + 3 * lead
         np.testing.assert_array_equal(rows[:, lead], values[:, start : start + 3])
-    np.testing.assert_array_equal(reg.leads(values[1]), rows[1])
+    np.testing.assert_array_equal(net.leads(values[1]), rows[1])

@@ -448,6 +448,43 @@ def test_center_chain_lists_each_side_from_its_outer_end():
         sl.two_lead_solve(steady.center_chain(np.eye(2), 1), 2, 1.0, 0.0, K)
 
 
+# Off the tridiagonal band: sites 2 and 3 of this star share the level
+# 2.5 - 0.5 = 2, antisymmetric and dark from site 1.  The symmetric
+# combination leaves the reduced centre [[0, sqrt 2], [sqrt 2, 3]].
+_STAR = np.array([[0.0, 1.0, 1.0], [1.0, 2.5, 0.5], [1.0, 0.5, 2.5]], dtype=complex)
+_STAR_REDUCED = np.array([[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 3.0]])
+
+
+def test_dark_level_amplitude_is_the_reduced_centre_value():
+    # E = 2 on the dark level with lead term 2i at site 1: exactly singular
+    a = _STAR - 2.0 * np.eye(3)
+    a[0, 0] += 2j
+    rhs = np.array([2j, 0.0, 0.0])
+    t = steady._dark_level_amplitude(a, rhs, 1)
+    # reduced centre: t = 2i / (-2 + 2i - (sqrt 2)^2 / (3 - 2))
+    assert t == pytest.approx(2j / (-4.0 + 2j), abs=1e-12)
+    assert t == pytest.approx(0.2 - 0.4j, abs=1e-12)
+
+
+def test_dark_level_amplitude_undetermined_when_the_null_vector_sits_on_alpha():
+    assert steady._dark_level_amplitude(np.zeros((1, 1), dtype=complex), np.array([2j]), 1) is None
+
+
+def test_two_lead_dense_fallback_matches_the_reduced_centre(monkeypatch):
+    # whether LAPACK flags an exactly singular matrix depends on BLAS
+    # rounding, so the singular branch is forced
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    assert steady.center_chain(_STAR, 1) is None
+    assert sl.dispersion(1.0, 2.0, K) == 2.0
+    expected = sl.two_lead_solve(_STAR_REDUCED, 1, 1.0, 2.0, K)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    r, t = sl.two_lead_solve(_STAR, 1, 1.0, 2.0, K)
+    assert r == pytest.approx(expected[0], abs=1e-12)
+    assert t == pytest.approx(expected[1], abs=1e-12)
+
+
 def _parent_dense_r2(center, alpha, J, mu, k):
     """|r|^2 by the dense solve every centre took before the chain route,
     step for step."""
