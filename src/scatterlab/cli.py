@@ -8,20 +8,19 @@ or CustomCenter, chosen by its ``type`` "ssh", "nh_ssh" or "custom";
 PropagatorConfig; ``steady``, ``scan``, ``sweep``: the Section classes
 below).  Fields without a default are required, the others take the
 field default, and ``k`` also accepts 'pi/2'-style strings, signed or
-not ('-3*pi/4').  steady requires center, lead and steady; dynamics
-requires center, lead and packet and allows propagator; mu-scan requires
-center and scan; q-sweep requires sweep and allows lead, packet (figure
-3's by default) and propagator.  Any other section is rejected.  Every
-run is fully deterministic, so identical configs produce byte-identical
-CSV artifacts.  ``--workers`` must be at least 1; q-sweep runs its points
-in that many processes (default: the CPU count), capped at the number of
-sweep points.  Exit codes: 0 success, 2 configuration error, 3 physics
-precondition violated, 4 numerical failure.
+not ('-3*pi/4').  ``_MODES`` lists the sections each mode requires and
+tolerates (q-sweep's lead and packet default to figure 3's); any other
+section is rejected.  The time between stored snapshots of dynamics and
+q-sweep runs is ``propagator.snapshot_stride``.  Every run is fully
+deterministic, so identical configs produce byte-identical CSV
+artifacts.  ``--workers`` must be at least 1; q-sweep (and figure 5)
+runs its points in that many processes (default: the CPU count), capped
+at the number of sweep points.  Exit codes: 0 success, 2 configuration
+error, 3 physics precondition violated, 4 numerical failure.
 
-    scatterlab <steady|mu-scan> --config FILE [--out DIR] [--workers N]
-    scatterlab <dynamics|q-sweep> --config FILE [--out DIR] [--workers N]
-               [--snapshot-stride S]
-    scatterlab reproduce-fig {3a|3b|3c|3d|5|6a|6b|6c|6d|7} [--out DIR] ...
+    scatterlab <steady|dynamics|mu-scan> --config FILE [--out DIR]
+    scatterlab q-sweep --config FILE [--out DIR] [--workers N]
+    scatterlab reproduce-fig {3a|3b|3c|3d|5|6a|6b|6c|6d|7} [--out DIR] [--workers N]
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -204,16 +203,6 @@ _SECTION_SPECS = {
     "propagator": PropagatorConfig,
 }
 
-# Section names each mode requires / tolerates.  Anything else in the file
-# is a contradiction and rejected outright.
-_MODE_SECTIONS: dict[str, tuple[set[str], set[str]]] = {
-    "steady": ({"center", "lead", "steady"}, set()),
-    "dynamics": ({"center", "lead", "packet"}, {"propagator"}),
-    "mu-scan": ({"center", "scan"}, set()),
-    "q-sweep": ({"sweep"}, {"lead", "packet", "propagator"}),
-}
-
-
 def _parse_section(name: str, section):
     """Build config section ``name`` from the fields of its spec class.
 
@@ -254,17 +243,16 @@ def parse_config(path, mode: str) -> RunConfig:
     Unknown keys are rejected with the offending key named; sections that
     contradict the mode (e.g. a packet in a mu-scan) are rejected too.
     """
-    if mode not in _MODE_SECTIONS:
-        raise ConfigError(f"unknown mode {mode!r}")
+    required, tolerated, _ = _mode(mode)
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed config {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an oversized integer
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
 
@@ -272,9 +260,8 @@ def parse_config(path, mode: str) -> RunConfig:
     if declared is not None and declared != mode:
         raise ConfigError(f"config declares mode {declared!r} but was run as {mode!r}")
 
-    required, optional = _MODE_SECTIONS[mode]
     for name in data:
-        if name not in required | optional:
+        if name not in required | tolerated:
             if name in _SECTION_SPECS:
                 raise ConfigError(f"section '{name}' contradicts mode '{mode}'")
             raise ConfigError(f"unknown key '{name}' in config")
@@ -399,6 +386,18 @@ def _nh_theory_profile(center: CenterSpec, mu: float, p: np.ndarray) -> np.ndarr
     return theory
 
 
+def _channel_plot(out_dir: Path, p: np.ndarray, theory: np.ndarray, title: str) -> None:
+    """final_state.svg: the measured channel probabilities ``p``, with the
+    theory overlay unless it is NaN throughout."""
+    channels = np.arange(len(p))
+    series = [Series(x=channels, y=p, label="measured", color="#c0392b", markers=True, line=False)]
+    if not np.all(np.isnan(theory)):
+        series.append(Series(x=channels, y=theory, label="theory", color="black"))
+    svg_line_plot(
+        out_dir / "final_state.svg", series, title=title, xlabel="channel", ylabel="probability"
+    )
+
+
 def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     net = NetworkSpec(center=cfg.center, lead=cfg.lead)
     record = run_experiment(net, cfg.packet, cfg.propagator)
@@ -456,24 +455,14 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         ylabel="channel",
     )
 
-    series = [Series(x=channels, y=p, label="measured", color="#c0392b", markers=True, line=False)]
-    if not np.all(np.isnan(theory)):
-        series.append(Series(x=channels, y=theory, label="theory", color="black", markers=False))
-    svg_line_plot(
-        out_dir / "final_state.svg",
-        series,
-        title="final channel probabilities",
-        xlabel="channel",
-        ylabel="probability",
-    )
+    _channel_plot(out_dir, p, theory, "final channel probabilities")
 
     try:
         vis = visibility(p, eta=1)
     except PhysicsError:
         vis = None
 
-    summary = {
-        "mode": "dynamics",
+    return {
         "center": _center_payload(cfg.center),
         "lead": asdict(cfg.lead),
         "packet": asdict(cfg.packet),
@@ -486,8 +475,6 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         "visibility_eta1": vis,
         "warnings": list(record.warnings),
     }
-    write_summary(out_dir / "summary.json", summary)
-    return summary
 
 
 def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
@@ -510,21 +497,10 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         rows,
     )
 
-    channels = np.arange(n + 1)
     probs = np.concatenate(([sol.reflectance], sol.transmittance))
-    series = [Series(x=channels, y=probs, label="measured", color="#c0392b", markers=True, line=False)]
-    if not np.all(np.isnan(theory)):
-        series.append(Series(x=channels, y=theory, label="theory", color="black"))
-    svg_line_plot(
-        out_dir / "final_state.svg",
-        series,
-        title="steady-state channel probabilities",
-        xlabel="channel",
-        ylabel="probability",
-    )
+    _channel_plot(out_dir, probs, theory, "steady-state channel probabilities")
 
-    summary = {
-        "mode": "steady",
+    return {
         "center": _center_payload(cfg.center),
         "lead": {"J": cfg.lead.J, "mu": cfg.lead.mu},
         "k": cfg.steady.k,
@@ -536,14 +512,13 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         "flux_error": sol.flux_error,
         "warnings": list(sol.warnings),
     }
-    write_summary(out_dir / "summary.json", summary)
-    return summary
 
 
 def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     scan_cfg = cfg.scan
+    hc = center_matrix(cfg.center)
     scan = mu_scan(
-        center_matrix(cfg.center),
+        hc,
         alpha=scan_cfg.alpha,
         J=scan_cfg.J,
         k=scan_cfg.k,
@@ -556,7 +531,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         zip(scan.mu_grid, scan.reflectance),
     )
 
-    eigvals, weights = resonant_eigenvalues(center_matrix(cfg.center), scan_cfg.alpha)
+    eigvals, weights = resonant_eigenvalues(hc, scan_cfg.alpha)
     analytic_levels = [
         e for lv in _nh_theory_levels(cfg.center) for e in (lv.real_energy, -lv.real_energy)
     ]
@@ -614,8 +589,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         ylabel="|r|^2",
     )
 
-    summary = {
-        "mode": "mu-scan",
+    return {
         "center": _center_payload(cfg.center),
         "scan": asdict(scan_cfg),
         "resonances": list(scan.resonances),
@@ -623,8 +597,6 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         "dark_states": [f"dark state at mu={mu:.9g}" for mu in scan.dark_states],
         "n_grid_points": int(len(scan.mu_grid)),
     }
-    write_summary(out_dir / "summary.json", summary)
-    return summary
 
 
 def _or_nan(law, *args) -> float:
@@ -636,24 +608,23 @@ def _or_nan(law, *args) -> float:
 
 
 def _sweep_point(task: tuple) -> np.ndarray:
-    """Worker for one q-sweep point; module-level so it pickles."""
-    (q, w, cells, lead, packet, prop) = task
-    center = SSHCenter(v=q * w, w=w, cells=cells)
-    net = NetworkSpec(center=center, lead=lead)
-    record = run_experiment(net, packet, prop)
-    return record.channel_probabilities
+    """Worker for one q-sweep point, given ``run_experiment``'s arguments;
+    module-level so it pickles."""
+    return run_experiment(*task).channel_probabilities
 
 
-def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> dict:
+def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     sweep = cfg.sweep
     lead = cfg.lead if cfg.lead is not None else _fig3_lead()
     packet = cfg.packet if cfg.packet is not None else _fig3_packet()
     workers = workers if workers is not None else (os.cpu_count() or 1)
 
-    tasks = []
-    for q in sweep.q_values:
-        if q != 1.0:
-            tasks.append((q, sweep.w, sweep.cells, lead, packet, cfg.propagator))
+    points = [q for q in sweep.q_values if q != 1.0]
+    tasks = [
+        (NetworkSpec(SSHCenter(v=q * sweep.w, w=sweep.w, cells=sweep.cells), lead), packet,
+         cfg.propagator)
+        for q in points
+    ]
 
     if workers > 1 and len(tasks) > 1:
         # fork starts every worker up front, so ask for no more than there are tasks
@@ -661,7 +632,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    by_q = {task[0]: p for task, p in zip(tasks, results)}
+    by_q = dict(zip(points, results))
 
     rows = []
     for q in sweep.q_values:
@@ -682,51 +653,57 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None) -> di
     )
     write_csv(out_dir / "sweep.csv", columns, rows)
 
-    arr = np.array(
-        [[r[0], r[2], r[3], r[4], r[5]] for r in rows],
-        dtype=float,
-    )
+    q, vis, vis_th, refl, refl_th = np.array([r[:1] + r[2:] for r in rows], dtype=float).T
     svg_line_plot(
         out_dir / "sweep.svg",
         [
-            Series(x=arr[:, 0], y=arr[:, 2], label="V(1) theory", color="black"),
-            Series(x=arr[:, 0], y=arr[:, 1], label="V(1) measured", color="black",
-                   markers=True, line=False),
-            Series(x=arr[:, 0], y=arr[:, 4], label="|r|^2 theory", color="#c0392b"),
-            Series(x=arr[:, 0], y=arr[:, 3], label="|r|^2 measured", color="#c0392b",
-                   markers=True, line=False),
+            Series(x=q, y=vis_th, label="V(1) theory", color="black"),
+            Series(x=q, y=vis, label="V(1) measured", color="black", markers=True, line=False),
+            Series(x=q, y=refl_th, label="|r|^2 theory", color="#c0392b"),
+            Series(x=q, y=refl, label="|r|^2 measured", color="#c0392b", markers=True, line=False),
         ],
         title="visibility and reflection vs q",
         xlabel="q",
         ylabel="V, |r|^2",
     )
 
-    summary = {
-        "mode": "q-sweep",
+    return {
         "sweep": asdict(sweep),
         "lead": asdict(lead),
         "packet": asdict(packet),
         "rows": [dict(zip(columns, r)) for r in rows],
     }
-    write_summary(out_dir / "summary.json", summary)
-    return summary
+
+
+# Each mode's required sections, tolerated sections and runner.  A config
+# section outside the first two is a contradiction and rejected outright.
+# A runner writes its artifacts and returns the rest of summary.json.
+_MODES = {
+    "steady": ({"center", "lead", "steady"}, set(), run_steady),
+    "dynamics": ({"center", "lead", "packet"}, {"propagator"}, run_dynamics),
+    "mu-scan": ({"center", "scan"}, set(), run_mu_scan),
+    "q-sweep": ({"sweep"}, {"lead", "packet", "propagator"}, run_q_sweep),
+}
+
+
+def _mode(name: str) -> tuple:
+    if name not in _MODES:
+        raise ConfigError(f"unknown mode {name!r}")
+    return _MODES[name]
 
 
 def run(cfg: RunConfig, out_dir, workers: int | None = None) -> dict:
-    """Execute a validated configuration, writing artifacts into out_dir."""
+    """Execute a validated configuration, writing artifacts and
+    summary.json into out_dir.  Only a q-sweep reads ``workers``."""
     if workers is not None and workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
+    *_, runner = _mode(cfg.mode)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.mode == "dynamics":
-        return run_dynamics(cfg, out_dir)
-    if cfg.mode == "steady":
-        return run_steady(cfg, out_dir)
-    if cfg.mode == "mu-scan":
-        return run_mu_scan(cfg, out_dir)
-    if cfg.mode == "q-sweep":
-        return run_q_sweep(cfg, out_dir, workers=workers)
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    pool_args = (workers,) if runner is run_q_sweep else ()
+    summary = {"mode": cfg.mode, **runner(cfg, out_dir, *pool_args)}
+    write_summary(out_dir / "summary.json", summary)
+    return summary
 
 
 def main(argv=None) -> int:
@@ -735,20 +712,19 @@ def main(argv=None) -> int:
         description="Multichannel resonant scattering on tight-binding lattices.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODE_SECTIONS:
-        p = sub.add_parser(mode, help=f"run a {mode} experiment from a config file")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=int, default=None, help="q-sweep worker processes")
+    for mode, (*_, runner) in _MODES.items():
+        p = sub.add_parser(
+            mode,
+            parents=[pool] if runner is run_q_sweep else [],
+            help=f"run a {mode} experiment from a config file",
+        )
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default="scatterlab-out", help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="sweep worker count")
-        if "propagator" in _MODE_SECTIONS[mode][1]:
-            p.add_argument(
-                "--snapshot-stride", type=float, default=None, help="time between snapshots"
-            )
-    p = sub.add_parser("reproduce-fig", help="one-command reproduction of a figure")
+    p = sub.add_parser("reproduce-fig", parents=[pool], help="one-command reproduction of a figure")
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", default="scatterlab-out")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--snapshot-stride", type=float, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -757,12 +733,8 @@ def main(argv=None) -> int:
         else:
             jobs = (("", parse_config(args.config, args.mode)),)
         for name, cfg in jobs:
-            if getattr(args, "snapshot_stride", None) is not None:
-                cfg = replace(
-                    cfg, propagator=replace(cfg.propagator, snapshot_stride=args.snapshot_stride)
-                )
             target = Path(args.out) / name if name else Path(args.out)
-            run(cfg, target, workers=args.workers)
+            run(cfg, target, workers=getattr(args, "workers", None))
             print(f"wrote artifacts to {target}")
         return EXIT_OK
     except ConfigError as exc:

@@ -302,8 +302,6 @@ def run_experiment(
     t = 0.0
     while True:
         step = min(stride, t_max - t)
-        if step <= 0:
-            break
         psi = propagate(network, psi, step)
         t += step
         prob = np.abs(psi) ** 2

@@ -318,13 +318,6 @@ def test_store_states_is_an_unknown_propagator_key(tmp_path, capsys):
     assert "unknown key 'store_states' in section 'propagator'" in capsys.readouterr().err
 
 
-def test_nan_snapshot_stride_is_a_physics_error(tmp_path, capsys):
-    path = _write(tmp_path, _small_dynamics_config())
-    argv = ["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]
-    assert cli.main(argv + ["--snapshot-stride", "nan"]) == 3
-    assert "snapshot_stride must be positive" in capsys.readouterr().err
-
-
 def test_snapshot_budget_is_a_physics_error(tmp_path, capsys, monkeypatch):
     # a budget of 1,000 values refuses the 181 default snapshots of this
     # 500-site network before propagating
@@ -349,12 +342,20 @@ def test_oversized_lead_is_refused_before_assembly(tmp_path, capsys, length):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("mode", ["steady", "mu-scan"])
+# The stride is propagator.snapshot_stride in a config; --workers exists
+# only where a pool can start (q-sweep, and figure 5 of reproduce-fig).
+@pytest.mark.parametrize("mode", ["steady", "dynamics", "mu-scan", "q-sweep", "reproduce-fig"])
 def test_snapshot_stride_is_no_option_without_a_propagator(mode, capsys):
+    argv = [mode, "3a"] if mode == "reproduce-fig" else [mode, "--config", "c.json"]
     with pytest.raises(SystemExit) as exc:
-        cli.main([mode, "--config", "c.json", "--snapshot-stride", "5"])
+        cli.main(argv + ["--snapshot-stride", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --snapshot-stride 5" in capsys.readouterr().err
+    if mode in ("steady", "dynamics", "mu-scan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_steady_run_trivial_phase_reflects_everything(tmp_path):
@@ -592,8 +593,8 @@ _GOLDEN = {
 def test_artifacts_match_golden(tmp_path, mode):
     config, csv_hashes, echo = _GOLDEN[mode]
     out = tmp_path / "out"
-    path = _write(tmp_path, config())
-    assert cli.main([mode, "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    argv = [mode, "--config", str(_write(tmp_path, config())), "--out", str(out)]
+    assert cli.main(argv + (["--workers", "1"] if mode == "q-sweep" else [])) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*.csv")}
     assert got == csv_hashes
     summary = json.loads((out / "summary.json").read_text())
@@ -721,6 +722,29 @@ def test_exit_code_config_error(tmp_path):
     assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _oversized_integer(path):
+    # 5,001 digits, beyond the default cap of int parsing (and of json.dumps)
+    text = json.dumps(_small_dynamics_config())
+    path.write_text(text.replace('"length": 60', '"length": ' + "9" * 5001))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(_oversized_integer, "Exceeds the limit"),
+     (lambda path: path.write_bytes(b"\xff\xfe{}"), "can't decode byte 0xff"),
+     (lambda path: path.mkdir(), "Is a directory")],
+    ids=["5001-digit-integer", "not-utf8", "directory"],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make, message):
+    path = tmp_path / "config.json"
+    make(path)
+    assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read config {path}" in err
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_physics_error(tmp_path):
     config = {
         "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 2},
@@ -743,10 +767,7 @@ def test_exit_code_numerical_error(tmp_path):
 
 
 def test_reproduce_fig_smoke(tmp_path):
-    rc = cli.main(
-        ["reproduce-fig", "3a", "--out", str(tmp_path), "--snapshot-stride", "220"]
-    )
-    assert rc == 0
+    assert cli.main(["reproduce-fig", "3a", "--out", str(tmp_path)]) == 0
     out = tmp_path / "fig3a"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["channel_probabilities"][0] == pytest.approx(1 / 49, abs=0.01)

@@ -323,6 +323,19 @@ def test_run_experiment_checks_preconditions_before_assembly(monkeypatch, length
     assert calls == []
 
 
+def test_run_experiment_warns_of_probability_at_a_lead_end():
+    # on 30-site leads the outgoing waves reach the truncated ends by the
+    # time the junctions have emptied
+    net = sl.NetworkSpec(center=sl.SSHCenter(2.0, 4.0, 2), lead=sl.LeadSpec(J=-0.1, length=30))
+    with pytest.warns(UserWarning, match="truncated lead end") as caught:
+        rec = sl.run_experiment(net, _packet(center_site=-12, sigma=4.0))
+    assert len(caught) == 1
+    assert rec.warnings == (
+        "probability 2.413e-02 within 5 sites of a truncated lead end at t=160; "
+        "results may carry finite-lead artifacts",
+    )
+
+
 def test_run_experiment_t_max_warning():
     cfg = sl.PropagatorConfig(t_max=50.0)
     with pytest.warns(UserWarning, match="unfinished"):
@@ -339,3 +352,14 @@ def test_run_experiment_t_max_warning():
 def test_propagator_config_rejects_nonpositive_times(field, value):
     with pytest.raises(sl.PhysicsError, match=f"{field} must be positive"):
         sl.PropagatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"center_site": 0}, "must be a negative input-lead site"),
+     ({"sigma": 0.0}, "sigma must be positive")],
+    ids=["center-site-0", "sigma-0"],
+)
+def test_packet_spec_rejects_a_packet_off_the_input_lead_or_without_width(kwargs, message):
+    with pytest.raises(sl.PhysicsError, match=message):
+        _packet(**kwargs)

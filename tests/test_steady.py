@@ -467,7 +467,11 @@ def test_dark_level_amplitude_is_the_reduced_centre_value():
 
 
 def test_dark_level_amplitude_undetermined_when_the_null_vector_sits_on_alpha():
+    # a left null vector on alpha: the drive is outside the range
     assert steady._dark_level_amplitude(np.zeros((1, 1), dtype=complex), np.array([2j]), 1) is None
+    # only a right null vector, (1, -1) / sqrt 2, on alpha: psi_alpha is not unique
+    a = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert steady._dark_level_amplitude(a, np.array([2j, 0.0]), 1) is None
 
 
 def test_two_lead_dense_fallback_matches_the_reduced_centre(monkeypatch):
