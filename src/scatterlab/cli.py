@@ -9,14 +9,20 @@ PropagatorConfig; ``steady``, ``scan``, ``sweep``: the Section classes
 below).  Fields without a default are required, the others take the
 field default, and ``k`` also accepts 'pi/2'-style strings, signed or
 not ('-3*pi/4').  ``_MODES`` lists the sections each mode requires and
-tolerates (q-sweep's lead and packet default to figure 3's); any other
-section is rejected.  The time between stored snapshots of dynamics and
-q-sweep runs is ``propagator.snapshot_stride``.  Every run is fully
-deterministic, so identical configs produce byte-identical CSV
-artifacts.  ``--workers`` must be at least 1; q-sweep (and figure 5)
-runs its points in that many processes (default: the CPU count), capped
-at the number of sweep points.  Exit codes: 0 success, 2 configuration
-error, 3 physics precondition violated, 4 numerical failure.
+tolerates (q-sweep's lead and packet default to figure 3's, its w and
+cells to the SSH chains'); any other section is rejected.  The time
+between stored snapshots of dynamics and q-sweep runs is
+``propagator.snapshot_stride``.  ``reproduce-fig`` runs the jobs of one
+entry of ``_FIGURES``, built from the paper's inputs, each spelled once:
+figures 3a-d and 7b-e share the four SSH chains, figures 6a-d and 7f the
+gain/loss chain, and figures 3, 5 and 6 figure 3's lead and packet
+(each panel of figure 6 tunes the lead's mu to one real level of the
+gain/loss chain).  Every run is fully deterministic, so identical
+configs produce byte-identical CSV artifacts.  ``--workers`` must be at
+least 1; q-sweep (and figure 5) runs its points in that many processes
+(default: the CPU count), capped at the number of sweep points.  Exit
+codes: 0 success, 2 configuration error, 3 physics precondition
+violated, 4 numerical failure.
 
     scatterlab <steady|dynamics|mu-scan> --config FILE [--out DIR]
     scatterlab q-sweep --config FILE [--out DIR] [--workers N]
@@ -33,7 +39,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -59,8 +65,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
-
-FIGURE_IDS = ("3a", "3b", "3c", "3d", "5", "6a", "6b", "6c", "6d", "7")
 
 _ANGLE_RE = re.compile(
     r"^\s*(-?)\s*(?:(\d+(?:\.\d*)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$"
@@ -146,6 +150,15 @@ _COERCE = {
 }
 
 
+# The paper's inputs, each spelled once; ``figure_configs`` says which
+# figures share each.  Figure 3's lead and packet are also the q-sweep's
+# defaults, and the SSH chains' w and cells the sweep section's.
+_FIG3_LEAD = LeadSpec(J=-0.1, mu=0.0, length=200)
+_FIG3_PACKET = WavePacketSpec(center_site=-100, sigma=20.0, k=np.pi / 2)
+_SSH_CHAINS = tuple(SSHCenter(v=v, w=4.0, cells=20) for v in (2.0, 3.0, 5.0, 6.0))
+_GAIN_LOSS_CHAIN = NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
+
+
 @dataclass(frozen=True)
 class SteadySection:
     k: float
@@ -165,8 +178,8 @@ class ScanSection:
 @dataclass(frozen=True)
 class SweepSection:
     q_values: tuple[float, ...]
-    w: float = 4.0
-    cells: int = 20
+    w: float = _SSH_CHAINS[0].w
+    cells: int = _SSH_CHAINS[0].cells
 
     def __post_init__(self) -> None:
         if any(q <= 0 for q in self.q_values):
@@ -273,69 +286,44 @@ def parse_config(path, mode: str) -> RunConfig:
     return RunConfig(mode=mode, **parsed)
 
 
-def _fig3_lead() -> LeadSpec:
-    return LeadSpec(J=-0.1, mu=0.0, length=200)
+def _figure_table() -> dict[str, tuple[tuple[str, RunConfig], ...]]:
+    """Each figure id's named, ready-to-run configurations, built from the
+    paper inputs at the top of this module."""
+
+    def dynamics(fig: str, center: CenterSpec, lead: LeadSpec = _FIG3_LEAD) -> tuple:
+        return ((f"fig{fig}", RunConfig("dynamics", center, lead, packet=_FIG3_PACKET)),)
+
+    table = {f"3{panel}": dynamics(f"3{panel}", c) for panel, c in zip("abcd", _SSH_CHAINS)}
+    # the sweep's w and cells default to the SSH chains'
+    sweep = SweepSection(q_values=tuple(round(0.1 * i, 10) for i in range(1, 21)))
+    fig5 = RunConfig("q-sweep", lead=_FIG3_LEAD, packet=_FIG3_PACKET, sweep=sweep)
+    table["5"] = (("fig5", fig5),)
+    # each panel probes one level of the gain/loss chain
+    nh = _GAIN_LOSS_CHAIN
+    levels = analytic.nh_spectrum(nh.v, nh.w, nh.gamma, nh.cells)
+    for panel, level in zip("abcd", levels):
+        table[f"6{panel}"] = dynamics(f"6{panel}", nh, replace(_FIG3_LEAD, mu=level.real_energy))
+    scans = [(c, -7.0, 7.0) for c in _SSH_CHAINS] + [(nh, 30.0, 50.0)]
+    table["7"] = tuple(
+        (f"fig7{panel}", RunConfig("mu-scan", center, scan=ScanSection(lo, hi, step=1e-3)))
+        for panel, (center, lo, hi) in zip("bcdef", scans)
+    )
+    return table
 
 
-def _fig3_packet() -> WavePacketSpec:
-    return WavePacketSpec(center_site=-100, sigma=20.0, k=np.pi / 2)
+_FIGURES = _figure_table()
 
 
 def figure_configs(fig: str) -> tuple[tuple[str, RunConfig], ...]:
-    """Expand a figure identifier into named, ready-to-run configurations."""
-    if fig in ("3a", "3b", "3c", "3d"):
-        v = {"3a": 2.0, "3b": 3.0, "3c": 5.0, "3d": 6.0}[fig]
-        cfg = RunConfig(
-            mode="dynamics",
-            center=SSHCenter(v=v, w=4.0, cells=20),
-            lead=_fig3_lead(),
-            packet=_fig3_packet(),
-        )
-        return ((f"fig{fig}", cfg),)
-    if fig == "5":
-        qs = tuple(round(0.1 * i, 10) for i in range(1, 21))
-        cfg = RunConfig(
-            mode="q-sweep",
-            sweep=SweepSection(q_values=qs, w=4.0, cells=20),
-            lead=_fig3_lead(),
-            packet=_fig3_packet(),
-        )
-        return (("fig5", cfg),)
-    if fig in ("6a", "6b", "6c", "6d"):
-        n = {"6a": 0, "6b": 1, "6c": 2, "6d": 3}[fig]
-        level = analytic.nh_spectrum(40.0, 2.0, 10.0, 4)[n]
-        cfg = RunConfig(
-            mode="dynamics",
-            center=NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4),
-            lead=LeadSpec(J=-0.1, mu=level.real_energy, length=200),
-            packet=_fig3_packet(),
-        )
-        return ((f"fig{fig}", cfg),)
-    if fig == "7":
-        runs = []
-        for panel, v in zip("bcde", (2.0, 3.0, 5.0, 6.0)):
-            runs.append(
-                (
-                    f"fig7{panel}",
-                    RunConfig(
-                        mode="mu-scan",
-                        center=SSHCenter(v=v, w=4.0, cells=20),
-                        scan=ScanSection(mu_min=-7.0, mu_max=7.0, step=1e-3),
-                    ),
-                )
-            )
-        runs.append(
-            (
-                "fig7f",
-                RunConfig(
-                    mode="mu-scan",
-                    center=NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4),
-                    scan=ScanSection(mu_min=30.0, mu_max=50.0, step=1e-3),
-                ),
-            )
-        )
-        return tuple(runs)
-    raise ConfigError(f"unknown figure id {fig!r}; choose from {', '.join(FIGURE_IDS)}")
+    """Named, ready-to-run configurations of figure ``fig``.
+
+    Figures 3a-d and 7b-e share the four SSH chains, figures 6a-d and 7f
+    the gain/loss chain, and figures 3, 5 and 6 figure 3's lead and packet
+    (figure 6 with the lead's mu on one real level of the chain).
+    """
+    if fig not in _FIGURES:
+        raise ConfigError(f"unknown figure id {fig!r}; choose from {', '.join(_FIGURES)}")
+    return _FIGURES[fig]
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +357,16 @@ def _nh_theory_levels(center: CenterSpec) -> tuple[analytic.NHLevel, ...]:
     return ()
 
 
-def _nh_theory_profile(center: CenterSpec, mu: float, p: np.ndarray) -> np.ndarray:
-    """Sinusoidal per-channel overlay for a gain/loss center probed at one
-    of its real levels, rescaled to the measured output maximum."""
+def _nh_theory_profile(center: CenterSpec, energy: float, p: np.ndarray) -> np.ndarray:
+    """Sinusoidal per-channel overlay for a gain/loss center whose incident
+    energy sits within 0.5 of one of its real levels, rescaled to the
+    measured output maximum."""
     theory = np.full(len(p), np.nan)
     real = _nh_theory_levels(center)
     if not real:
         return theory
-    nearest = min(real, key=lambda lv: abs(lv.real_energy - mu))
-    if abs(nearest.real_energy - mu) > 0.5:
+    nearest = min(real, key=lambda lv: abs(lv.real_energy - energy))
+    if abs(nearest.real_energy - energy) > 0.5:
         return theory
     profile = analytic.nh_transmission_profile(nearest, center.cells)
     scale = float(p[1:].max()) if len(p) > 1 else 1.0
@@ -406,7 +395,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
 
     theory = _ssh_theory_probabilities(cfg.center, energy, net.n_outputs)
     if np.all(np.isnan(theory)):
-        theory = _nh_theory_profile(cfg.center, cfg.lead.mu, p)
+        theory = _nh_theory_profile(cfg.center, energy, p)
 
     channels = np.arange(len(p))
     write_csv(
@@ -457,11 +446,6 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
 
     _channel_plot(out_dir, p, theory, "final channel probabilities")
 
-    try:
-        vis = visibility(p, eta=1)
-    except PhysicsError:
-        vis = None
-
     return {
         "center": _center_payload(cfg.center),
         "lead": asdict(cfg.lead),
@@ -472,7 +456,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         "center_probability": record.center_probability,
         "norm_initial": record.norms[0],
         "norm_final": record.norms[-1],
-        "visibility_eta1": vis,
+        "visibility_eta1": _or_nan(visibility, p),
         "warnings": list(record.warnings),
     }
 
@@ -615,8 +599,8 @@ def _sweep_point(task: tuple) -> np.ndarray:
 
 def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     sweep = cfg.sweep
-    lead = cfg.lead if cfg.lead is not None else _fig3_lead()
-    packet = cfg.packet if cfg.packet is not None else _fig3_packet()
+    lead = cfg.lead if cfg.lead is not None else _FIG3_LEAD
+    packet = cfg.packet if cfg.packet is not None else _FIG3_PACKET
     workers = workers if workers is not None else (os.cpu_count() or 1)
 
     points = [q for q in sweep.q_values if q != 1.0]
@@ -723,7 +707,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default="scatterlab-out", help="output directory")
     p = sub.add_parser("reproduce-fig", parents=[pool], help="one-command reproduction of a figure")
-    p.add_argument("figure", choices=FIGURE_IDS)
+    p.add_argument("figure", choices=list(_FIGURES))
     p.add_argument("--out", default="scatterlab-out")
 
     args = parser.parse_args(argv)

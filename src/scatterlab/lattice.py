@@ -33,6 +33,10 @@ REGION_CENTER = "center"
 REGION_INPUT = "input"
 REGION_OUTPUT = "output"
 
+# Cap on the sites of a dense centre matrix: 2,048 sites is 64 MiB per
+# complex copy, where a figure needs at most 40.
+_MAX_CENTER_SITES = 2_048
+
 
 @dataclass(frozen=True)
 class SSHCenter:
@@ -169,7 +173,7 @@ class NetworkSpec:
 
     @property
     def n_outputs(self) -> int:
-        return len(self.attachments) - 1
+        return self.center.n_sites if self.alpha is None else 1
 
     @property
     def dim(self) -> int:
@@ -213,10 +217,15 @@ class Hamiltonian:
 
 
 def center_matrix(spec: CenterSpec) -> np.ndarray:
-    """Dense complex matrix of a scattering center."""
+    """Dense complex matrix of a scattering center; a center of more than
+    ``_MAX_CENTER_SITES`` sites raises before any allocation."""
+    n = spec.n_sites
+    if n > _MAX_CENTER_SITES:
+        raise PhysicsError(
+            f"center of {n:,} sites exceeds the dense-matrix cap of {_MAX_CENTER_SITES:,}"
+        )
     if isinstance(spec, CustomCenter):
         return np.array(spec.matrix, dtype=complex, copy=True)
-    n = spec.n_sites
     m = np.zeros((n, n), dtype=complex)
     # Odd bonds (2m-1, 2m) carry v; even bonds (2m, 2m+1) carry w.
     for cell in range(1, spec.cells + 1):

@@ -284,8 +284,9 @@ def test_non_object_section_is_a_config_error(tmp_path, capsys, value, kind):
         (["a", 1.0], "center.matrix[0][0]: expected a number, got 'a'"),
         ([True, 1.0], "center.matrix[0][0]: expected a number, got True"),
         ([1.0, None], "center.matrix[0][0]: expected a number, got None"),
+        ([1, 2, 3], "center.matrix[0][0]: complex entries are [re, im] pairs"),
     ],
-    ids=["string", "bool", "null"],
+    ids=["string", "bool", "null", "triple"],
 )
 def test_custom_matrix_pair_parts_must_be_numbers(tmp_path, cell, message):
     payload = _small_dynamics_config()
@@ -293,6 +294,48 @@ def test_custom_matrix_pair_parts_must_be_numbers(tmp_path, cell, message):
     with pytest.raises(sl.ConfigError) as err:
         cli.parse_config(_write(tmp_path, payload), "dynamics")
     assert str(err.value) == message
+
+
+def _edited(mode, **sections):
+    """The small config of ``mode`` with ``sections`` replaced; a section
+    given as None is dropped."""
+    config = {**_MODE_CONFIGS[mode](), **sections}
+    return {name: section for name, section in config.items() if section is not None}
+
+
+_SSH_FIELDS = {"v": 6.0, "w": 4.0, "cells": 20}
+_CENTER_TYPES = "'ssh', 'nh_ssh', or 'custom'"
+
+
+@pytest.mark.parametrize(
+    "mode, config, message",
+    [
+        ("steady", _edited("steady", center={"type": "custom", "matrix": [1.0]}),
+         "center.matrix row 0 is not a list"),
+        ("steady", _edited("steady", center={"type": "custom", "matrix": [[1.0, 2.0], [1.0]]}),
+         "center.matrix: setting an array element with a sequence"),
+        ("steady", _edited("steady", center={"type": "custom", "matrix": [[1.0, 2.0]]}),
+         "center.matrix: custom center matrix must be square, got shape (1, 2)"),
+        ("q-sweep", _edited("q-sweep", sweep={"q_values": [0.5, 0.0]}),
+         "sweep.q_values must be positive"),
+        ("steady", _edited("steady", center=_SSH_FIELDS),
+         "missing required field 'type' in section 'center'"),
+        ("steady", _edited("steady", center={"type": "xyz", **_SSH_FIELDS}),
+         f"center.type must be {_CENTER_TYPES}, got 'xyz'"),
+        ("steady", _edited("steady", center={"type": ["ssh"], **_SSH_FIELDS}),
+         f"center.type must be {_CENTER_TYPES}, got ['ssh']"),
+        ("dynamics", [_small_dynamics_config()], "config root must be a JSON object, got list"),
+        ("dynamics", _edited("dynamics", packet=None),
+         "mode 'dynamics' requires a 'packet' section"),
+    ],
+    ids=["row-not-a-list", "ragged-matrix", "non-square-matrix", "q-zero", "center-without-type",
+         "unknown-center-type", "unhashable-center-type", "root-a-list", "missing-section"],
+)
+def test_malformed_config_is_refused_before_any_output(tmp_path, capsys, mode, config, message):
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -342,6 +385,25 @@ def test_oversized_lead_is_refused_before_assembly(tmp_path, capsys, length):
     assert list(out.iterdir()) == []
 
 
+# 2e11 sites: dynamics is refused by the snapshot budget and the steady
+# engines by center_matrix's cap, each before any array or tuple of that
+# size is asked for.
+@pytest.mark.parametrize(
+    "mode, message",
+    [("dynamics", "more than the cap of 25,000,000"),
+     ("steady", "center of 200,000,000,000 sites exceeds the dense-matrix cap of 2,048"),
+     ("mu-scan", "center of 200,000,000,000 sites exceeds the dense-matrix cap of 2,048")],
+    ids=["dynamics", "steady", "mu-scan"],
+)
+def test_oversized_center_is_refused_before_allocation(tmp_path, capsys, mode, message):
+    payload = _MODE_CONFIGS[mode]()
+    payload["center"]["cells"] = 10**11
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", str(_write(tmp_path, payload)), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # The stride is propagator.snapshot_stride in a config; --workers exists
 # only where a pool can start (q-sweep, and figure 5 of reproduce-fig).
 @pytest.mark.parametrize("mode", ["steady", "dynamics", "mu-scan", "q-sweep", "reproduce-fig"])
@@ -369,6 +431,19 @@ def test_steady_run_trivial_phase_reflects_everything(tmp_path):
     lines = (out / "amplitudes.csv").read_text().splitlines()
     assert lines[0] == CSV_VERSION_LINE
     assert (out / "final_state.svg").exists()
+
+
+def test_custom_center_summary_names_its_size(tmp_path):
+    config = {
+        "center": {"type": "custom", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+        "lead": {"J": -0.5},
+        "steady": {"k": "pi/2"},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["center"] == {
+        "n_sites": 2, "type": "custom"
+    }
 
 
 def test_dynamics_run_artifacts_and_determinism(tmp_path):
@@ -475,6 +550,24 @@ def test_gain_loss_overlays_outside_the_closed_form(tmp_path, gamma):
     assert cli.main(["dynamics", "--config", str(path), "--out", str(out)]) == 0
     theory = _csv_column(out / "channels.csv", "probability_theory")
     assert (theory == ["nan"] * 5) == (gamma <= 0)
+
+
+# The gain/loss overlay is keyed on the incident energy E = 2J cos k + mu,
+# here E = mu - 1: mu = level + 1 puts E on the lowest real level, while
+# mu = level + 0.45 leaves E 0.55 off it, beyond the overlay's 0.5 window.
+@pytest.mark.parametrize("offset, drawn", [(1.0, True), (0.45, False)], ids=["on", "off"])
+def test_gain_loss_overlay_follows_the_incident_energy(tmp_path, offset, drawn):
+    level = sl.nh_spectrum(8.0, 2.0, 1.0, 2)[0].real_energy
+    config = {
+        "center": {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2},
+        "lead": {"J": -1.0, "mu": level + offset, "length": 60},
+        "packet": {"center_site": -30, "sigma": 6, "k": "pi/3"},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["dynamics", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    theory = _csv_column(out / "channels.csv", "probability_theory")
+    assert (theory[1:] != ["nan"] * 4) == drawn
+    assert ("theory" in (out / "final_state.svg").read_text()) == drawn
 
 
 def test_nh_theory_profile_matches_the_per_cell_loop():

@@ -312,8 +312,13 @@ def test_run_experiment_snapshot_budget(monkeypatch):
         (10**19, _packet(), "more than the cap"),
         (60, _packet(center_site=-50), "overflows the 60-site input lead"),
         (60, _packet(k=0.0), "zero group velocity"),
+        # sin k rounds to about 1e-16 here, not to 0
+        (60, _packet(k=np.pi), "zero group velocity"),
+        (60, _packet(k=-np.pi), "zero group velocity"),
+        (60, _packet(k=2 * np.pi), "zero group velocity"),
     ],
-    ids=["snapshot-budget", "packet-fit", "stop-time"],
+    ids=["snapshot-budget", "packet-fit", "stop-time", "stop-time-pi", "stop-time-minus-pi",
+         "stop-time-2pi"],
 )
 def test_run_experiment_checks_preconditions_before_assembly(monkeypatch, length, packet, message):
     calls = []

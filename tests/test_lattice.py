@@ -43,6 +43,19 @@ def test_center_rejects_zero_cells():
         sl.NonHermitianSSHCenter(v=1.0, w=2.0, gamma=1.0, cells=0)
 
 
+def test_center_matrix_refuses_a_center_beyond_the_cap(monkeypatch):
+    monkeypatch.setattr(sl.lattice, "_MAX_CENTER_SITES", 8)
+    assert sl.center_matrix(sl.SSHCenter(v=1.0, w=2.0, cells=4)).shape == (8, 8)
+    for center in (
+        sl.SSHCenter(v=1.0, w=2.0, cells=5),
+        sl.NonHermitianSSHCenter(v=1.0, w=2.0, gamma=1.0, cells=5),
+        sl.CustomCenter(np.eye(10)),
+    ):
+        with pytest.raises(sl.PhysicsError) as err:
+            sl.center_matrix(center)
+        assert str(err.value) == "center of 10 sites exceeds the dense-matrix cap of 8"
+
+
 def test_custom_center_rejects_nonsquare():
     with pytest.raises(sl.PhysicsError):
         sl.CustomCenter(np.zeros((2, 3)))
