@@ -184,6 +184,8 @@ class SweepSection:
     def __post_init__(self) -> None:
         if any(q <= 0 for q in self.q_values):
             raise ConfigError("sweep.q_values must be positive")
+        if not self.w > 0:
+            raise ConfigError(f"sweep.w must be positive, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -416,19 +418,19 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         ),
     )
 
+    # Each snapshot time and each site's region,channel,offset is printed
+    # once, as write_csv would print it; a row only formats its probability.
     prob = record.site_probabilities
-    regions, chans, offsets = net.labels()
+    times = np.array(["%.12g" % t for t in record.times.tolist()], dtype=object)
+    sites = np.array(
+        [f"{r},{c},{o}" for r, c, o in zip(*(labels.tolist() for labels in net.labels()))],
+        dtype=object,
+    )
     ti, si = np.nonzero(prob > 1e-12)
     write_csv(
         out_dir / "snapshots.csv",
         ["time", "region", "channel", "offset", "probability"],
-        zip(
-            record.times[ti].tolist(),
-            regions[si].tolist(),
-            chans[si].tolist(),
-            offsets[si].tolist(),
-            prob[ti, si].tolist(),
-        ),
+        zip(times[ti].tolist(), sites[si].tolist(), prob[ti, si].tolist()),
     )
 
     # Channel x lead-site intensity maps at a few snapshot times.

@@ -16,8 +16,14 @@ with parameter rho >= 1 (rho = 1 for Hermitian H); terms are kept while
 |J_n(R)| rho^n exceeds a fixed cutoff (Tal-Ezer & Kosloff, J. Chem. Phys.
 81, 3967, 1984).  The numerical range is a (1 + sqrt 2)-spectral set
 (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649, 2017), so the
-same weights bound the truncation error for non-normal H.  Each term
-costs one sparse matrix-vector product.
+same weights bound the truncation error for non-normal H.
+
+Each term costs one sparse matrix-vector product, scipy's ``csr_matvec``
+kernel called straight into a reused buffer, plus four in-place vector
+operations; the loop allocates nothing per term.  scipy is loaded only
+when a network is assembled or a step is planned (``scipy.sparse`` in
+``assemble_network``, ``scipy.special.jv`` in ``_chebyshev_plan``), so
+importing the package and every steady-state run stay on numpy alone.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from __future__ import annotations
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import jv
 
 from .errors import NumericalError, PhysicsError
 from .lattice import Hamiltonian, NetworkSpec, assemble_network, group_velocity
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Chebyshev terms are kept while their weight |J_n(R)| rho^n exceeds this,
 # two orders below any physics tolerance used downstream.
@@ -163,6 +171,9 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     """(phase, scaled operator, coefficients) of exp(-iHt) = phase *
     sum_n coeffs[n] T_n(scaled); for diagonal H the phase alone, with
     ``None`` for the other two.  Memoised per network object and step."""
+    import scipy.sparse as sp
+    from scipy.special import jv
+
     m = H.matrix
     re_lo, re_hi = _gershgorin_interval((m + m.getH()) * 0.5)
     im_lo, im_hi = _gershgorin_interval((m - m.getH()) * -0.5j)
@@ -174,6 +185,10 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     corner = complex(re_half, im_half) / half
     rho = abs(corner + np.sqrt(corner**2 - 1))
     big_r = half * t
+    if not np.isfinite(big_r):  # a half-width beyond the float range
+        raise NumericalError(
+            f"spectral half-width {half:.6g} of H times the step {t:.6g} overflows"
+        )
     # |J_n(R)| rho^n <= (R rho / 2)^n / n! < (e R rho / 2n)^n, which is below
     # e^-26 < cutoff from n = e R rho / 2 + 26 on: every kept order is < m_max
     m_max = int(0.5 * np.e * rho * big_r + 60)
@@ -208,11 +223,26 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     phase, scaled, coeffs = _chebyshev_plan(H, float(t))
     if scaled is None:
         return phase * psi0
-    phi_prev, phi = psi0, scaled.dot(psi0)
+    # the kernel ``scaled @ x`` runs on a zeroed result, without the dispatch
+    from scipy.sparse._sparsetools import csr_matvec
+
+    matrix = (H.dim, H.dim, scaled.indptr, scaled.indices, scaled.data)
+    phi_prev = np.array(psi0)  # a contiguous copy: the buffers below are overwritten
+    phi = np.zeros_like(phi_prev)
+    csr_matvec(*matrix, phi_prev, phi)
     acc = coeffs[0] * phi_prev + coeffs[1] * phi
+    y, tmp = np.empty_like(phi), np.empty_like(phi)
     for coeff in coeffs[2:]:
-        phi_prev, phi = phi, 2.0 * scaled.dot(phi) - phi_prev
-        acc += coeff * phi
+        # phi_prev, phi = phi, 2 scaled phi - phi_prev; acc += coeff * phi.  The
+        # scalar stays the first operand: numpy's SIMD complex multiply fuses
+        # differently for phi * coeff, which moves the last bits.
+        y.fill(0)
+        csr_matvec(*matrix, phi, y)
+        np.multiply(2.0, y, out=y)
+        np.subtract(y, phi_prev, out=phi_prev)
+        phi_prev, phi = phi, phi_prev
+        np.multiply(coeff, phi, out=tmp)
+        np.add(acc, tmp, out=acc)
     return phase * acc
 
 

@@ -22,12 +22,14 @@ concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PhysicsError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 REGION_CENTER = "center"
 REGION_INPUT = "input"
@@ -36,6 +38,13 @@ REGION_OUTPUT = "output"
 # Cap on the sites of a dense centre matrix: 2,048 sites is 64 MiB per
 # complex copy, where a figure needs at most 40.
 _MAX_CENTER_SITES = 2_048
+
+
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not np.isfinite(value):
+            raise PhysicsError(f"{type(spec).__name__}.{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,7 @@ class SSHCenter:
     def __post_init__(self) -> None:
         if self.cells < 1:
             raise PhysicsError(f"cells must be >= 1, got {self.cells}")
+        _require_finite(self, "v", "w")
 
     @property
     def n_sites(self) -> int:
@@ -83,6 +93,7 @@ class NonHermitianSSHCenter:
     def __post_init__(self) -> None:
         if self.cells < 1:
             raise PhysicsError(f"cells must be >= 1, got {self.cells}")
+        _require_finite(self, "v", "w", "gamma")
 
     @property
     def n_sites(self) -> int:
@@ -134,6 +145,11 @@ class LeadSpec:
     def __post_init__(self) -> None:
         if self.J == 0:
             raise PhysicsError("lead hopping J must be nonzero")
+        # the band spans mu +- 2|J|; its edges must be finite numbers
+        if not np.isfinite(2.0 * abs(self.J) + abs(self.mu)):
+            raise PhysicsError(
+                f"lead band edge 2|J| + |mu| is not finite for J={self.J}, mu={self.mu}"
+            )
         if self.length < 1:
             raise PhysicsError(f"lead length must be >= 1, got {self.length}")
 
@@ -249,6 +265,8 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
     bonds of amplitude J connect each lead's innermost site to its
     attachment site on the center.
     """
+    import scipy.sparse as sp  # here, not at the top: steady runs never load it
+
     J, mu = net.lead.J, net.lead.mu
     leads = net.leads(np.arange(net.dim))
 

@@ -50,6 +50,10 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     ``None``, the text of a ``str``, ``%d`` for Python and numpy integers,
     ``%.12g`` for anything else.  A ``bool`` or ``np.bool_`` cell raises
     ``TypeError``.  Lines are streamed to the open file, not joined first.
+
+    A ``str`` cell is written as is, so it may carry several columns
+    already joined by commas (and formatted as above): a caller that
+    repeats the same leading columns on many rows formats them once.
     """
     templates: dict[tuple[type, ...], str] = {}
 

@@ -810,6 +810,43 @@ def test_q_sweep_rejects_fewer_than_one_worker(tmp_path, monkeypatch, capsys, wo
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("w", [0.0, -4.0])
+def test_q_sweep_rejects_a_nonpositive_w(tmp_path, capsys, w):
+    # w = 0 would run v = w = 0 chains and report them next to the closed forms
+    payload = _small_q_sweep_config()
+    payload["sweep"]["w"] = w
+    path = _write(tmp_path, payload)
+    assert cli.main(["q-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"configuration error: sweep.w must be positive, got {w}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "q, code, message",
+    [(1e308, 3, "physics precondition violated: SSHCenter.v must be finite, got inf"),
+     (2.5e307, 4, "numerical failure: spectral half-width")],
+    ids=["v-overflows", "half-width-overflows"],
+)
+def test_q_sweep_point_beyond_the_float_range_is_refused(tmp_path, capsys, q, code, message):
+    payload = _small_q_sweep_config()
+    payload["sweep"]["q_values"] = [q]
+    path = _write(tmp_path, payload)
+    argv = ["q-sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_steady_refuses_a_lead_band_beyond_the_float_range(tmp_path, capsys):
+    payload = _small_steady_config()
+    payload["lead"]["J"] = 1e308
+    path = _write(tmp_path, payload)
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "lead band edge 2|J| + |mu| is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_config_error(tmp_path):
     path = tmp_path / "nope.json"
     assert cli.main(["dynamics", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -879,18 +916,32 @@ def test_console_entry_point_help():
     assert "reproduce-fig" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize (and the scipy.spatial, scipy.fft and scipy.linalg it
-    # pulls in) would add about a third to every CLI call's import time
-    code = "import sys, scatterlab.cli; print('scipy.optimize' in sys.modules)"
+_SCIPY_FREE_PATHS = {
+    "package": "import scatterlab",
+    "cli": "import scatterlab.cli",
+    "mu-scan": "from scatterlab import cli; "
+    "assert cli.main(['mu-scan', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0",
+}
+
+
+@pytest.mark.parametrize("path", list(_SCIPY_FREE_PATHS))
+def test_cli_paths_leave_scipy_unloaded(tmp_path, path):
+    # scipy.sparse alone (with the copy of numpy its array API layer makes)
+    # is more than half of an import of scatterlab.cli; only assembling or
+    # propagating a network needs scipy
+    code = (
+        f"import sys; {_SCIPY_FREE_PATHS[path]}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    config = _write(tmp_path, _small_mu_scan_config())
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(config), str(tmp_path / "o")],
         capture_output=True,
         text=True,
         cwd=Path(sl.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_every_public_name_resolves():

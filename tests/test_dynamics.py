@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import scatterlab as sl
+from scatterlab import cli
 
 K = np.pi / 2
 
@@ -185,6 +186,79 @@ def test_propagate_order_beyond_cap_raises(matrix, t):
     H = _custom(matrix)
     with pytest.raises(sl.NumericalError, match="step budget"):
         sl.propagate(H, np.array([1.0, 0.0]), t)
+
+
+def _textbook_propagate(H, psi0, t):
+    """The Chebyshev recurrence as written in the literature, one fresh
+    array per operation, on the plan ``propagate`` uses."""
+    phase, scaled, coeffs = sl.dynamics._chebyshev_plan(H, t)
+    phi_prev, phi = psi0, scaled.dot(psi0)
+    acc = coeffs[0] * phi_prev + coeffs[1] * phi
+    for coeff in coeffs[2:]:
+        phi_prev, phi = phi, 2.0 * scaled.dot(phi) - phi_prev
+        acc += coeff * phi
+    return phase * acc
+
+
+def _figure_step(fig):
+    """Network, packet and default snapshot stride of a figure's run."""
+    ((_, cfg),) = cli.figure_configs(fig)
+    net = sl.NetworkSpec(cfg.center, cfg.lead)
+    return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "fig, min_order", [("3a", 150), ("6a", 1_000)], ids=["fig3a-hermitian", "fig6a-gain-loss"]
+)
+def test_propagate_is_the_textbook_recurrence_bit_for_bit(fig, min_order):
+    # the in-place loop must not move a single bit of the figures: checked
+    # from the packet and from the state three strides on
+    net, packet, stride = _figure_step(fig)
+    H = sl.assemble_network(net)
+    _, _, coeffs = sl.dynamics._chebyshev_plan(H, stride)
+    # past order 100, (-1j) ** n and the Bessel weights are no longer exact
+    assert len(coeffs) > min_order
+    psi = sl.init_gaussian(net, packet)
+    for _ in range(2):
+        kept = psi.copy()
+        new = sl.propagate(H, psi, stride)
+        assert np.array_equal(_bits(new), _bits(_textbook_propagate(H, psi, stride)))
+        assert np.array_equal(_bits(psi), _bits(kept))  # the input is never written
+        psi = sl.propagate(H, sl.propagate(H, new, stride), stride)
+
+
+def test_propagate_reads_a_strided_state_like_a_contiguous_one():
+    H = _gain_loss_network()
+    rng = np.random.default_rng(3)
+    psi0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    strided = np.repeat(psi0, 2)[::2]
+    assert not strided.flags.c_contiguous
+    ref = _textbook_propagate(H, psi0, 40.0)
+    assert np.array_equal(_bits(sl.propagate(H, strided, 40.0)), _bits(ref))
+
+
+def test_csr_matvec_into_zeros_is_the_sparse_product():
+    # propagate calls scipy's private kernel directly; a scipy release that
+    # moves or changes it must fail here, not shift the figures' digits
+    from scipy.sparse._sparsetools import csr_matvec
+
+    net, _, stride = _figure_step("3a")
+    _, scaled, _ = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=net.dim) + 1j * rng.normal(size=net.dim)
+    y = np.zeros(net.dim, dtype=complex)
+    csr_matvec(net.dim, net.dim, scaled.indptr, scaled.indices, scaled.data, x, y)
+    assert np.array_equal(_bits(y), _bits(scaled @ x))
+
+
+def test_propagate_refuses_a_half_width_beyond_the_float_range():
+    H = _custom([[0, 1e308], [1e308, 0]])
+    with np.errstate(all="ignore"), pytest.raises(sl.NumericalError, match="overflows"):
+        sl.propagate(H, np.array([1.0, 0.0]), 1.0)
 
 
 def test_propagation_plan_does_not_leak_between_networks():

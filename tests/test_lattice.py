@@ -77,6 +77,30 @@ def test_lead_spec_validation():
         sl.LeadSpec(J=1.0, length=0)
 
 
+@pytest.mark.parametrize(
+    "J, mu", [(1e308, 0.0), (-1e308, 0.0), (4e307, 1.5e308), (np.nan, 0.0), (1.0, np.inf)]
+)
+def test_lead_spec_rejects_a_band_edge_beyond_the_float_range(J, mu):
+    with pytest.raises(sl.PhysicsError, match=r"lead band edge 2\|J\| \+ \|mu\| is not finite"):
+        sl.LeadSpec(J=J, mu=mu)
+    assert sl.LeadSpec(J=4e307, mu=1e307).J == 4e307  # 9e307 is still a float
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [(lambda x: sl.SSHCenter(v=x, w=1.0, cells=2), "v"),
+     (lambda x: sl.SSHCenter(v=1.0, w=x, cells=2), "w"),
+     (lambda x: sl.NonHermitianSSHCenter(v=x, w=1.0, gamma=0.5, cells=2), "v"),
+     (lambda x: sl.NonHermitianSSHCenter(v=1.0, w=x, gamma=0.5, cells=2), "w"),
+     (lambda x: sl.NonHermitianSSHCenter(v=1.0, w=1.0, gamma=x, cells=2), "gamma")],
+    ids=["ssh-v", "ssh-w", "nh-v", "nh-w", "nh-gamma"],
+)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_center_rejects_non_finite_parameters(make, field, value):
+    with pytest.raises(sl.PhysicsError, match=f"Center.{field} must be finite, got {value}"):
+        make(value)
+
+
 def test_assemble_multichannel_dimensions_and_hermiticity():
     # 40-site center, 40 output leads + 1 input lead, 200 sites each.
     net = sl.NetworkSpec(
