@@ -17,12 +17,16 @@ entry of ``_FIGURES``, built from the paper's inputs, each spelled once:
 figures 3a-d and 7b-e share the four SSH chains, figures 6a-d and 7f the
 gain/loss chain, and figures 3, 5 and 6 figure 3's lead and packet
 (each panel of figure 6 tunes the lead's mu to one real level of the
-gain/loss chain).  Every run is fully deterministic, so identical
-configs produce byte-identical CSV artifacts.  ``--workers`` must be at
-least 1; q-sweep (and figure 5) runs its points in that many processes
-(default: the CPU count), capped at the number of sweep points.  Exit
-codes: 0 success, 2 configuration error, 3 physics precondition
-violated, 4 numerical failure.
+gain/loss chain).  A steady run solves the multichannel network
+``NetworkSpec`` builds, input lead at site 1.  A mu-scan diagonalises
+its centre once, in ``run_mu_scan``: those levels give both the
+``nearest_eigenvalue`` column and the dark states in ``summary.json``.
+Every run is fully deterministic, so identical configs produce
+byte-identical CSV artifacts.  ``--workers`` must be at least 1; q-sweep
+(and figure 5) runs its points in that many processes (default: the CPU
+count), capped at the number of sweep points.  Exit codes: 0 success,
+2 configuration error, 3 physics precondition violated, 4 numerical
+failure.
 
     scatterlab <steady|dynamics|mu-scan> --config FILE [--out DIR]
     scatterlab q-sweep --config FILE [--out DIR] [--workers N]
@@ -59,7 +63,7 @@ from .lattice import (
     dispersion,
 )
 from .output import Series, svg_heatmap, svg_line_plot, write_csv, write_summary
-from .steady import mu_scan, resonant_eigenvalues, solve_multichannel
+from .steady import DARK_OVERLAP2, mu_scan, resonant_eigenvalues, solve_multichannel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,7 +166,6 @@ _GAIN_LOSS_CHAIN = NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
 @dataclass(frozen=True)
 class SteadySection:
     k: float
-    input_site: int = 1
 
 
 @dataclass(frozen=True)
@@ -469,7 +472,6 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         J=cfg.lead.J,
         mu=cfg.lead.mu,
         k=cfg.steady.k,
-        input_site=cfg.steady.input_site,
     )
     n = len(sol.t)
     theory = _ssh_theory_probabilities(cfg.center, sol.energy, n)
@@ -490,7 +492,6 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         "center": _center_payload(cfg.center),
         "lead": {"J": cfg.lead.J, "mu": cfg.lead.mu},
         "k": cfg.steady.k,
-        "input_site": cfg.steady.input_site,
         "energy": sol.energy,
         "r": sol.r,
         "reflectance": sol.reflectance,
@@ -518,6 +519,8 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     )
 
     eigvals, weights = resonant_eigenvalues(hc, scan_cfg.alpha)
+    in_window = (scan_cfg.mu_min <= eigvals) & (eigvals <= scan_cfg.mu_max)
+    dark = eigvals[in_window & (weights < DARK_OVERLAP2)]
     analytic_levels = [
         e for lv in _nh_theory_levels(cfg.center) for e in (lv.real_energy, -lv.real_energy)
     ]
@@ -580,7 +583,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         "scan": asdict(scan_cfg),
         "resonances": list(scan.resonances),
         "resonance_reflectance": list(scan.resonance_reflectance),
-        "dark_states": [f"dark state at mu={mu:.9g}" for mu in scan.dark_states],
+        "dark_states": [f"dark state at mu={mu:.9g}" for mu in dark],
         "n_grid_points": int(len(scan.mu_grid)),
     }
 

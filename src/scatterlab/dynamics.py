@@ -175,8 +175,14 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     from scipy.special import jv
 
     m = H.matrix
-    re_lo, re_hi = _gershgorin_interval((m + m.getH()) * 0.5)
-    im_lo, im_hi = _gershgorin_interval((m - m.getH()) * -0.5j)
+    # entries near the float maximum overflow here; the check below refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_lo, re_hi = _gershgorin_interval((m + m.getH()) * 0.5)
+        im_lo, im_hi = _gershgorin_interval((m - m.getH()) * -0.5j)
+    if not np.isfinite([re_lo, re_hi, im_lo, im_hi]).all():
+        raise NumericalError(
+            "spectral half-width of H overflows: its Gershgorin rectangle is not finite"
+        )
     mid = complex(0.5 * (re_hi + re_lo), 0.5 * (im_hi + im_lo))
     re_half, im_half = 0.5 * (re_hi - re_lo), 0.5 * (im_hi - im_lo)
     half = max(re_half, im_half)

@@ -6,11 +6,12 @@ site.  Substituting the wavefunction continuity relation r = t1 - 1 turns
 the infinite scattering problem into a dense N x N linear system over the
 center amplitudes:
 
-    [H_c - E_k I + J e^{ik} (I + P_in)] t = 2 i J sin(k) e_in
+    [H_c - E_k I + J e^{ik} (I + P_1)] t = 2 i J sin(k) e_1
 
-where P_in projects onto the input attachment site (which carries two
-leads) and E_k = 2 J cos k + mu.  The reflection amplitude is r = t_in - 1.
-The two-lead geometry eliminates identically, with the single output lead
+where P_1 projects onto site 1, which carries the input lead and output
+lead 1 (the geometry ``NetworkSpec(alpha=None)`` builds), and
+E_k = 2 J cos k + mu.  The reflection amplitude is r = t_1 - 1.  The
+two-lead geometry eliminates identically, with the single output lead
 doubling the boundary term at the shared site.
 
 The multichannel geometry is a dense direct solve: centers are small (a
@@ -24,7 +25,8 @@ where each side's self-energy S is a continued fraction over its sites
 per probe energy, from a ``center_chain`` built once per scan.  Sites past
 a zero bond are cut off the chain, so a level dark from alpha there drops
 out by construction.  A centre with any entry off the tridiagonal band
-falls back to a dense LU.  All functions are pure; scans are
+falls back to a dense LU, as does one whose on-site entries or bond
+products are not finite numbers.  All functions are pure; scans are
 deterministic.
 
 Scan resonances are refined by golden-section search (Kiefer 1953), done
@@ -98,23 +100,22 @@ class ScatteringSolution:
 class ResonanceScan:
     """Sampled |r|^2(mu) curve with refined resonance locations.
 
-    ``resonances`` hold the refined mu* with |r(mu*)|^2 < 1e-8;
-    ``dark_states`` lists real center eigenvalues inside the window whose
-    wavefunction vanishes at the attachment site, so the scan cannot see
-    them.
+    ``resonances`` hold the refined mu* with |r(mu*)|^2 < 1e-8 and
+    ``resonance_reflectance`` their |r|^2: what the scan measured.  The
+    levels a scan cannot see (weight below ``DARK_OVERLAP2`` at the
+    attachment site) come from ``resonant_eigenvalues``.
     """
 
     mu_grid: np.ndarray
     reflectance: np.ndarray
     resonances: tuple[float, ...]
     resonance_reflectance: tuple[float, ...]
-    dark_states: tuple[float, ...] = ()
 
 
 def _center_block(center: np.ndarray) -> np.ndarray:
     m = np.asarray(center, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PhysicsError(f"center block must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise PhysicsError(f"center block must be square and non-empty, got shape {m.shape}")
     return m
 
 
@@ -147,12 +148,12 @@ def solve_multichannel(
     J: float,
     mu: float,
     k: float,
-    input_site: int = 1,
 ) -> ScatteringSolution:
-    """Solve the multichannel geometry: one output lead per center site,
-    input lead at ``input_site`` (default 1).
+    """Solve the multichannel geometry of ``NetworkSpec(alpha=None)``: one
+    output lead per center site and the input lead at site 1, so the
+    wave-packet engine runs the same network.
 
-    Continuity t_in - r = 1 holds by construction; for Hermitian centers
+    Continuity t_1 - r = 1 holds by construction; for Hermitian centers
     the flux |r|^2 + sum|t|^2 = 1 is a property of the solution and is
     reported via ``flux_error``.
     """
@@ -161,22 +162,20 @@ def solve_multichannel(
         raise PhysicsError("lead hopping J must be nonzero")
     hc = _center_block(center)
     n = hc.shape[0]
-    if not 1 <= input_site <= n:
-        raise PhysicsError(f"input site {input_site} outside [1, {n}]")
     energy = dispersion(J, mu, k)
     phase = J * np.exp(1j * k)
     a = hc.copy()
     diag = a.ravel()[:: n + 1]  # a view: the copy is C-contiguous
     diag -= energy
     diag += phase
-    a[input_site - 1, input_site - 1] += phase
+    a[0, 0] += phase
     rhs = np.zeros(n, dtype=complex)
-    rhs[input_site - 1] = 2j * J * np.sin(k)
+    rhs[0] = 2j * J * np.sin(k)
     try:
         t = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular scattering system at mu={mu}, k={k}: {exc}") from exc
-    r = t[input_site - 1] - 1.0
+    r = t[0] - 1.0
     flux_error = float(abs(r) ** 2 + np.sum(np.abs(t) ** 2) - 1.0)
     vals = np.linalg.eigvals(hc)
     return ScatteringSolution(
@@ -208,7 +207,9 @@ class CenterChain(NamedTuple):
 
 def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
     """The chain form of ``center`` seen from site ``alpha`` (1-based), or
-    None if an entry lies off the tridiagonal band.
+    None if an entry lies off the tridiagonal band, or an on-site entry or
+    a bond product is not a finite number (the recursion would give NaN
+    where the dense LU still solves).
 
     Sites beyond the innermost zero bond on either side are dropped: no
     path of nonzero bond products joins them to alpha, so they are dark
@@ -220,8 +221,11 @@ def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
         raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
     if np.count_nonzero(np.triu(hc, 2)) or np.count_nonzero(np.tril(hc, -2)):
         return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bonds = hc.diagonal(1) * hc.diagonal(-1)  # bonds[i] joins sites i and i + 1
+    if not (np.isfinite(bonds).all() and np.isfinite(hc.diagonal()).all()):
+        return None
     onsite = hc.diagonal().tolist()
-    bonds = hc.diagonal(1) * hc.diagonal(-1)  # bonds[i] joins sites i and i + 1
     a = alpha - 1
     zero = np.flatnonzero(bonds == 0).tolist()
     lo = max((z + 1 for z in zero if z < a), default=0)
@@ -387,16 +391,18 @@ def mu_scan(
     refined mu* and |r|^2 are bit-identical to it.  The bracket's |r|^2 is
     taken from the grid rather than solved again, and scipy's optimize
     package is not imported.  Only minima reaching |r|^2 < 1e-8 are
-    reported as resonances.  Eigenstates with vanishing weight at the
-    attachment site are reported separately as dark states.
+    reported as resonances.  The scan does not diagonalise the centre:
+    its caller reads the levels, dark ones included, from
+    ``resonant_eigenvalues``.
 
     The centre's ``center_chain`` is built once, and every grid point and
     golden step is one ``two_lead_solve`` call on it: the chain recursion,
     or a dense LU for a centre off the tridiagonal band.  A grid point
     that lands exactly on a dark level is solved as by ``two_lead_solve``:
     the dark level drops out and r is that of the remaining center.  A
-    grid of more than 10,000,000 points raises ``PhysicsError`` before it
-    is allocated.
+    grid of more than 10,000,000 points, or a lead whose band edge
+    2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
+    before the grid is allocated.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -405,6 +411,12 @@ def mu_scan(
         raise PhysicsError(f"scan range [{mu_lo}, {mu_hi}] must be finite")
     if mu_hi <= mu_lo:
         raise PhysicsError(f"empty scan range [{mu_lo}, {mu_hi}]")
+    # the band spans mu +- 2|J| at every mu of the window, as for LeadSpec
+    if not math.isfinite(2.0 * abs(float(J)) + max(abs(float(mu_lo)), abs(float(mu_hi)))):
+        raise PhysicsError(
+            f"scan lead band edge 2|J| + max|mu| is not finite for J={J}, "
+            f"mu in [{mu_lo}, {mu_hi}]"
+        )
     n_steps = np.floor((mu_hi - mu_lo) / resolution + 0.5)
     if not n_steps < _MAX_SCAN_POINTS:
         raise PhysicsError(
@@ -434,15 +446,11 @@ def mu_scan(
             resonances.append(mu_star)
             res_r2.append(r2_star)
 
-    vals, weights = resonant_eigenvalues(hc, alpha)
-    dark = vals[(mu_lo <= vals) & (vals <= mu_hi) & (weights < DARK_OVERLAP2)]
-
     return ResonanceScan(
         mu_grid=grid,
         reflectance=curve,
         resonances=tuple(resonances),
         resonance_reflectance=tuple(res_r2),
-        dark_states=tuple(dark.tolist()),
     )
 
 
@@ -476,8 +484,10 @@ def eigenfunction_from_transmissions(sol: ScatteringSolution) -> np.ndarray:
 def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Real center eigenvalues and their |<alpha|phi>|^2 weights, sorted.
 
-    Convenience for scan cross-checks: an eigenvalue is only visible to a
-    two-lead scan at ``alpha`` if its weight there is nonzero.
+    An eigenvalue is only visible to a two-lead scan at ``alpha`` if its
+    weight there is nonzero: one below ``DARK_OVERLAP2`` is a dark state.
+    A level counts as real when |Im lambda| <= 1e-9 max(1, max |lambda|),
+    a cut that scales with the spectrum as eig's rounding noise does.
     """
     hc = _center_block(center)
     n = hc.shape[0]
@@ -487,5 +497,5 @@ def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np
     order = np.argsort(vals.real, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     weights = np.abs(vecs[alpha - 1, :]) ** 2
-    real = np.abs(vals.imag) <= 1e-9
+    real = np.abs(vals.imag) <= 1e-9 * max(1.0, float(np.abs(vals).max()))
     return vals[real].real, weights[real]

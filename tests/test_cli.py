@@ -205,8 +205,8 @@ _SECTION_CASES = {
         ("k", "half pi"), "packet.k: expected a number or a 'pi/2'-style string, got 'half pi'",
     ),
     "steady": (
-        "steady", "steady", {"k": "pi/2", "input_site": 1}, "k",
-        ("input_site", True), "steady.input_site: expected an integer, got True",
+        "steady", "steady", {"k": "pi/2"}, "k",
+        ("k", [1]), "steady.k: expected a number or a 'pi/2'-style string, got [1]",
     ),
     "scan": (
         "mu-scan", "scan", {"mu_min": -1.0, "mu_max": 1.0, "step": 0.5}, "step",
@@ -361,6 +361,16 @@ def test_store_states_is_an_unknown_propagator_key(tmp_path, capsys):
     assert "unknown key 'store_states' in section 'propagator'" in capsys.readouterr().err
 
 
+def test_input_site_is_an_unknown_steady_key(tmp_path, capsys):
+    # the input lead sits at site 1, as in the network NetworkSpec builds
+    payload = _small_steady_config()
+    payload["steady"]["input_site"] = 1
+    path = _write(tmp_path, payload)
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'input_site' in section 'steady'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_snapshot_budget_is_a_physics_error(tmp_path, capsys, monkeypatch):
     # a budget of 1,000 values refuses the 181 default snapshots of this
     # 500-site network before propagating
@@ -477,6 +487,52 @@ def test_mu_scan_run(tmp_path):
     assert (out / "scan.csv").exists()
     assert (out / "resonances.csv").exists()
     assert (out / "reflection.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, config, calls",
+    [("mu-scan", _small_mu_scan_config, {"eig": 1, "eigvals": 0}),
+     ("steady", _small_steady_config, {"eig": 0, "eigvals": 1})],
+)
+def test_each_run_diagonalises_its_centre_once(tmp_path, monkeypatch, mode, config, calls):
+    counted = {name: 0 for name in calls}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    path = _write(tmp_path, config())
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert counted == calls
+
+
+def test_mu_scan_summary_names_the_dark_states(tmp_path):
+    # site basis eigenstates: level 2 has no weight at the attachment site 1
+    config = {
+        "center": {"type": "custom", "matrix": [[1.0, 0.0], [0.0, 2.0]]},
+        "scan": {"mu_min": 0.0, "mu_max": 3.0, "step": 1e-3},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dark_states"] == ["dark state at mu=2"]
+    assert summary["resonances"] == [pytest.approx(1.0, abs=1e-6)]
+
+
+@pytest.mark.parametrize("J", [1e308, -1e308])
+def test_mu_scan_refuses_a_scan_lead_beyond_the_float_range(tmp_path, capsys, J):
+    # every row of scan.csv used to be NaN, with exit 0
+    config = _small_mu_scan_config()
+    config["scan"]["J"] = J
+    out = tmp_path / "out"
+    rc = cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)])
+    assert rc == cli.EXIT_PHYSICS == 3
+    assert "scan lead band edge 2|J| + max|mu| is not finite" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
 
 
 def test_mu_scan_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
@@ -836,6 +892,18 @@ def test_q_sweep_point_beyond_the_float_range_is_refused(tmp_path, capsys, q, co
         assert cli.main(argv) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_q_sweep_half_width_overflow_is_refused_without_a_warning(tmp_path, capsys):
+    # no errstate here: a RuntimeWarning from the plan fails the test
+    payload = _small_q_sweep_config()
+    payload["sweep"]["q_values"] = [2.5e307]
+    path = _write(tmp_path, payload)
+    argv = ["q-sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: spectral half-width" in err
+    assert "Warning" not in err
 
 
 def test_steady_refuses_a_lead_band_beyond_the_float_range(tmp_path, capsys):

@@ -261,6 +261,18 @@ def test_propagate_refuses_a_half_width_beyond_the_float_range():
         sl.propagate(H, np.array([1.0, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1e308]], [[0, 1e308], [1e308, 0]], [[1e308j]], [[0, 1e308j], [-1e308j, 0]]],
+    ids=["onsite", "bond", "gain", "imaginary-bond"],
+)
+def test_plan_refuses_an_overflowing_rectangle_without_a_warning(matrix):
+    # no errstate here: a RuntimeWarning from the Gershgorin bounds fails it
+    H = _custom(matrix)
+    with pytest.raises(sl.NumericalError, match="Gershgorin rectangle is not finite"):
+        sl.propagate(H, np.eye(H.dim, dtype=complex)[0], 1.0)
+
+
 def test_propagation_plan_does_not_leak_between_networks():
     cfg = sl.PropagatorConfig(snapshot_stride=40.0)
     net_a, net_b = _small_net(v=2.0, cells=2, length=40), _small_net(v=3.0, cells=2, length=40)

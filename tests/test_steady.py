@@ -182,12 +182,47 @@ def test_mu_scan_reports_dark_states():
     scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=(0.0, 3.0), resolution=1e-3)
     assert len(scan.resonances) == 1
     assert scan.resonances[0] == pytest.approx(1.0, abs=1e-6)
-    assert scan.dark_states == (2.0,)
     # on the dark level itself r is that of the center without it
     r_dark, _ = sl.two_lead_solve(center, 1, 1.0, 2.0, K)
     r_reduced, _ = sl.two_lead_solve(np.array([[1.0]]), 1, 1.0, 2.0, K)
     assert r_dark == pytest.approx(r_reduced, abs=1e-12)
     assert r_reduced == pytest.approx(-0.2 - 0.4j, abs=1e-12)
+
+
+def _random_hermitian(seed, n=12):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e10])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_resonant_eigenvalues_keeps_every_level_of_a_scaled_hermitian_centre(seed, scale):
+    # eig's imaginary noise grows with the spectrum (6e-8 at 1e8, 6e-6 at
+    # 1e10); an absolute 1e-9 cut reported 0-2 of these 12 real levels
+    center = _random_hermitian(seed) * scale
+    vals, weights = sl.resonant_eigenvalues(center, 1)
+    assert len(vals) == len(weights) == 12
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(center), rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_resonant_eigenvalues_of_the_figure_centres_are_unchanged():
+    # the levels the absolute cut |Im| <= 1e-9 kept, bit for bit, for every
+    # centre and attachment site of the paper's figures
+    from scatterlab import cli
+
+    jobs = [cfg for fig in cli._FIGURES for _, cfg in cli.figure_configs(fig) if cfg.center]
+    assert len(jobs) > 10
+    for cfg in jobs:
+        center = sl.center_matrix(cfg.center)
+        alpha = cfg.scan.alpha if cfg.scan else 1
+        vals, vecs = np.linalg.eig(center)
+        order = np.argsort(vals.real, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        real = np.abs(vals.imag) <= 1e-9
+        got_vals, got_weights = sl.resonant_eigenvalues(center, alpha)
+        assert got_vals.tobytes() == vals[real].real.tobytes()
+        assert got_weights.tobytes() == (np.abs(vecs[alpha - 1, real]) ** 2).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0, 3, -1])
@@ -202,6 +237,12 @@ def test_two_lead_singular_at_attachment_site_raises():
     # k = pi/2: the singular direction sits on alpha, so r is undefined
     with pytest.raises(sl.NumericalError):
         sl.two_lead_solve(np.array([[-2.0j]]), 1, 1.0, 0.0, K)
+
+
+def test_solve_multichannel_refuses_an_empty_centre():
+    # the input lead needs a site 1 to attach to
+    with pytest.raises(sl.PhysicsError, match="square and non-empty"):
+        sl.solve_multichannel(np.zeros((0, 0)), J=-0.1, mu=0.0, k=K)
 
 
 def test_mu_scan_input_validation():
@@ -526,6 +567,36 @@ def test_mu_scan_builds_the_chain_once(monkeypatch):
     scan = sl.mu_scan(_ssh(2.0, cells=3), alpha=1, J=1.0, k=K, mu_range=(-6.5, 6.5), resolution=1e-2)
     assert len(scan.resonances) == 6
     assert built == [1]
+
+
+@pytest.mark.parametrize(
+    "J, mu_range", [(1e308, (0.0, 1.0)), (-1e308, (0.0, 1.0)), (5e307, (0.0, 1e308))]
+)
+def test_mu_scan_refuses_a_lead_band_beyond_the_float_range(J, mu_range):
+    # 2|J| + max|mu| = inf: every grid point would give r = NaN
+    with pytest.raises(sl.PhysicsError, match=r"band edge 2\|J\| \+ max\|mu\| is not finite"):
+        sl.mu_scan(_ssh(2.0, cells=2), 1, J, K, mu_range, 0.5)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [[[0.0, 1e200], [1e200, 0.0]], [[1e200, 1e200, 0.0], [1e200, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+    ids=["two-site", "three-site"],
+)
+def test_overflowing_bond_products_take_the_dense_route(center):
+    # the product 1e400 overflows: the recursion gave r = t = NaN, while the
+    # LU sees site 1 locked into a bond far outside the band, which reflects
+    center = np.array(center, dtype=complex)
+    assert steady.center_chain(center, 1) is None
+    r, t = sl.two_lead_solve(center, 1, 1.0, 0.0, K)
+    assert r == pytest.approx(-1.0) and abs(t) < 1e-100
+    scan = sl.mu_scan(center, 1, 1.0, K, (-1.0, 1.0), 0.25)
+    np.testing.assert_allclose(scan.reflectance, 1.0)
+
+
+def test_center_chain_refuses_a_non_finite_onsite_entry():
+    assert steady.center_chain(np.diag([np.inf, 0.0]), 1) is None
+    assert steady.center_chain(np.diag([0.0, np.nan]), 1) is None
 
 
 def test_mu_scan_rejects_a_grid_beyond_the_cap():
