@@ -12,7 +12,10 @@ serve as test oracles and as theory overlays in CLI output.
 Each law owns its domain: outside it the function raises
 ``PhysicsError``, and callers read that as "no theory here".  The ratio
 q = 1 marks the localization transition; formulas that lose meaning there
-raise instead of returning a limit value.
+raise instead of returning a limit value.  The zero-mode laws (channel
+probabilities, visibility, reflection) are also stated at one operating
+point, a probe at E = 0 from the band centre k = ``BAND_CENTRE_K``;
+``zero_mode_probe`` is the one check of it, and raises elsewhere.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError
+from .lattice import BAND_CENTRE_K
 
 
 def edge_state_amplitudes(q: float, cells: int) -> np.ndarray:
@@ -37,6 +41,17 @@ def edge_state_amplitudes(q: float, cells: int) -> np.ndarray:
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
     return np.sqrt(1.0 - q * q) * (-q) ** np.arange(cells)
+
+
+def zero_mode_probe(energy: float, k: float) -> None:
+    """Check that a probe at incident ``energy`` and lead wave vector ``k``
+    sits on the zero-mode laws' operating point: E = 0 at the band centre
+    k = ``BAND_CENTRE_K``, each to within 1e-9.  Raises ``PhysicsError``
+    otherwise; off that point the laws below do not describe the probe."""
+    if not (abs(energy) < 1e-9 and abs(k - BAND_CENTRE_K) < 1e-9):
+        raise PhysicsError(
+            f"zero-mode laws hold at E = 0, k = pi/2; probe at E={energy:.6g}, k={k:.6g}"
+        )
 
 
 def zero_mode_amplitudes(q: float) -> tuple[float, float]:

@@ -8,9 +8,12 @@ or CustomCenter, chosen by its ``type`` "ssh", "nh_ssh" or "custom";
 PropagatorConfig; ``steady``, ``scan``, ``sweep``: the Section classes
 below).  Fields without a default are required, the others take the
 field default, and ``k`` also accepts 'pi/2'-style strings, signed or
-not ('-3*pi/4').  ``_MODES`` lists the sections each mode requires and
-tolerates (q-sweep's lead and packet default to figure 3's, its w and
-cells to the SSH chains'); any other section is rejected.  The time
+not ('-3*pi/4').  A mu-scan runs at the lead's band centre
+``BAND_CENTRE_K``, where each reflection zero sits on a centre level, so
+its ``scan`` section has no settable ``k``; ``summary.json`` still echoes
+it with the section.  ``_MODES`` lists the sections each mode requires
+and tolerates (q-sweep's lead and packet default to figure 3's, its w
+and cells to the SSH chains'); any other section is rejected.  The time
 between stored snapshots of dynamics and q-sweep runs is
 ``propagator.snapshot_stride``.  ``reproduce-fig`` runs the jobs of one
 entry of ``_FIGURES``, built from the paper's inputs, each spelled once:
@@ -21,6 +24,9 @@ gain/loss chain).  A steady run solves the multichannel network
 ``NetworkSpec`` builds, input lead at site 1.  A mu-scan diagonalises
 its centre once, in ``run_mu_scan``: those levels give both the
 ``nearest_eigenvalue`` column and the dark states in ``summary.json``.
+The zero-mode closed forms (the SSH overlay of steady and dynamics runs,
+the q-sweep's theory columns) are written only where
+``analytic.zero_mode_probe`` accepts the probe, and NaN elsewhere.
 Every run is fully deterministic, so identical configs produce
 byte-identical CSV artifacts.  ``--workers`` must be at least 1; q-sweep
 (and figure 5) runs its points in that many processes (default: the CPU
@@ -43,7 +49,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -53,6 +59,7 @@ from . import analytic
 from .dynamics import PropagatorConfig, WavePacketSpec, run_experiment, visibility
 from .errors import ConfigError, NumericalError, PhysicsError, ScatterlabError
 from .lattice import (
+    BAND_CENTRE_K,
     CenterSpec,
     CustomCenter,
     LeadSpec,
@@ -158,7 +165,7 @@ _COERCE = {
 # figures share each.  Figure 3's lead and packet are also the q-sweep's
 # defaults, and the SSH chains' w and cells the sweep section's.
 _FIG3_LEAD = LeadSpec(J=-0.1, mu=0.0, length=200)
-_FIG3_PACKET = WavePacketSpec(center_site=-100, sigma=20.0, k=np.pi / 2)
+_FIG3_PACKET = WavePacketSpec(center_site=-100, sigma=20.0, k=BAND_CENTRE_K)
 _SSH_CHAINS = tuple(SSHCenter(v=v, w=4.0, cells=20) for v in (2.0, 3.0, 5.0, 6.0))
 _GAIN_LOSS_CHAIN = NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
 
@@ -170,12 +177,17 @@ class SteadySection:
 
 @dataclass(frozen=True)
 class ScanSection:
+    """A two-lead mu-scan over [mu_min, mu_max] in steps of ``step``, both
+    leads (hopping J) at site ``alpha``.  ``k`` is the band centre, where
+    each reflection zero sits on a centre level: no config sets it, but
+    ``summary.json`` echoes it."""
+
     mu_min: float
     mu_max: float
     step: float
     alpha: int = 1
     J: float = 1.0
-    k: float = np.pi / 2
+    k: float = field(default=BAND_CENTRE_K, init=False)
 
 
 @dataclass(frozen=True)
@@ -224,10 +236,10 @@ _SECTION_SPECS = {
 def _parse_section(name: str, section):
     """Build config section ``name`` from the fields of its spec class.
 
-    Every key must name a field, a field without a default is required,
-    and each value is validated by its field annotation; ``k`` fields also
-    accept 'pi/2'-style strings.  The center's ``type`` key picks its class
-    from ``_CENTER_TYPES``.
+    Every key must name an init field (``ScanSection.k`` is not one), a
+    field without a default is required, and each value is validated by
+    its field annotation; ``k`` fields also accept 'pi/2'-style strings.
+    The center's ``type`` key picks its class from ``_CENTER_TYPES``.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a JSON object, got {type(section).__name__}")
@@ -242,11 +254,12 @@ def _parse_section(name: str, section):
             raise ConfigError(f"center.type must be {', '.join(others)}, or {last}, got {kind!r}")
         cls = _CENTER_TYPES[kind]
     hints = get_type_hints(cls)
+    settable = {f.name: f for f in fields(cls) if f.init}
     for key in values:
-        if key not in hints:
+        if key not in settable:
             raise ConfigError(f"unknown key '{key}' in section '{name}'")
     kwargs = {}
-    for f in fields(cls):
+    for f in settable.values():
         if f.name in values:
             coerce = _parse_angle if f.name == "k" else _COERCE[hints[f.name]]
             kwargs[f.name] = coerce(values[f.name], f"{name}.{f.name}")
@@ -342,12 +355,16 @@ def _center_payload(center: CenterSpec) -> dict:
     return {"type": kind, **asdict(center)}
 
 
-def _ssh_theory_probabilities(center: CenterSpec, energy: float, n_channels: int) -> np.ndarray:
+def _ssh_theory_probabilities(
+    center: CenterSpec, energy: float, k: float, n_channels: int
+) -> np.ndarray:
     """Zero-mode channel-probability overlay for an SSH center probed at
-    zero energy; NaN wherever the closed form does not apply."""
+    the laws' operating point (``analytic.zero_mode_probe``); NaN wherever
+    the closed form does not apply."""
     theory = np.full(n_channels + 1, np.nan)
-    if isinstance(center, SSHCenter) and abs(energy) < 1e-9:
+    if isinstance(center, SSHCenter):
         with suppress(PhysicsError):
+            analytic.zero_mode_probe(energy, k)
             theory[:] = [analytic.predicted_probabilities(center.q, l) for l in range(theory.size)]
     return theory
 
@@ -398,7 +415,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     p = record.channel_probabilities
     energy = dispersion(cfg.lead.J, cfg.lead.mu, cfg.packet.k)
 
-    theory = _ssh_theory_probabilities(cfg.center, energy, net.n_outputs)
+    theory = _ssh_theory_probabilities(cfg.center, energy, cfg.packet.k, net.n_outputs)
     if np.all(np.isnan(theory)):
         theory = _nh_theory_profile(cfg.center, energy, p)
 
@@ -474,7 +491,7 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         k=cfg.steady.k,
     )
     n = len(sol.t)
-    theory = _ssh_theory_probabilities(cfg.center, sol.energy, n)
+    theory = _ssh_theory_probabilities(cfg.center, sol.energy, cfg.steady.k, n)
     rows = [(0, sol.r.real, sol.r.imag, sol.reflectance, theory[0])]
     for l in range(1, n + 1):
         amp = sol.t[l - 1]
@@ -508,7 +525,6 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         hc,
         alpha=scan_cfg.alpha,
         J=scan_cfg.J,
-        k=scan_cfg.k,
         mu_range=(scan_cfg.mu_min, scan_cfg.mu_max),
         resolution=scan_cfg.step,
     )
@@ -623,14 +639,22 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
         results = [_sweep_point(t) for t in tasks]
     by_q = dict(zip(points, results))
 
+    # off the zero-mode operating point no closed form describes the packet
+    on_point = True
+    try:
+        analytic.zero_mode_probe(dispersion(lead.J, lead.mu, packet.k), packet.k)
+    except PhysicsError:
+        on_point = False
+
     rows = []
     for q in sweep.q_values:
         if q == 1.0:
             rows.append((q, "excluded (transition)", np.nan, np.nan, np.nan, np.nan))
             continue
         p = by_q[q]
-        vis, vis_th = _or_nan(visibility, p), _or_nan(analytic.visibility_theory, q)
-        rows.append((q, "ok", vis, vis_th, p[0], analytic.reflection_theory(q)))
+        vis_th = _or_nan(analytic.visibility_theory, q) if on_point else np.nan
+        refl_th = analytic.reflection_theory(q) if on_point else np.nan
+        rows.append((q, "ok", _or_nan(visibility, p), vis_th, p[0], refl_th))
 
     columns = (
         "q",
@@ -643,14 +667,15 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     write_csv(out_dir / "sweep.csv", columns, rows)
 
     q, vis, vis_th, refl, refl_th = np.array([r[:1] + r[2:] for r in rows], dtype=float).T
+    series = [
+        Series(x=q, y=vis_th, label="V(1) theory", color="black"),
+        Series(x=q, y=vis, label="V(1) measured", color="black", markers=True, line=False),
+        Series(x=q, y=refl_th, label="|r|^2 theory", color="#c0392b"),
+        Series(x=q, y=refl, label="|r|^2 measured", color="#c0392b", markers=True, line=False),
+    ]
     svg_line_plot(
         out_dir / "sweep.svg",
-        [
-            Series(x=q, y=vis_th, label="V(1) theory", color="black"),
-            Series(x=q, y=vis, label="V(1) measured", color="black", markers=True, line=False),
-            Series(x=q, y=refl_th, label="|r|^2 theory", color="#c0392b"),
-            Series(x=q, y=refl, label="|r|^2 measured", color="#c0392b", markers=True, line=False),
-        ],
+        series if on_point else series[1::2],  # no theory curves to draw
         title="visibility and reflection vs q",
         xlabel="q",
         ylabel="V, |r|^2",

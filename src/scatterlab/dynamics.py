@@ -197,11 +197,12 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
         )
     # |J_n(R)| rho^n <= (R rho / 2)^n / n! < (e R rho / 2n)^n, which is below
     # e^-26 < cutoff from n = e R rho / 2 + 26 on: every kept order is < m_max
-    m_max = int(0.5 * np.e * rho * big_r + 60)
-    if m_max > _MAX_ORDER:
+    order = 0.5 * np.e * rho * big_r + 60
+    if order > _MAX_ORDER:
         raise NumericalError(
-            f"Chebyshev order {m_max} exceeds the step budget; split the time interval"
+            f"Chebyshev order {order:.3g} exceeds the step budget; split the time interval"
         )
+    m_max = int(order)
     orders = np.arange(m_max + 1)
     bess = jv(orders, big_r)
     # weight > cutoff, with rho^n taken in log space so that it cannot overflow

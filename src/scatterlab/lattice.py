@@ -291,6 +291,11 @@ def assemble_network(net: NetworkSpec) -> Hamiltonian:
     return Hamiltonian(mat)
 
 
+# The lead's band centre: there E = mu, the group velocity 2|J| is largest,
+# and a two-lead reflection zero sits on a center eigenvalue at mu.
+BAND_CENTRE_K = np.pi / 2
+
+
 def dispersion(J: float, mu: float, k: float) -> float:
     """Lead band energy E(k) = 2 J cos k + mu for the stored signed J."""
     return 2.0 * J * np.cos(k) + mu

@@ -26,8 +26,9 @@ per probe energy, from a ``center_chain`` built once per scan.  Sites past
 a zero bond are cut off the chain, so a level dark from alpha there drops
 out by construction.  A centre with any entry off the tridiagonal band
 falls back to a dense LU, as does one whose on-site entries or bond
-products are not finite numbers.  All functions are pure; scans are
-deterministic.
+products are not finite numbers.  A scan runs at the lead's band centre
+``lattice.BAND_CENTRE_K``, where the probe energy equals mu.  All
+functions are pure; scans are deterministic.
 
 Scan resonances are refined by golden-section search (Kiefer 1953), done
 here with the constants and step order of scipy's golden scalar
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import dispersion, group_velocity
+from .lattice import BAND_CENTRE_K, dispersion, group_velocity
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -75,8 +76,8 @@ class ScatteringSolution:
     eigenvalue (complex for gain/loss centers); ``width`` is 2|J| sin k,
     an upper bound on every level's Lorentzian half-width at half maximum
     in this geometry.  ``detuning > width`` therefore means the probe is
-    off resonance.  ``warnings`` carries solver diagnostics (e.g.
-    near-degenerate levels at the probe energy).
+    off resonance.  ``warnings`` carries solver diagnostics (e.g. two
+    levels nearest the probe energy split by less than ``width``).
     """
 
     energy: float
@@ -122,23 +123,26 @@ def _center_block(center: np.ndarray) -> np.ndarray:
 def _check_k(k: float) -> None:
     if not 0 < k < np.pi:
         raise PhysicsError(
-            f"wave vector k={k} outside (0, pi): zero group velocity, no propagating wave"
+            f"wave vector k={k} outside (0, pi): the incident wave must travel "
+            "toward the center"
         )
 
 
-def _degeneracy_warning(vals: np.ndarray, energy: float, J: float) -> tuple[str, ...]:
+def _degeneracy_warning(vals: np.ndarray, energy: float, width: float) -> tuple[str, ...]:
     """Warn when the two center levels ``vals`` nearest the probe energy sit
-    closer than the level width ~J^2; the resonant-imaging picture degrades
-    there (e.g. the zero-mode pair near the localization transition)."""
+    closer than the resonance width 2|J| sin k, which bounds every level's
+    half-width: the probe then images the pair, not one level (e.g. the
+    zero-mode pair near the localization transition)."""
     if len(vals) < 2:
         return ()
     order = np.argsort(np.abs(vals - energy))
     a, b = vals[order[0]], vals[order[1]]
     gap = abs(a - b)
-    if gap < J * J:
+    if gap < width:
         return (
             f"levels {a:.6g} and {b:.6g} nearest E={energy:.6g} are split by "
-            f"{gap:.3e} < J^2 = {J * J:.3e}; resonance may be a degenerate pair",
+            f"{gap:.3e} < resonance width 2|J| sin k = {width:.3e}; "
+            "resonance may be a degenerate pair",
         )
     return ()
 
@@ -178,14 +182,15 @@ def solve_multichannel(
     r = t[0] - 1.0
     flux_error = float(abs(r) ** 2 + np.sum(np.abs(t) ** 2) - 1.0)
     vals = np.linalg.eigvals(hc)
+    width = float(group_velocity(J, k))
     return ScatteringSolution(
         energy=energy,
         r=r,
         t=t,
         flux_error=flux_error,
         detuning=float(np.min(np.abs(vals - energy))),
-        width=float(group_velocity(J, k)),
-        warnings=_degeneracy_warning(vals, energy, J),
+        width=width,
+        warnings=_degeneracy_warning(vals, energy, width),
     )
 
 
@@ -270,10 +275,11 @@ def two_lead_solve(
     the dark direction never reaches alpha, so r and t are those of the
     center with the dark level removed.
 
-    At k = pi/2 with mu equal to a real center eigenvalue whose
-    wavefunction does not vanish at alpha, the transmission is perfect
-    (r = 0) for any coupling strength J.  A singularity that couples to
-    alpha raises ``NumericalError``.
+    At the band centre k = ``BAND_CENTRE_K`` (pi/2), where E = mu, with mu
+    equal to a real center eigenvalue whose wavefunction does not vanish
+    at alpha, the transmission is perfect (r = 0) for any coupling
+    strength J.  A singularity that couples to alpha raises
+    ``NumericalError``.
     """
     _check_k(k)
     if J == 0:
@@ -377,12 +383,14 @@ def mu_scan(
     center: np.ndarray,
     alpha: int,
     J: float,
-    k: float,
     mu_range: tuple[float, float],
     resolution: float,
 ) -> ResonanceScan:
-    """Scan the lead potential mu, record |r|^2, and refine reflection
-    zeros.
+    """Scan the lead potential mu at the band centre k = ``BAND_CENTRE_K``,
+    record |r|^2, and refine reflection zeros.
+
+    At the band centre the probe energy is E = mu, so each reflection zero
+    sits on a center eigenvalue; at any other k it sits 2J cos k away.
 
     Candidate local minima below 1e-2 are refined by golden-section
     minimization over the bracket of their two grid neighbours.  The
@@ -396,13 +404,13 @@ def mu_scan(
     ``resonant_eigenvalues``.
 
     The centre's ``center_chain`` is built once, and every grid point and
-    golden step is one ``two_lead_solve`` call on it: the chain recursion,
-    or a dense LU for a centre off the tridiagonal band.  A grid point
-    that lands exactly on a dark level is solved as by ``two_lead_solve``:
-    the dark level drops out and r is that of the remaining center.  A
-    grid of more than 10,000,000 points, or a lead whose band edge
-    2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
-    before the grid is allocated.
+    golden step is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``:
+    the chain recursion, or a dense LU for a centre off the tridiagonal
+    band.  A grid point that lands exactly on a dark level is solved as by
+    ``two_lead_solve``: the dark level drops out and r is that of the
+    remaining center.  A grid of more than 10,000,000 points, or a lead
+    whose band edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
+    ``PhysicsError`` before the grid is allocated.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -429,7 +437,7 @@ def mu_scan(
     grid = mu_lo + resolution * np.arange(int(n_steps) + 1)
 
     def r2(mu: float) -> float:
-        r, _ = two_lead_solve(system, alpha, J, mu, k)
+        r, _ = two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)
         return float(abs(r) ** 2)
 
     curve = np.array([r2(mu) for mu in grid])

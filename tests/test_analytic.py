@@ -14,6 +14,13 @@ any_q = st.one_of(
 )
 
 
+def test_zero_mode_probe_accepts_only_the_operating_point():
+    sl.analytic.zero_mode_probe(sl.dispersion(-0.1, 0.0, np.pi / 2), np.pi / 2)
+    for energy, k in ((1e-6, np.pi / 2), (0.0, np.pi / 3), (0.0, -np.pi / 2)):
+        with pytest.raises(sl.PhysicsError, match="zero-mode laws hold at E = 0, k = pi/2"):
+            sl.analytic.zero_mode_probe(energy, k)
+
+
 def test_edge_state_small_chain():
     prof = sl.edge_state_amplitudes(0.5, 3)
     np.testing.assert_allclose(

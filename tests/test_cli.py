@@ -37,8 +37,7 @@ def _small_steady_config():
 def _small_mu_scan_config():
     return {
         "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 3},
-        "scan": {"mu_min": -6.5, "mu_max": 6.5, "step": 0.002, "alpha": 1, "J": 1.0,
-                 "k": "pi/2"},
+        "scan": {"mu_min": -6.5, "mu_max": 6.5, "step": 0.002, "alpha": 1, "J": 1.0},
     }
 
 
@@ -371,6 +370,17 @@ def test_input_site_is_an_unknown_steady_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_k_is_an_unknown_scan_key(tmp_path, capsys):
+    # a mu-scan runs at the band centre, where each reflection zero sits on
+    # a centre level; its k is echoed in summary.json but set by no config
+    payload = _small_mu_scan_config()
+    payload["scan"]["k"] = "pi/3"
+    path = _write(tmp_path, payload)
+    assert cli.main(["mu-scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'k' in section 'scan'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_snapshot_budget_is_a_physics_error(tmp_path, capsys, monkeypatch):
     # a budget of 1,000 values refuses the 181 default snapshots of this
     # 500-site network before propagating
@@ -581,6 +591,32 @@ def test_steady_theory_overlay_domain_edges(tmp_path, v, w, mu, expected):
     assert _csv_column(out / "amplitudes.csv", "probability_theory") == expected
 
 
+# Off the band centre the zero-mode law does not hold even at E = 0: at
+# k = pi/3 the steady overlay was 0.245 off the measured probabilities.
+# mu = -2J cos k puts the incident energy E = 2J cos k + mu on zero.
+@pytest.mark.parametrize("mode", ["steady", "dynamics"])
+@pytest.mark.parametrize("k", [np.pi / 3, np.pi / 4], ids=["pi/3", "pi/4"])
+def test_zero_mode_overlay_needs_the_band_centre(tmp_path, mode, k):
+    config = _MODE_CONFIGS[mode]()
+    config["lead"]["mu"] = -2.0 * config["lead"]["J"] * np.cos(k)
+    if mode == "steady":
+        config["steady"]["k"] = k
+    else:
+        # off the band centre the packet disperses: longer leads keep it
+        # off their truncated ends until it has left the junctions
+        config["packet"]["k"] = k
+        config["lead"]["length"] = 150
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    energy = summary["energy" if mode == "steady" else "incident_energy"]
+    assert abs(energy) < 1e-9
+    table = "amplitudes.csv" if mode == "steady" else "channels.csv"
+    theory = _csv_column(out / table, "probability_theory")
+    assert theory == ["nan"] * len(theory)
+    assert "theory" not in (out / "final_state.svg").read_text()
+
+
 # A gain/loss centre without gain or loss, or with the sign flipped, is
 # outside the closed form's domain (gamma > 0): the run still succeeds,
 # with no theory overlay.  gamma = 1 is the control with one.
@@ -645,6 +681,26 @@ def test_q_sweep_visibility_theory_above_the_transition(tmp_path):
     assert cli.main(["q-sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
     assert _csv_column(out / "sweep.csv", "visibility_theory") == ["0.6", "nan", "nan"]
     assert _csv_column(out / "sweep.csv", "reflectance_theory") == ["0.0204081632653", "1", "1"]
+
+
+# The closed forms describe a packet at E = 0 from the band centre: at
+# mu = 0.3 the reflectance measured 0.751 where the law gives 0.0204, and at
+# k = pi/3 with E = 0 (mu = -2J cos k = 0.1) it measured 0.266.
+@pytest.mark.parametrize("mu, k", [(0.3, "pi/2"), (0.1, "pi/3")], ids=["mu-0.3", "k-pi/3"])
+def test_q_sweep_writes_no_theory_off_the_operating_point(tmp_path, mu, k):
+    config = _small_q_sweep_config()
+    config["lead"]["mu"] = mu
+    config["lead"]["length"] = 100  # room for the slower, dispersing packet
+    config["packet"]["k"] = k
+    out = tmp_path / "out"
+    path = _write(tmp_path, config)
+    assert cli.main(["q-sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    assert _csv_column(out / "sweep.csv", "visibility_theory") == ["nan"] * 3
+    assert _csv_column(out / "sweep.csv", "reflectance_theory") == ["nan"] * 3
+    assert _csv_column(out / "sweep.csv", "status") == ["ok", "excluded (transition)", "ok"]
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert [row["reflectance_theory"] for row in rows] == [None] * 3
+    assert "theory" not in (out / "sweep.svg").read_text()
 
 
 def test_q_sweep_run_marks_transition(tmp_path):

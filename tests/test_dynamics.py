@@ -188,6 +188,17 @@ def test_propagate_order_beyond_cap_raises(matrix, t):
         sl.propagate(H, np.array([1.0, 0.0]), t)
 
 
+def test_order_beyond_cap_is_reported_in_short_form():
+    # no errstate here: the order estimate 1.09e308 is finite, and the
+    # message gives it in %.3g form rather than as a 309-digit integer
+    H = _custom([[0, 8e307], [8e307, 0]])
+    with pytest.raises(sl.NumericalError) as err:
+        sl.propagate(H, np.array([1.0, 0.0]), 1.0)
+    assert str(err.value) == (
+        "Chebyshev order 1.09e+308 exceeds the step budget; split the time interval"
+    )
+
+
 def _textbook_propagate(H, psi0, t):
     """The Chebyshev recurrence as written in the literature, one fresh
     array per operation, on the plan ``propagate`` uses."""

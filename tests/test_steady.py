@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
 from scatterlab import steady
+from scatterlab.lattice import BAND_CENTRE_K
 from scatterlab.steady import _golden_minimum
 
 
@@ -78,11 +79,14 @@ def test_odd_channel_ratio_approaches_minus_q():
     assert abs(sol.t[2] / sol.t[0] + 0.5) < 0.02
 
 
-@pytest.mark.parametrize("k", [0.0, np.pi, -0.2, 3.5])
+# -pi/2 has the full group velocity 2|J|, but its wave travels away from
+# the centre: no k outside (0, pi) is an incident wave
+@pytest.mark.parametrize("k", [0.0, np.pi, -0.2, 3.5, -K])
 def test_rejects_band_edge_wave_vector(k):
-    with pytest.raises(sl.PhysicsError):
+    message = r"outside \(0, pi\): the incident wave must travel toward the center"
+    with pytest.raises(sl.PhysicsError, match=message):
         sl.solve_multichannel(_ssh(2.0), J=-0.1, mu=0.0, k=k)
-    with pytest.raises(sl.PhysicsError):
+    with pytest.raises(sl.PhysicsError, match=message):
         sl.two_lead_solve(_ssh(2.0), 1, 1.0, 0.0, k)
 
 
@@ -98,6 +102,23 @@ def test_degenerate_pair_warning():
     assert on_pair.warnings  # hybridized zero modes split by ~1e-6 << J^2
     off_pair = sl.solve_multichannel(_ssh(6.0), J=-0.1, mu=0.0, k=K)
     assert not off_pair.warnings
+
+
+def test_degeneracy_warning_compares_the_gap_with_the_resonance_width():
+    # figure 3b's edge pair is split by 0.0111: below the width 2|J| sin k
+    # = 0.2, so the probe images the pair (fidelity 0.499 to either level)
+    sol = sl.solve_multichannel(_ssh(3.0), J=-0.1, mu=0.0, k=K)
+    (message,) = sol.warnings
+    assert "split by 1.110e-02 < resonance width 2|J| sin k = 2.000e-01" in message
+
+
+@pytest.mark.parametrize("v", [2.0, 3.0, 6.0])
+@pytest.mark.parametrize("k", [K, 0.7])
+def test_degeneracy_warning_is_scale_free(v, k):
+    # scaling the centre, J and mu together scales every energy alike
+    sol = sl.solve_multichannel(_ssh(v), J=-0.1, mu=0.05, k=k)
+    scaled = sl.solve_multichannel(10.0 * _ssh(v), J=-1.0, mu=0.5, k=k)
+    assert bool(sol.warnings) == bool(scaled.warnings)
 
 
 def test_two_lead_single_site_perfect_transmission():
@@ -145,9 +166,24 @@ def test_two_lead_off_resonance_reflects():
     assert abs(r) ** 2 == pytest.approx(0.842301492918935, abs=1e-9)
 
 
+def test_mu_scan_probes_at_the_band_centre(monkeypatch):
+    wave_vectors = []
+    two_lead_solve = steady.two_lead_solve
+
+    def recording(system, alpha, J, mu, k):
+        wave_vectors.append(k)
+        return two_lead_solve(system, alpha, J, mu, k)
+
+    monkeypatch.setattr(steady, "two_lead_solve", recording)
+    scan = sl.mu_scan(_ssh(2.0, cells=2), 1, 1.0, (-6.5, 6.5), 1e-2)
+    assert scan.resonances
+    assert len(wave_vectors) > len(scan.mu_grid)
+    assert set(wave_vectors) == {BAND_CENTRE_K}
+
+
 def test_mu_scan_resonances_sit_on_visible_eigenvalues():
     center = _ssh(2.0)
-    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=(-7.0, 7.0), resolution=1e-3)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=(-7.0, 7.0), resolution=1e-3)
     assert len(scan.resonances) >= 30
     vals, weights = sl.resonant_eigenvalues(center, 1)
     for mu_star, r2 in zip(scan.resonances, scan.resonance_reflectance):
@@ -159,7 +195,7 @@ def test_mu_scan_resonances_sit_on_visible_eigenvalues():
 
 def test_mu_scan_gain_loss_center():
     center = sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4))
-    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=(30.0, 50.0), resolution=1e-3)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=(30.0, 50.0), resolution=1e-3)
     assert len(scan.resonances) == 4
     exact = np.linalg.eigvals(center)
     exact = np.sort(exact.real[exact.real > 0])
@@ -171,7 +207,7 @@ def test_mu_scan_gain_loss_center():
 
 
 def test_mu_scan_empty_window():
-    scan = sl.mu_scan(_ssh(2.0), alpha=1, J=1.0, k=K, mu_range=(8.0, 9.0), resolution=1e-2)
+    scan = sl.mu_scan(_ssh(2.0), alpha=1, J=1.0, mu_range=(8.0, 9.0), resolution=1e-2)
     assert scan.resonances == ()
     assert scan.reflectance.min() > 0.9
 
@@ -179,7 +215,7 @@ def test_mu_scan_empty_window():
 def test_mu_scan_reports_dark_states():
     # site basis eigenstates: |2> has no weight on the attachment site 1
     center = np.diag([1.0, 2.0]).astype(complex)
-    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=(0.0, 3.0), resolution=1e-3)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=(0.0, 3.0), resolution=1e-3)
     assert len(scan.resonances) == 1
     assert scan.resonances[0] == pytest.approx(1.0, abs=1e-6)
     # on the dark level itself r is that of the center without it
@@ -247,9 +283,9 @@ def test_solve_multichannel_refuses_an_empty_centre():
 
 def test_mu_scan_input_validation():
     with pytest.raises(sl.PhysicsError):
-        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (1.0, 1.0), 1e-3)
+        sl.mu_scan(_ssh(2.0), 1, 1.0, (1.0, 1.0), 1e-3)
     with pytest.raises(sl.PhysicsError):
-        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (0.0, 1.0), 0.0)
+        sl.mu_scan(_ssh(2.0), 1, 1.0, (0.0, 1.0), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -263,13 +299,13 @@ def test_mu_scan_input_validation():
 )
 def test_mu_scan_rejects_non_finite_inputs(mu_range, resolution):
     with pytest.raises(sl.PhysicsError, match="finite"):
-        sl.mu_scan(_ssh(2.0, cells=3), 1, 1.0, K, mu_range, resolution)
+        sl.mu_scan(_ssh(2.0, cells=3), 1, 1.0, mu_range, resolution)
 
 
 def _candidate_brackets(center, mu_range):
     """Every (f, grid bracket, grid values) the refinement of a step-1e-2
     scan of ``center`` starts from, by mu_scan's candidate rule."""
-    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=mu_range, resolution=1e-2)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=mu_range, resolution=1e-2)
     grid, curve = scan.mu_grid, scan.reflectance
 
     def r2(mu):
@@ -400,7 +436,7 @@ def _oracle_r2(center, alpha, J, mu, k):
 )
 def test_chain_scan_matches_oracle_at_least_as_often_as_dense(center, mu_range, step, near, stride):
     # the rows next to each level, where |r|^2 is most sensitive, and a stride
-    scan = sl.mu_scan(center, alpha=1, J=1.0, k=K, mu_range=mu_range, resolution=step)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=mu_range, resolution=step)
     grid = scan.mu_grid
     levels = np.linalg.eigvals(center).real
     rows = set(range(0, len(grid), stride))
@@ -550,7 +586,7 @@ def test_full_custom_centre_scans_by_the_dense_path():
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     center = m + m.conj().T
     assert steady.center_chain(center, 2) is None
-    scan = sl.mu_scan(center, alpha=2, J=1.0, k=K, mu_range=(-8.0, 8.0), resolution=1e-2)
+    scan = sl.mu_scan(center, alpha=2, J=1.0, mu_range=(-8.0, 8.0), resolution=1e-2)
     expected = [_parent_dense_r2(center, 2, 1.0, mu, K) for mu in scan.mu_grid]
     assert scan.reflectance.tolist() == expected
     assert len(scan.resonances) >= 3
@@ -564,7 +600,7 @@ def test_mu_scan_builds_the_chain_once(monkeypatch):
         return original(center, alpha)
 
     monkeypatch.setattr(steady, "center_chain", counting)
-    scan = sl.mu_scan(_ssh(2.0, cells=3), alpha=1, J=1.0, k=K, mu_range=(-6.5, 6.5), resolution=1e-2)
+    scan = sl.mu_scan(_ssh(2.0, cells=3), alpha=1, J=1.0, mu_range=(-6.5, 6.5), resolution=1e-2)
     assert len(scan.resonances) == 6
     assert built == [1]
 
@@ -575,7 +611,7 @@ def test_mu_scan_builds_the_chain_once(monkeypatch):
 def test_mu_scan_refuses_a_lead_band_beyond_the_float_range(J, mu_range):
     # 2|J| + max|mu| = inf: every grid point would give r = NaN
     with pytest.raises(sl.PhysicsError, match=r"band edge 2\|J\| \+ max\|mu\| is not finite"):
-        sl.mu_scan(_ssh(2.0, cells=2), 1, J, K, mu_range, 0.5)
+        sl.mu_scan(_ssh(2.0, cells=2), 1, J, mu_range, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -590,7 +626,7 @@ def test_overflowing_bond_products_take_the_dense_route(center):
     assert steady.center_chain(center, 1) is None
     r, t = sl.two_lead_solve(center, 1, 1.0, 0.0, K)
     assert r == pytest.approx(-1.0) and abs(t) < 1e-100
-    scan = sl.mu_scan(center, 1, 1.0, K, (-1.0, 1.0), 0.25)
+    scan = sl.mu_scan(center, 1, 1.0, (-1.0, 1.0), 0.25)
     np.testing.assert_allclose(scan.reflectance, 1.0)
 
 
@@ -602,6 +638,6 @@ def test_center_chain_refuses_a_non_finite_onsite_entry():
 def test_mu_scan_rejects_a_grid_beyond_the_cap():
     # 1.4e16 points: refused before numpy is asked for the grid
     with pytest.raises(sl.PhysicsError, match="grid points, more than the cap"):
-        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (-7.0, 7.0), 1e-15)
+        sl.mu_scan(_ssh(2.0), 1, 1.0, (-7.0, 7.0), 1e-15)
     with pytest.raises(sl.PhysicsError, match="more than the cap"):
-        sl.mu_scan(_ssh(2.0), 1, 1.0, K, (-1e308, 1e308), 1e-3)
+        sl.mu_scan(_ssh(2.0), 1, 1.0, (-1e308, 1e308), 1e-3)
