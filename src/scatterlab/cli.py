@@ -531,7 +531,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     write_csv(
         out_dir / "scan.csv",
         ["mu", "reflectance"],
-        zip(scan.mu_grid, scan.reflectance),
+        zip(scan.mu_grid.tolist(), scan.reflectance.tolist()),
     )
 
     eigvals, weights = resonant_eigenvalues(hc, scan_cfg.alpha)

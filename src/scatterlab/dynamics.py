@@ -150,14 +150,22 @@ def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
     net.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
     psi /= np.linalg.norm(psi)
 
+    note = _outgoing_packet_note(net, spec)
+    if note:
+        _warnings.warn(note, stacklevel=2)
+    return psi
+
+
+def _outgoing_packet_note(net: NetworkSpec, spec: WavePacketSpec) -> str | None:
+    """The warning for a packet whose group velocity points away from the
+    centre, or None for an incoming one."""
     J = net.lead.J
     if J * np.sin(spec.k) > 0:
-        _warnings.warn(
+        return (
             "packet group velocity points away from the scattering center "
-            f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet",
-            stacklevel=2,
+            f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet"
         )
-    return psi
+    return None
 
 
 def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
@@ -313,7 +321,8 @@ def run_experiment(
     The stop check runs from the base ``stop_time`` estimate onward: the
     run ends when every lead holds less than ``FINISH_THRESHOLD``
     probability within 5 sites of its junction, or at ``t_max`` (with a
-    warning).  A warning is also attached when probability has reached
+    warning).  A warning is also attached when the packet moves away from
+    the centre (as ``init_gaussian`` warns) and when probability has reached
     the truncated far ends, since whatever follows is a finite-lead
     artifact.  A run that would store more than ``_MAX_SNAPSHOT_VALUES``
     snapshot values raises before the network is assembled.
@@ -335,7 +344,8 @@ def run_experiment(
     times = [0.0]
     site_probs = [np.abs(psi) ** 2]
     norms = [float(np.linalg.norm(psi))]
-    notes: list[str] = []
+    note = _outgoing_packet_note(net, packet)
+    notes: list[str] = [note] if note else []
 
     t = 0.0
     while True:

@@ -4,7 +4,10 @@ JSON summary, and dependency-free SVG plots.
 SVG is hand-rolled on purpose: byte-identical output for identical
 inputs, diff-able in review, no plotting dependency.  Floats are
 formatted with %.12g in CSV and fixed decimals in SVG geometry, so
-repeated runs of the same configuration produce identical files.
+repeated runs of the same configuration produce identical files.  A line
+plot maps each series to pixels in one numpy expression per axis, in the
+scalar mapping's operation order, so every coordinate is bit for bit the
+per-point value.
 
 A CSV row is formatted by one printf template chosen by the types of
 its cells, one piece per cell: ``None`` gives an empty cell, ``str``
@@ -197,7 +200,11 @@ def _escape(s: str) -> str:
 
 @dataclass
 class _Frame:
-    """Axes frame mapping data coordinates to pixels."""
+    """Axes frame mapping data coordinates to pixels.
+
+    ``px`` and ``py`` take a scalar or a whole numpy array: an array is
+    mapped in the scalar's operation order, elementwise in IEEE double,
+    so each pixel is bit for bit the scalar call's."""
 
     x0: float
     y0: float
@@ -208,10 +215,10 @@ class _Frame:
     ylo: float
     yhi: float
 
-    def px(self, x: float) -> float:
+    def px(self, x: float | np.ndarray) -> float | np.ndarray:
         return self.x0 + (x - self.xlo) / (self.xhi - self.xlo) * self.w
 
-    def py(self, y: float) -> float:
+    def py(self, y: float | np.ndarray) -> float | np.ndarray:
         return self.y0 + self.h - (y - self.ylo) / (self.yhi - self.ylo) * self.h
 
 
@@ -264,8 +271,8 @@ def svg_line_plot(
 
     for s in series:
         mask = s.finite_mask()
-        px = [fr.px(v) for v in np.asarray(s.x, dtype=float)[mask]]
-        py = [fr.py(v) for v in np.asarray(s.y, dtype=float)[mask]]
+        px = fr.px(np.asarray(s.x, dtype=float)[mask]).tolist()
+        py = fr.py(np.asarray(s.y, dtype=float)[mask]).tolist()
         if s.line and len(px) > 1:
             d = "M " + " L ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
             svg.add(f'<path d="{d}" fill="none" stroke="{s.color}" stroke-width="1.5"/>')

@@ -22,7 +22,12 @@ and every built-in centre is a chain, so there
 
 where each side's self-energy S is a continued fraction over its sites
 (the recursion method of Haydock, Heine & Kelly 1972): O(N) scalar work
-per probe energy, from a ``center_chain`` built once per scan.  Sites past
+per probe energy, from a ``center_chain`` built once per scan.  A chain
+whose entries are all real (every SSH centre) holds Python floats and
+runs the recursion in float arithmetic, bit for bit what complex
+arithmetic gives on the same entries; a gain/loss chain stays complex.
+The lead's terms 2J cos k, 2J e^{ik} and 2iJ sin k are computed once per
+(J, k), so a probe costs plain Python arithmetic only.  Sites past
 a zero bond are cut off the chain, so a level dark from alpha there drops
 out by construction.  A centre with any entry off the tridiagonal band
 falls back to a dense LU, as does one whose on-site entries or bond
@@ -43,6 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -202,12 +208,21 @@ class CenterChain(NamedTuple):
     neighbour of site i on the way to alpha, listed from the outer end
     inward.  Each side ends just outside its innermost zero bond, so every
     listed bond product is nonzero.
+
+    The entries are Python floats when every on-site entry and bond
+    product of the centre has imaginary part exactly 0 (a real centre
+    such as every SSH chain), and complex otherwise: a gain/loss chain,
+    or a complex hopping b, whose numpy product b * conj(b) may keep a
+    rounding-level imaginary part.  The recursion is
+    the same arithmetic on both: with exact-zero imaginary parts,
+    CPython's complex ``-`` and ``/`` reduce to the float operations, so
+    a real chain gives bit for bit the amplitudes of its complex copy.
     """
 
     alpha: int
-    onsite: complex
-    left: tuple[tuple[complex, complex], ...]
-    right: tuple[tuple[complex, complex], ...]
+    onsite: float | complex
+    left: tuple[tuple[float | complex, float | complex], ...]
+    right: tuple[tuple[float | complex, float | complex], ...]
 
 
 def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
@@ -230,7 +245,10 @@ def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
         bonds = hc.diagonal(1) * hc.diagonal(-1)  # bonds[i] joins sites i and i + 1
     if not (np.isfinite(bonds).all() and np.isfinite(hc.diagonal()).all()):
         return None
-    onsite = hc.diagonal().tolist()
+    onsite = hc.diagonal()
+    if not (onsite.imag.any() or bonds.imag.any()):
+        onsite, bonds = onsite.real, bonds.real
+    onsite = onsite.tolist()
     a = alpha - 1
     zero = np.flatnonzero(bonds == 0).tolist()
     lo = max((z + 1 for z in zero if z < a), default=0)
@@ -241,14 +259,20 @@ def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
     return CenterChain(alpha, onsite[a], left, right)
 
 
-def _self_energy(side: tuple[tuple[complex, complex], ...], energy: float) -> complex:
+def _self_energy(
+    side: tuple[tuple[float | complex, float | complex], ...], energy: float
+) -> float | complex:
     """Self-energy of one side at ``energy``: the continued fraction
-    s <- bc / (a - E - s) run from the outer end inward.  A zero
-    denominator gives s = inf, whose limit makes the next term -0."""
-    s: complex = 0.0
+    s <- bc / (a - E - s) run from the outer end inward, in float
+    arithmetic on a real chain and complex on a gain/loss one.  A zero
+    denominator (+0 or -0, either type) gives s = inf, whose limit makes
+    the next term -0."""
+    s: float | complex = 0.0
     for a, bc in side:
-        d = a - energy - s
-        s = bc / d if d else math.inf
+        try:
+            s = bc / (a - energy - s)
+        except ZeroDivisionError:
+            s = math.inf
     return s
 
 
@@ -268,7 +292,9 @@ def two_lead_solve(
         t = 2 i J sin k / (h_aa - E + 2 J e^{ik} - S_left(E) - S_right(E))
 
     with each side's self-energy a continued fraction (``_self_energy``),
-    O(N) scalar work.  Sites beyond a zero bond never reach alpha, so a
+    O(N) scalar work, in floats on a real chain.  The lead terms 2J cos k,
+    2J e^{ik} and 2iJ sin k are computed once per (J, k) and reused by
+    every later call.  Sites beyond a zero bond never reach alpha, so a
     dark level there drops out by construction.  Any other centre is
     solved by a dense LU; there a probe energy exactly on a dark level (an
     eigenstate with no weight at alpha) makes the system singular, but
@@ -281,13 +307,9 @@ def two_lead_solve(
     strength J.  A singularity that couples to alpha raises
     ``NumericalError``.
     """
-    _check_k(k)
-    if J == 0:
-        raise PhysicsError("lead hopping J must be nonzero")
+    band, lead, drive = _lead_terms(J, k)
     chain = center if isinstance(center, CenterChain) else center_chain(center, alpha)
-    energy = float(dispersion(J, mu, k))
-    lead = 2.0 * J * np.exp(1j * k)
-    drive = 2j * J * np.sin(k)
+    energy = band + float(mu)
     if chain is None:
         t = _dense_two_lead_amplitude(_center_block(center), alpha, energy, lead, drive)
     else:
@@ -296,14 +318,31 @@ def two_lead_solve(
         denom = (
             chain.onsite
             - energy
-            + complex(lead)
+            + lead
             - _self_energy(chain.left, energy)
             - _self_energy(chain.right, energy)
         )
-        t = complex(drive) / denom if denom else None
+        t = drive / denom if denom else None
     if t is None:
         raise NumericalError(f"singular two-lead system at mu={mu}, k={k}")
     return t - 1.0, t
+
+
+@lru_cache(maxsize=64)
+def _lead_terms(J: float, k: float) -> tuple[float, complex, complex]:
+    """The lead's terms of the two-lead system at (J, k), as Python
+    numbers: the band offset 2J cos k of E = 2J cos k + mu (``dispersion``
+    less its mu), the boundary term 2J e^{ik} and the drive 2iJ sin k.
+    Memoised, so a scan pays the numpy calls once per (J, k); an invalid
+    J or k raises on every call."""
+    _check_k(k)
+    if J == 0:
+        raise PhysicsError("lead hopping J must be nonzero")
+    return (
+        float(2.0 * J * np.cos(k)),
+        complex(2.0 * J * np.exp(1j * k)),
+        complex(2j * J * np.sin(k)),
+    )
 
 
 def _dense_two_lead_amplitude(
@@ -404,13 +443,15 @@ def mu_scan(
     ``resonant_eigenvalues``.
 
     The centre's ``center_chain`` is built once, and every grid point and
-    golden step is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``:
-    the chain recursion, or a dense LU for a centre off the tridiagonal
-    band.  A grid point that lands exactly on a dark level is solved as by
-    ``two_lead_solve``: the dark level drops out and r is that of the
-    remaining center.  A grid of more than 10,000,000 points, or a lead
-    whose band edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
-    ``PhysicsError`` before the grid is allocated.
+    golden step is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``,
+    looked up through this module's global: the chain recursion, or a
+    dense LU for a centre off the tridiagonal band.  The grid is walked as
+    Python floats straight into the |r|^2 array.  A grid point that lands
+    exactly on a dark level is solved as by ``two_lead_solve``: the dark
+    level drops out and r is that of the remaining center.  A grid of more
+    than 10,000,000 points, or a lead whose band edge
+    2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
+    before the grid is allocated.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -434,21 +475,21 @@ def mu_scan(
     hc = _center_block(center)
     chain = center_chain(hc, alpha)
     system = hc if chain is None else chain
-    grid = mu_lo + resolution * np.arange(int(n_steps) + 1)
+    n = int(n_steps) + 1
+    grid = mu_lo + resolution * np.arange(n)
 
     def r2(mu: float) -> float:
         r, _ = two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)
         return float(abs(r) ** 2)
 
-    curve = np.array([r2(mu) for mu in grid])
+    curve = np.fromiter(map(r2, grid.tolist()), dtype=float, count=n)
 
+    # candidates: local minima (strict on the left) below CANDIDATE_R2
+    mid = curve[1:-1]
+    candidate = (mid < curve[:-2]) & (mid <= curve[2:]) & (mid < CANDIDATE_R2)
     resonances: list[float] = []
     res_r2: list[float] = []
-    for i in range(1, len(grid) - 1):
-        if not (curve[i] < curve[i - 1] and curve[i] <= curve[i + 1]):
-            continue
-        if curve[i] >= CANDIDATE_R2:
-            continue
+    for i in (np.flatnonzero(candidate) + 1).tolist():
         mu_star, r2_star = _golden_minimum(r2, grid[i - 1 : i + 2], curve[i - 1 : i + 2])
         if r2_star < RESONANCE_R2:
             resonances.append(mu_star)

@@ -466,6 +466,19 @@ def test_custom_center_summary_names_its_size(tmp_path):
     }
 
 
+def test_dynamics_summary_records_an_outgoing_packet(tmp_path):
+    # J < 0 with k = -pi/2 sends the packet away from the centre: the run
+    # still finishes, so the warning must reach summary.json as well
+    payload = _small_dynamics_config()
+    payload["packet"]["k"] = "-pi/2"
+    out = tmp_path / "out"
+    argv = ["dynamics", "--config", str(_write(tmp_path, payload)), "--out", str(out)]
+    with pytest.warns(UserWarning, match="away from the scattering center"):
+        assert cli.main(argv) == 0
+    (note,) = json.loads((out / "summary.json").read_text())["warnings"]
+    assert note.startswith("packet group velocity points away from the scattering center")
+
+
 def test_dynamics_run_artifacts_and_determinism(tmp_path):
     # 12 cells separate the two edge states enough for p_1 to reach its
     # semi-infinite value 36/49; at 4 cells the hybridised pair gives 0.08
@@ -866,16 +879,18 @@ def test_figure_7f_artifacts_match_golden(tmp_path):
 # sha256 of the fig7b panel of `reproduce-fig 7` (the 40-site v=2 SSH
 # centre, 14,001 grid points), recorded as above.  Its edge pair is split
 # by 5.7e-6, inside one grid step, so the refinement must resolve both zeros.
+# The SVG pins the plot of a real chain, whose recursion runs in floats.
 _FIG7B_GOLDEN = {
     "scan.csv": "cd76b04946ca1ded4a8c3207256a169c5ecc3b5f74aabdc097ef1b1fad818ad4",
     "resonances.csv": "481aa5d7a1b091bfd23dcbb84bc4212bba8d8c822312d8cffb3786d2d5090550",
+    "reflection.svg": "c7cec9173b46c27c096bf00295562c9d1f5a8ba148f632fd39a01c6f6c4df8f7",
 }
 
 
 def test_figure_7b_artifacts_match_golden(tmp_path):
     cfg = dict(cli.figure_configs("7"))["fig7b"]
     cli.run(cfg, tmp_path)
-    files = [f for f in tmp_path.iterdir() if f.suffix == ".csv"]
+    files = [f for f in tmp_path.iterdir() if f.suffix in (".csv", ".svg")]
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == _FIG7B_GOLDEN
 
 

@@ -9,8 +9,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scatterlab.output import (
+    _PLOT_SIZE,
     CSV_VERSION_LINE,
     Series,
+    _Frame,
     svg_heatmap,
     svg_line_plot,
     write_csv,
@@ -146,6 +148,26 @@ def test_svg_line_plot_deterministic_and_labeled(tmp_path):
     assert text.startswith("<svg")
     assert "demo" in text and "measured" in text and "theory" in text
     assert "<circle" in text and "<path" in text
+
+
+_COORDS = st.floats(-1e12, 1e12)
+
+
+@given(
+    values=st.lists(_COORDS, max_size=40),
+    bounds=st.lists(_COORDS, min_size=4, max_size=4, unique=True),
+)
+def test_frame_maps_an_array_bitwise_as_its_elements(values, bounds):
+    xlo, xhi, ylo, yhi = bounds
+    width, height = _PLOT_SIZE
+    fr = _Frame(x0=64, y0=40, w=width - 88, h=height - 96, xlo=xlo, xhi=xhi, ylo=ylo, yhi=yhi)
+    arr = np.array(values, dtype=float)
+    # a subnormal frame span overflows to inf on every path alike
+    with np.errstate(over="ignore"):
+        for mapped, scalar in ((fr.px(arr), fr.px), (fr.py(arr), fr.py)):
+            got = [v.hex() for v in mapped.tolist()]
+            assert got == [float(scalar(v)).hex() for v in arr]  # numpy scalars, as before
+            assert got == [float(scalar(v)).hex() for v in values]  # Python floats
 
 
 def test_svg_heatmap_panels(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -504,6 +506,98 @@ def test_zero_bond_gives_exactly_the_reduced_centre(centre, data, mu, k):
     assert sl.two_lead_solve(center, alpha, 1.0, mu, k) == sl.two_lead_solve(
         reduced, alpha - lo, 1.0, mu, k
     )
+
+
+# nonzero magnitudes from 1e-150 to 1e150, so a bond product stays finite
+_wide = st.builds(
+    lambda sign, m, e: sign * m * 10.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(1.0, 9.99),
+    st.integers(-150, 149),
+)
+
+
+@st.composite
+def _real_chains(draw):
+    """(centre, alpha, J, mu, k) for a real tridiagonal centre, not
+    necessarily symmetric, with entries of any sign from 1e-150 to 1e150 in
+    magnitude, some of them zero.  The first or last on-site entry, or
+    both, may equal the probe energy, so the recursion meets an exactly
+    zero denominator there."""
+    n = draw(st.integers(1, 7))
+    J = draw(st.sampled_from([-1.0, -0.1, 0.3, 1.0]))
+    k = draw(st.just(BAND_CENTRE_K) | _wave_vector)
+    mu = draw(_wide)
+    center = np.diag([draw(st.just(0.0) | _wide) for _ in range(n)])
+    center += np.diag([draw(_wide) for _ in range(n - 1)], 1)
+    center += np.diag([draw(_wide) for _ in range(n - 1)], -1)
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        center[(i, i + 1) if draw(st.booleans()) else (i + 1, i)] = 0.0
+    energy = float(sl.dispersion(J, mu, k))
+    for site in draw(st.sampled_from([(), (0,), (n - 1,), (0, n - 1)])):
+        center[site, site] = energy
+    return center, draw(st.integers(1, n)), J, mu, k
+
+
+def _chain_entries(chain):
+    return [chain.onsite, *(x for pair in chain.left + chain.right for x in pair)]
+
+
+def _complex_copy(chain):
+    def side(pairs):
+        return tuple((complex(a), complex(bc)) for a, bc in pairs)
+
+    return chain._replace(
+        onsite=complex(chain.onsite), left=side(chain.left), right=side(chain.right)
+    )
+
+
+def _solve_bits(chain, J, mu, k):
+    """(r, t) of ``two_lead_solve`` as the hex of every part, so that the
+    sign of a zero counts, or the name of the error it raises."""
+    try:
+        r, t = sl.two_lead_solve(chain, chain.alpha, J, mu, k)
+    except sl.ScatterlabError as exc:
+        return type(exc).__name__
+    return tuple(x.hex() for z in (r, t) for x in (z.real, z.imag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_real_chains())
+def test_real_chain_in_floats_is_bitwise_its_complex_copy(case):
+    center, alpha, J, mu, k = case
+    chain = steady.center_chain(center, alpha)
+    assert all(type(x) is float for x in _chain_entries(chain))
+    twin = _complex_copy(chain)
+    assert _solve_bits(chain, J, mu, k) == _solve_bits(twin, J, mu, k)
+    energy = float(sl.dispersion(J, mu, k))
+    for side, twin_side in ((chain.left, twin.left), (chain.right, twin.right)):
+        s, s_twin = steady._self_energy(side, energy), steady._self_energy(twin_side, energy)
+        assert s.hex() == s_twin.real.hex() and s_twin.imag == 0
+
+
+def test_zero_denominator_gives_an_infinite_self_energy_on_both_types():
+    # at E = +0, a = -0 makes the denominator a - E - 0 = -0
+    for a in (0.0, -0.0):
+        for side in (((a, 3.0),), ((complex(a), complex(3.0)),)):
+            assert steady._self_energy(side, 0.0) == math.inf
+            # the next term is bc / -inf = -0
+            s = steady._self_energy(side + ((1.0, 5.0),), 0.0)
+            assert s == 0 and math.copysign(1.0, s.real) == -1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(centre=_tridiagonal_centres(), data=st.data())
+def test_a_chain_is_real_exactly_when_every_imaginary_part_is_zero(centre, data):
+    center, alpha = centre
+    if data.draw(st.booleans()):  # gain or loss on one site
+        i = data.draw(st.integers(0, len(center) - 1))
+        center[i, i] += data.draw(st.sampled_from([1e-300, -0.5, 2.0])) * 1j
+    chain = steady.center_chain(center, alpha)
+    bonds = np.diagonal(center, 1) * np.diagonal(center, -1)
+    real = not (np.diagonal(center).imag.any() or bonds.imag.any())
+    assert {type(x) for x in _chain_entries(chain)} == {float if real else complex}
 
 
 def test_chain_singular_at_attachment_site_raises():
