@@ -422,35 +422,32 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     channels = np.arange(len(p))
     write_csv(
         out_dir / "channels.csv",
-        ["channel", "probability", "probability_theory"],
-        [(int(c), p[c], theory[c]) for c in channels],
+        {"channel": channels, "probability": p, "probability_theory": theory},
     )
 
     history = record.channel_history()
     n_times, n_channels = history.shape
     write_csv(
         out_dir / "trajectory.csv",
-        ["time", "channel", "probability"],
-        zip(
-            np.repeat(record.times, n_channels).tolist(),
-            np.tile(channels, n_times).tolist(),
-            history.ravel().tolist(),
-        ),
+        {
+            "time": np.repeat(record.times, n_channels),
+            "channel": np.tile(channels, n_times),
+            "probability": history.ravel(),
+        },
     )
 
-    # Each snapshot time and each site's region,channel,offset is printed
-    # once, as write_csv would print it; a row only formats its probability.
     prob = record.site_probabilities
-    times = np.array(["%.12g" % t for t in record.times.tolist()], dtype=object)
-    sites = np.array(
-        [f"{r},{c},{o}" for r, c, o in zip(*(labels.tolist() for labels in net.labels()))],
-        dtype=object,
-    )
+    region, channel, offset = net.labels()
     ti, si = np.nonzero(prob > 1e-12)
     write_csv(
         out_dir / "snapshots.csv",
-        ["time", "region", "channel", "offset", "probability"],
-        zip(times[ti].tolist(), sites[si].tolist(), prob[ti, si].tolist()),
+        {
+            "time": record.times[ti],
+            "region": region[si],
+            "channel": channel[si],
+            "offset": offset[si],
+            "probability": prob[ti, si],
+        },
     )
 
     # Channel x lead-site intensity maps at a few snapshot times.
@@ -492,14 +489,17 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
     )
     n = len(sol.t)
     theory = _ssh_theory_probabilities(cfg.center, sol.energy, cfg.steady.k, n)
-    rows = [(0, sol.r.real, sol.r.imag, sol.reflectance, theory[0])]
-    for l in range(1, n + 1):
-        amp = sol.t[l - 1]
-        rows.append((l, amp.real, amp.imag, abs(amp) ** 2, theory[l]))
+    amps = np.concatenate(([sol.r], sol.t))
     write_csv(
         out_dir / "amplitudes.csv",
-        ["channel", "amp_re", "amp_im", "probability", "probability_theory"],
-        rows,
+        {
+            "channel": np.arange(n + 1),
+            "amp_re": amps.real,
+            "amp_im": amps.imag,
+            # scalar abs per amplitude: np.abs may differ in the last bit
+            "probability": [sol.reflectance, *(abs(amp) ** 2 for amp in sol.t)],
+            "probability_theory": theory,
+        },
     )
 
     probs = np.concatenate(([sol.reflectance], sol.transmittance))
@@ -528,11 +528,7 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         mu_range=(scan_cfg.mu_min, scan_cfg.mu_max),
         resolution=scan_cfg.step,
     )
-    write_csv(
-        out_dir / "scan.csv",
-        ["mu", "reflectance"],
-        zip(scan.mu_grid.tolist(), scan.reflectance.tolist()),
-    )
+    write_csv(out_dir / "scan.csv", {"mu": scan.mu_grid, "reflectance": scan.reflectance})
 
     eigvals, weights = resonant_eigenvalues(hc, scan_cfg.alpha)
     in_window = (scan_cfg.mu_min <= eigvals) & (eigvals <= scan_cfg.mu_max)
@@ -541,26 +537,19 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
         e for lv in _nh_theory_levels(cfg.center) for e in (lv.real_energy, -lv.real_energy)
     ]
 
-    rows = []
-    for mu_star, r2 in zip(scan.resonances, scan.resonance_reflectance):
-        nearest = float(eigvals[np.argmin(np.abs(eigvals - mu_star))]) if len(eigvals) else np.nan
-        if analytic_levels:
-            approx = min(analytic_levels, key=lambda e: abs(e - mu_star))
-            approx_dist = abs(approx - mu_star)
-        else:
-            approx, approx_dist = np.nan, np.nan
-        rows.append((mu_star, r2, nearest, abs(nearest - mu_star), approx, approx_dist))
+    mu_star = np.array(scan.resonances, dtype=float)
+    nearest = _nearest(eigvals, mu_star)
+    approx = _nearest(analytic_levels, mu_star)
     write_csv(
         out_dir / "resonances.csv",
-        [
-            "mu_star",
-            "reflectance_min",
-            "nearest_eigenvalue",
-            "eigenvalue_distance",
-            "analytic_energy",
-            "analytic_distance",
-        ],
-        rows,
+        {
+            "mu_star": mu_star,
+            "reflectance_min": np.array(scan.resonance_reflectance, dtype=float),
+            "nearest_eigenvalue": nearest,
+            "eigenvalue_distance": np.abs(nearest - mu_star),
+            "analytic_energy": approx,
+            "analytic_distance": np.abs(approx - mu_star),
+        },
     )
 
     series = [
@@ -604,6 +593,15 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
     }
 
 
+def _nearest(levels, x: np.ndarray) -> np.ndarray:
+    """The entry of ``levels`` nearest each entry of ``x``, the first of a
+    tie; NaN throughout when there are no levels."""
+    levels = np.asarray(levels, dtype=float)
+    if not levels.size:
+        return np.full(x.shape, np.nan)
+    return levels[np.argmin(np.abs(levels[:, None] - x), axis=0)]
+
+
 def _or_nan(law, *args) -> float:
     """``law(*args)``, or NaN where it raises ``PhysicsError``."""
     try:
@@ -637,7 +635,6 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    by_q = dict(zip(points, results))
 
     # off the zero-mode operating point no closed form describes the packet
     on_point = True
@@ -646,27 +643,23 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     except PhysicsError:
         on_point = False
 
-    rows = []
-    for q in sweep.q_values:
-        if q == 1.0:
-            rows.append((q, "excluded (transition)", np.nan, np.nan, np.nan, np.nan))
-            continue
-        p = by_q[q]
-        vis_th = _or_nan(analytic.visibility_theory, q) if on_point else np.nan
-        refl_th = analytic.reflection_theory(q) if on_point else np.nan
-        rows.append((q, "ok", _or_nan(visibility, p), vis_th, p[0], refl_th))
+    q = np.array(sweep.q_values)
+    vis, vis_th, refl, refl_th = np.full((4, q.size), np.nan)
+    for i, point, p in zip(np.flatnonzero(q != 1.0).tolist(), points, results):
+        vis[i], refl[i] = _or_nan(visibility, p), p[0]
+        if on_point:
+            vis_th[i] = _or_nan(analytic.visibility_theory, point)
+            refl_th[i] = analytic.reflection_theory(point)
+    table = {
+        "q": q,
+        "status": np.where(q == 1.0, "excluded (transition)", "ok"),
+        "visibility_measured": vis,
+        "visibility_theory": vis_th,
+        "reflectance_measured": refl,
+        "reflectance_theory": refl_th,
+    }
+    write_csv(out_dir / "sweep.csv", table)
 
-    columns = (
-        "q",
-        "status",
-        "visibility_measured",
-        "visibility_theory",
-        "reflectance_measured",
-        "reflectance_theory",
-    )
-    write_csv(out_dir / "sweep.csv", columns, rows)
-
-    q, vis, vis_th, refl, refl_th = np.array([r[:1] + r[2:] for r in rows], dtype=float).T
     series = [
         Series(x=q, y=vis_th, label="V(1) theory", color="black"),
         Series(x=q, y=vis, label="V(1) measured", color="black", markers=True, line=False),
@@ -685,7 +678,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
         "sweep": asdict(sweep),
         "lead": asdict(lead),
         "packet": asdict(packet),
-        "rows": [dict(zip(columns, r)) for r in rows],
+        "rows": [dict(zip(table, row)) for row in zip(*table.values())],
     }
 
 

@@ -9,13 +9,12 @@ plot maps each series to pixels in one numpy expression per axis, in the
 scalar mapping's operation order, so every coordinate is bit for bit the
 per-point value.
 
-A CSV row is formatted by one printf template chosen by the types of
-its cells, one piece per cell: ``None`` gives an empty cell, ``str``
-the text as is, ``int`` and numpy integers ``%d``, and any other value
-``%.12g`` (so NaN prints as ``nan``).  Booleans are refused with
-``TypeError``.  Rows are streamed to the file as they are formatted.
-The JSON summary writes non-finite floats as ``null``, so strict
-parsers accept it.
+A CSV table maps header names to columns; one printf template, a piece
+per column by its dtype kind, writes every row: ``%d`` for integers,
+``%.12g`` for floats (NaN prints as ``nan``), ``%s`` for strings and
+objects.  A bool or complex column raises ``TypeError``.  Rows are
+formatted ``_CSV_BLOCK`` at a time.  The JSON summary writes non-finite
+floats as ``null``, so strict parsers accept it.
 """
 
 from __future__ import annotations
@@ -24,54 +23,46 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 CSV_VERSION_LINE = "# scatterlab-csv v1"
 
 
-def _cell_piece(kind: type) -> str:
-    """The printf piece that formats one CSV cell of type ``kind``."""
-    if issubclass(kind, (bool, np.bool_)):
-        raise TypeError("write_csv does not format booleans")
-    if kind is type(None):
-        return "%.0s"
-    if issubclass(kind, str):
-        return "%s"
-    if issubclass(kind, (int, np.integer)):
-        return "%d"
-    return "%.12g"
+# Rows per block: no whole column is held as Python objects at once.
+_CSV_BLOCK = 16_384
+
+# A CSV column's printf piece, by numpy dtype kind.
+_CSV_PIECES = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s", "O": "%s"}
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a versioned CSV table: the version line, the header, then one
-    line per row, iterating ``rows`` once.
+def write_csv(path, table: Mapping[str, Sequence]) -> None:
+    """Write a versioned CSV table: the version line, the header (the keys
+    of ``table``), then one line per row of its columns, arrays or lists.
 
-    Each row is formatted as ``template % tuple(row)``, with one template
-    per tuple of cell types, built from ``_cell_piece``: empty for
-    ``None``, the text of a ``str``, ``%d`` for Python and numpy integers,
-    ``%.12g`` for anything else.  A ``bool`` or ``np.bool_`` cell raises
-    ``TypeError``.  Lines are streamed to the open file, not joined first.
-
-    A ``str`` cell is written as is, so it may carry several columns
-    already joined by commas (and formatted as above): a caller that
-    repeats the same leading columns on many rows formats them once.
+    Each column's piece of the one row template is chosen by the dtype
+    kind of its ``np.asarray`` (``_CSV_PIECES``): ``%d`` integers,
+    ``%.12g`` floats, ``%s`` strings and object arrays (such as
+    ``NetworkSpec.labels()``'s regions).  Any other kind (bool, complex)
+    raises ``TypeError``, and columns of unequal length ``ValueError``,
+    before the file is opened.  A list of Python ints beyond int64 may
+    convert to float, as ``np.asarray`` decides.  Rows are converted
+    with ``tolist`` and written ``_CSV_BLOCK`` at a time.
     """
-    templates: dict[tuple[type, ...], str] = {}
-
-    def lines():
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(map(_cell_piece, kinds)) + "\n"
-            yield template % row
-
+    columns = [np.asarray(column) for column in table.values()]
+    for name, column in zip(table, columns):
+        if column.dtype.kind not in _CSV_PIECES:
+            raise TypeError(f"write_csv cannot format column {name!r} of dtype {column.dtype}")
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"write_csv columns have unequal lengths {lengths}")
+    template = ",".join(_CSV_PIECES[column.dtype.kind] for column in columns) + "\n"
     with open(path, "w") as f:
-        f.write(f"{CSV_VERSION_LINE}\n{','.join(columns)}\n")
-        f.writelines(lines())
+        f.write(f"{CSV_VERSION_LINE}\n{','.join(table)}\n")
+        for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK):
+            block = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
+            f.writelines(template % row for row in zip(*block))
 
 
 def _jsonable(obj):
@@ -153,6 +144,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     v = first
     while v <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else float(v))
+        if v + step == v:  # a step below half an ulp of v never advances it
+            break
         v += step
     return ticks
 

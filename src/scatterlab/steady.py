@@ -27,13 +27,13 @@ whose entries are all real (every SSH centre) holds Python floats and
 runs the recursion in float arithmetic, bit for bit what complex
 arithmetic gives on the same entries; a gain/loss chain stays complex.
 The lead's terms 2J cos k, 2J e^{ik} and 2iJ sin k are computed once per
-(J, k), so a probe costs plain Python arithmetic only.  Sites past
-a zero bond are cut off the chain, so a level dark from alpha there drops
-out by construction.  A centre with any entry off the tridiagonal band
-falls back to a dense LU, as does one whose on-site entries or bond
-products are not finite numbers.  A scan runs at the lead's band centre
-``lattice.BAND_CENTRE_K``, where the probe energy equals mu.  All
-functions are pure; scans are deterministic.
+(J, k), for both geometries, so a probe costs plain Python arithmetic
+only.  Sites past a zero bond are cut off the chain, so a level dark
+from alpha there drops out by construction.  A centre with any entry
+off the tridiagonal band falls back to a dense LU, as does one whose
+on-site entries or bond products are not finite numbers.  A scan runs
+at the lead's band centre ``lattice.BAND_CENTRE_K``, where the probe
+energy equals mu.  All functions are pure; scans are deterministic.
 
 Scan resonances are refined by golden-section search (Kiefer 1953), done
 here with the constants and step order of scipy's golden scalar
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import BAND_CENTRE_K, dispersion, group_velocity
+from .lattice import BAND_CENTRE_K, group_velocity
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -126,14 +126,6 @@ def _center_block(center: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_k(k: float) -> None:
-    if not 0 < k < np.pi:
-        raise PhysicsError(
-            f"wave vector k={k} outside (0, pi): the incident wave must travel "
-            "toward the center"
-        )
-
-
 def _degeneracy_warning(vals: np.ndarray, energy: float, width: float) -> tuple[str, ...]:
     """Warn when the two center levels ``vals`` nearest the probe energy sit
     closer than the resonance width 2|J| sin k, which bounds every level's
@@ -167,20 +159,18 @@ def solve_multichannel(
     the flux |r|^2 + sum|t|^2 = 1 is a property of the solution and is
     reported via ``flux_error``.
     """
-    _check_k(k)
-    if J == 0:
-        raise PhysicsError("lead hopping J must be nonzero")
+    band, lead, drive = _lead_terms(J, k)
     hc = _center_block(center)
     n = hc.shape[0]
-    energy = dispersion(J, mu, k)
-    phase = J * np.exp(1j * k)
+    energy = band + mu
+    phase = 0.5 * lead
     a = hc.copy()
     diag = a.ravel()[:: n + 1]  # a view: the copy is C-contiguous
     diag -= energy
     diag += phase
     a[0, 0] += phase
     rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 2j * J * np.sin(k)
+    rhs[0] = drive
     try:
         t = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -330,12 +320,16 @@ def two_lead_solve(
 
 @lru_cache(maxsize=64)
 def _lead_terms(J: float, k: float) -> tuple[float, complex, complex]:
-    """The lead's terms of the two-lead system at (J, k), as Python
-    numbers: the band offset 2J cos k of E = 2J cos k + mu (``dispersion``
-    less its mu), the boundary term 2J e^{ik} and the drive 2iJ sin k.
-    Memoised, so a scan pays the numpy calls once per (J, k); an invalid
-    J or k raises on every call."""
-    _check_k(k)
+    """The lead's terms at (J, k), as Python numbers: the band offset
+    2J cos k of E = 2J cos k + mu (``dispersion`` less its mu), the
+    two-lead boundary term 2J e^{ik} (twice one lead's) and the drive
+    2iJ sin k.  Memoised, so a scan pays the numpy calls once per (J, k);
+    an invalid J or k raises on every call."""
+    if not 0 < k < np.pi:
+        raise PhysicsError(
+            f"wave vector k={k} outside (0, pi): the incident wave must travel "
+            "toward the center"
+        )
     if J == 0:
         raise PhysicsError("lead hopping J must be nonzero")
     return (
@@ -451,7 +445,9 @@ def mu_scan(
     level drops out and r is that of the remaining center.  A grid of more
     than 10,000,000 points, or a lead whose band edge
     2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
-    before the grid is allocated.
+    before the grid is allocated; a grid whose consecutive points are not
+    strictly increasing in floating point (a step below the float spacing
+    of mu) raises it before any solve.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -477,6 +473,11 @@ def mu_scan(
     system = hc if chain is None else chain
     n = int(n_steps) + 1
     grid = mu_lo + resolution * np.arange(n)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise PhysicsError(
+            f"scan of [{mu_lo}, {mu_hi}] at step {resolution} does not advance: "
+            "consecutive grid points coincide in floating point"
+        )
 
     def r2(mu: float) -> float:
         r, _ = two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)

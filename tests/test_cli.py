@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scatterlab as sl
 from scatterlab import cli
@@ -571,6 +574,40 @@ def test_mu_scan_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
     assert not (out / "scan.csv").exists()
 
 
+def test_mu_scan_refuses_a_grid_that_cannot_advance(tmp_path, capsys):
+    # at 1e17 the float spacing is 16: a step of 1 repeats grid points
+    config = {
+        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 2},
+        "scan": {"mu_min": 1e17, "mu_max": 1.00000000000000016e17, "step": 1.0},
+    }
+    out = tmp_path / "out"
+    rc = cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)])
+    assert rc == cli.EXIT_PHYSICS == 3
+    err = capsys.readouterr().err
+    assert "at step 1.0 does not advance: consecutive grid points coincide" in err
+    assert not (out / "scan.csv").exists()
+
+
+# A window that holds no level writes a header-only resonances.csv; the
+# gain/loss centre takes the analytic-levels path with levels outside it.
+@pytest.mark.parametrize(
+    "center",
+    [{"type": "ssh", "v": 2.0, "w": 4.0, "cells": 2},
+     {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2}],
+    ids=["ssh", "nh_ssh"],
+)
+def test_mu_scan_without_a_resonance_writes_the_header_only(tmp_path, center):
+    config = {"center": center, "scan": {"mu_min": 20.0, "mu_max": 21.0, "step": 0.01}}
+    out = tmp_path / "out"
+    assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert (out / "resonances.csv").read_bytes() == (
+        b"# scatterlab-csv v1\nmu_star,reflectance_min,nearest_eigenvalue,"
+        b"eigenvalue_distance,analytic_energy,analytic_distance\n"
+    )
+    has_levels = "analytic levels" in (out / "reflection.svg").read_text()
+    assert has_levels == (center["type"] == "nh_ssh")
+
+
 def _csv_column(path, name):
     """Column ``name`` of a scatterlab CSV, as the printed strings."""
     header, *rows = path.read_text().splitlines()[1:]
@@ -684,6 +721,18 @@ def test_nh_theory_profile_matches_the_per_cell_loop():
     for m in range(1, 5):  # channels 2m-1 and 2m of cell m, scaled to max(p[1:])
         expected[2 * m - 1] = expected[2 * m] = profile[m - 1] * 0.3
     np.testing.assert_array_equal(cli._nh_theory_profile(center, level.real_energy, p), expected)
+
+
+# resonances.csv's nearest-level columns: one broadcast argmin in place of
+# min(levels, key=...) per resonance, the first of a tie on both
+@given(
+    levels=st.lists(st.integers(-8, 8).map(float), max_size=6),
+    x=st.lists(st.integers(-20, 20).map(lambda i: i / 2), max_size=6),
+)
+def test_nearest_level_is_the_per_point_min(levels, x):
+    got = cli._nearest(levels, np.array(x, dtype=float)).tolist()
+    expected = [min(levels, key=lambda e: abs(e - v)) if levels else math.nan for v in x]
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
 
 
 def test_q_sweep_visibility_theory_above_the_transition(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scatterlab.output import (
+    _CSV_BLOCK,
     _PLOT_SIZE,
     CSV_VERSION_LINE,
     Series,
     _Frame,
+    _nice_ticks,
     svg_heatmap,
     svg_line_plot,
     write_csv,
@@ -22,7 +24,7 @@ from scatterlab.output import (
 
 def test_csv_versioned_header_and_formatting(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c"], [(1, 0.25, "ok"), (2, float("nan"), None)])
+    write_csv(path, {"a": [1, 2], "b": [0.25, float("nan")], "c": ["ok", ""]})
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_VERSION_LINE
     assert lines[1] == "a,b,c"
@@ -31,17 +33,15 @@ def test_csv_versioned_header_and_formatting(tmp_path):
 
 
 def test_csv_deterministic(tmp_path):
-    rows = [(i, np.sin(i) * 1e-7) for i in range(50)]
+    table = {"i": np.arange(50), "x": np.sin(np.arange(50)) * 1e-7}
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(a, ["i", "x"], rows)
-    write_csv(b, ["i", "x"], rows)
+    write_csv(a, table)
+    write_csv(b, table)
     assert a.read_bytes() == b.read_bytes()
 
 
 def _reference_cell(value) -> str:
     """The per-cell rule write_csv must reproduce byte for byte."""
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -50,60 +50,98 @@ def _reference_cell(value) -> str:
     return "nan" if np.isnan(x) else format(x, ".12g")
 
 
-def _reference_csv(columns, rows) -> str:
-    lines = [CSV_VERSION_LINE, ",".join(columns)]
-    lines += [",".join(_reference_cell(v) for v in row) for row in rows]
+def _reference_csv(table) -> str:
+    lines = [CSV_VERSION_LINE, ",".join(table)]
+    lines += [",".join(map(_reference_cell, row)) for row in zip(*table.values())]
     return "\n".join(lines) + "\n"
 
 
-def _written(columns, rows) -> str:
+def _written(table) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_csv(path, columns, rows)
+        write_csv(path, table)
         with open(path, newline="") as f:
             return f.read()
 
 
 _EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2e-308, 1e16,
                 -1e16, 1e-300, 1e300, 0.1, 1 / 3)
-_CELLS = st.one_of(
-    st.floats(allow_subnormal=True),
-    st.sampled_from(_EDGE_FLOATS),
-    st.floats(width=64).map(np.float64),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
-    st.integers(),
-    st.text(alphabet=st.characters(exclude_categories=("Cs",))),
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(_EDGE_FLOATS))
+# numpy's fixed-width str dtype drops trailing NULs, so none are drawn
+_TEXT = st.one_of(
+    st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\x00")),
     st.sampled_from(("%", "%d", "100%", "%s%%", "%(x)s", "excluded (transition)")),
-    st.none(),
 )
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n).map(tuple), max_size=12)
+def _column(n: int):
+    """One n-row column: int64 or Python ints, float64, or str (a list, or
+    an object array like ``NetworkSpec.labels()``'s regions)."""
+    size = {"min_size": n, "max_size": n}
+    return st.one_of(
+        st.lists(_INT64, **size).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(_INT64, **size),
+        st.lists(_FLOATS, **size).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(_TEXT, **size),
+        st.lists(_TEXT, **size).map(lambda v: np.array(v, dtype=object)),
+    )
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(0, 12)).flatmap(
+    lambda shape: st.lists(_column(shape[1]), min_size=shape[0], max_size=shape[0])
 ))
-@example([(0.5, "ok", 0.25, np.int64(3)), (1.0, "excluded (transition)", math.nan, None),
-          (1.5, None, np.float64(-0.0), 7)])
-def test_csv_matches_per_cell_reference(rows):
-    columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
-    assert _written(columns, rows) == _reference_csv(columns, rows)
+@example([[0.5, 1.0, 1.5], ["ok", "excluded (transition)", "%d"],
+          np.array([0.25, math.nan, -0.0]), np.array([3, -(2**63), 7], dtype=np.int64)])
+def test_csv_matches_per_cell_reference(columns):
+    table = {f"c{i}": column for i, column in enumerate(columns)}
+    assert _written(table) == _reference_csv(table)
+
+
+def test_csv_rows_cross_the_block_boundary_unchanged():
+    n = _CSV_BLOCK + 1
+    rng = np.random.default_rng(7)
+    table = {
+        "i": np.arange(n),
+        "x": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "region": np.array(["center", "input", "output"], dtype=object)[np.arange(n) % 3],
+    }
+    assert _written(table) == _reference_csv(table)
 
 
 def test_csv_empty_rows_write_the_header_only():
-    assert _written(["a", "b"], iter(())) == f"{CSV_VERSION_LINE}\na,b\n"
-
-
-def test_csv_consumes_a_one_shot_iterator_once():
-    rows = zip([1, 2, 3], np.array([0.5, 0.25, np.nan]), ["x", "%y", "z"])
-    assert _written(["i", "x", "s"], rows) == (
-        f"{CSV_VERSION_LINE}\ni,x,s\n1,0.5,x\n2,0.25,%y\n3,nan,z\n"
-    )
-    assert next(rows, None) is None
+    table = {"a": [], "b": np.array([], dtype=np.int64), "c": np.array([], dtype=object)}
+    assert _written(table) == f"{CSV_VERSION_LINE}\na,b,c\n"
 
 
 @pytest.mark.parametrize("flag", [True, np.True_, False])
 def test_csv_refuses_booleans(tmp_path, flag):
-    with pytest.raises(TypeError):
-        write_csv(tmp_path / "t.csv", ["i", "flag"], [(1, flag)])
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="column 'flag' of dtype bool"):
+        write_csv(path, {"i": [1], "flag": [flag]})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", [[1 + 2j], np.array([1j, 0j])], ids=["list", "array"])
+def test_csv_refuses_complex_columns(tmp_path, column):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="column 'amp' of dtype complex128"):
+        write_csv(path, {"i": np.arange(len(column)), "amp": column})
+    assert not path.exists()
+
+
+def test_csv_refuses_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_csv(path, {"i": [1, 2, 3], "x": [0.5, 0.25]})
+    assert not path.exists()
+
+
+def test_nice_ticks_stop_when_the_step_cannot_advance():
+    # at 1e17 the float spacing is 16, so the tick step 5 never moves v
+    ticks = _nice_ticks(1e17, 1e17 + 16)
+    assert 1 <= len(ticks) <= 10
+    assert all(math.isfinite(t) and 1e17 <= t <= 1e17 + 16 for t in ticks)
 
 
 def test_summary_sorted_and_typed(tmp_path):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
 from scatterlab import steady
-from scatterlab.lattice import BAND_CENTRE_K
+from scatterlab.lattice import BAND_CENTRE_K, dispersion
 from scatterlab.steady import _golden_minimum
 
 
@@ -90,6 +90,26 @@ def test_rejects_band_edge_wave_vector(k):
         sl.solve_multichannel(_ssh(2.0), J=-0.1, mu=0.0, k=k)
     with pytest.raises(sl.PhysicsError, match=message):
         sl.two_lead_solve(_ssh(2.0), 1, 1.0, 0.0, k)
+
+
+def test_multichannel_refuses_a_zero_lead_hopping():
+    with pytest.raises(sl.PhysicsError, match="lead hopping J must be nonzero"):
+        sl.solve_multichannel(_ssh(2.0), J=0.0, mu=0.0, k=K)
+
+
+# solve_multichannel reads its terms from _lead_terms; away from the
+# subnormal and overflow ranges doubling and halving are exact, so they
+# equal the multichannel system's own J e^{ik}, E and 2iJ sin k bit for bit
+@given(
+    J=st.floats(1e-100, 1e100).flatmap(lambda m: st.sampled_from((m, -m))),
+    k=st.floats(1e-9, np.pi - 1e-9),
+    mu=st.floats(-1e6, 1e6),
+)
+def test_lead_terms_are_the_multichannel_terms_bitwise(J, k, mu):
+    band, lead, drive = steady._lead_terms(J, k)
+    assert (band + mu).hex() == float(dispersion(J, mu, k)).hex()
+    assert 0.5 * lead == complex(J * np.exp(1j * k))
+    assert drive == complex(2j * J * np.sin(k))
 
 
 def test_singular_system_flagged():
