@@ -21,7 +21,9 @@ figures 3a-d and 7b-e share the four SSH chains, figures 6a-d and 7f the
 gain/loss chain, and figures 3, 5 and 6 figure 3's lead and packet
 (each panel of figure 6 tunes the lead's mu to one real level of the
 gain/loss chain).  A steady run solves the multichannel network
-``NetworkSpec`` builds, input lead at site 1.  A mu-scan diagonalises
+``NetworkSpec`` builds, input lead at site 1.  A steady or mu-scan k is
+the magnitude of ``lattice.incident_wave_vector``; a ``packet.k`` must
+equal it (J sin k < 0), or the run exits 3.  A mu-scan diagonalises
 its centre once, in ``run_mu_scan``: those levels give both the
 ``nearest_eigenvalue`` column and the dark states in ``summary.json``.
 The zero-mode closed forms (the SSH overlay of steady and dynamics runs,

@@ -5,6 +5,10 @@ The same operator drives the coupled-waveguide realization, where the
 propagation distance z plays the role of time; ``propagate`` is that
 mapping, there is no separate code path.
 
+A packet's k must be the incident wave vector the steady solver also
+reads, ``lattice.incident_wave_vector``: J sin k < 0.  ``run_experiment``
+refuses any other packet before it assembles the network.
+
 Propagation method: one Chebyshev expansion of exp(-iHt) serves Hermitian
 and gain/loss networks alike.  Gershgorin intervals of the Hermitian part
 (H + H^dag)/2 and of (H - H^dag)/2i bound the numerical range of H by a
@@ -36,7 +40,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import Hamiltonian, NetworkSpec, assemble_network, group_velocity
+from .lattice import (
+    Hamiltonian,
+    NetworkSpec,
+    assemble_network,
+    group_velocity,
+    incident_wave_vector,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -138,34 +148,25 @@ def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
     ``PhysicsError``.  The plane-wave limit is reached inside this rule:
     within a window much narrower than sigma the packet is e^{ikj}.
     """
+    _require_fit(net, spec)
     L = net.lead.length
-    if abs(spec.center_site) + 4 * spec.sigma >= L:
-        raise PhysicsError(
-            f"packet (center {spec.center_site}, sigma {spec.sigma}) overflows the "
-            f"{L}-site input lead: |N_c| + 4 sigma must stay below the lead length"
-        )
     psi = np.zeros(net.dim, dtype=complex)
     j = -np.arange(1.0, L + 1.0)
     envelope = np.exp(-((j - spec.center_site) ** 2) / (2.0 * spec.sigma**2))
     net.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
     psi /= np.linalg.norm(psi)
-
-    note = _outgoing_packet_note(net, spec)
-    if note:
-        _warnings.warn(note, stacklevel=2)
     return psi
 
 
-def _outgoing_packet_note(net: NetworkSpec, spec: WavePacketSpec) -> str | None:
-    """The warning for a packet whose group velocity points away from the
-    centre, or None for an incoming one."""
-    J = net.lead.J
-    if J * np.sin(spec.k) > 0:
-        return (
-            "packet group velocity points away from the scattering center "
-            f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet"
+def _require_fit(net: NetworkSpec, spec: WavePacketSpec) -> None:
+    """Refuse a packet that does not fit the L-site input lead, |N_c| +
+    4 sigma < L, testing the exact integer L + N_c: no float overflow."""
+    L = net.lead.length
+    if L + spec.center_site <= 4 * spec.sigma:
+        raise PhysicsError(
+            f"packet (center {spec.center_site}, sigma {spec.sigma}) overflows the "
+            f"{L}-site input lead: |N_c| + 4 sigma must stay below the lead length"
         )
-    return None
 
 
 def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
@@ -288,19 +289,22 @@ def visibility(p: np.ndarray, eta: int = 1) -> float:
 
 
 def stop_time(net: NetworkSpec, spec: WavePacketSpec) -> float:
-    """Base estimate of the scattering completion time:
-    (|N_c| + 4 sigma + N) / v_g with v_g = 2 |J| sin k.
+    """Base estimate of the scattering completion time of an incoming
+    packet: (|N_c| + 4 sigma + N) / v_g with v_g = 2 |J| sin k.
 
     The margin covers the packet tails plus the center traversal;
     ``run_experiment`` extends past this estimate until the outgoing
-    packets have cleanly left the junction region.
+    packets have cleanly left the junction region.  A packet that is not
+    incoming (``incident_wave_vector``) raises ``PhysicsError``.
     """
-    v_g = group_velocity(net.lead.J, spec.k)
-    # at a multiple of pi, sin k rounds to a few ulps of k instead of to 0
-    if v_g == 0 or abs(np.sin(spec.k)) <= 4.0 * abs(spec.k) * np.finfo(float).eps:
-        raise PhysicsError(f"zero group velocity at k={spec.k}; packet cannot propagate")
+    J = net.lead.J
+    if incident_wave_vector(J, spec.k) != spec.k:
+        raise PhysicsError(
+            "packet group velocity points away from the scattering center "
+            f"(J={J}, k={spec.k}); use the opposite sign of k for an incoming packet"
+        )
     margin = 4.0 * spec.sigma + net.center.n_sites
-    return (abs(spec.center_site) + margin) / v_g
+    return (abs(spec.center_site) + margin) / group_velocity(J, spec.k)
 
 
 def _edge_probability(prob: np.ndarray, net: NetworkSpec, sites: slice) -> float:
@@ -321,12 +325,13 @@ def run_experiment(
     The stop check runs from the base ``stop_time`` estimate onward: the
     run ends when every lead holds less than ``FINISH_THRESHOLD``
     probability within 5 sites of its junction, or at ``t_max`` (with a
-    warning).  A warning is also attached when the packet moves away from
-    the centre (as ``init_gaussian`` warns) and when probability has reached
-    the truncated far ends, since whatever follows is a finite-lead
-    artifact.  A run that would store more than ``_MAX_SNAPSHOT_VALUES``
-    snapshot values raises before the network is assembled.
+    warning).  A warning is also attached when probability has reached the
+    truncated far ends, since whatever follows is a finite-lead artifact.
+    A packet that does not fit its lead or is not incoming (``stop_time``),
+    and a run that would store more than ``_MAX_SNAPSHOT_VALUES`` snapshot
+    values, raise ``PhysicsError`` before the network is assembled.
     """
+    _require_fit(net, packet)
     t_base = stop_time(net, packet)
     stride = cfg.snapshot_stride if cfg.snapshot_stride is not None else t_base / 60.0
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * t_base
@@ -344,8 +349,7 @@ def run_experiment(
     times = [0.0]
     site_probs = [np.abs(psi) ** 2]
     norms = [float(np.linalg.norm(psi))]
-    note = _outgoing_packet_note(net, packet)
-    notes: list[str] = [note] if note else []
+    notes: list[str] = []
 
     t = 0.0
     while True:

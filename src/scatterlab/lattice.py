@@ -15,6 +15,10 @@ outward.  ``NetworkSpec.leads`` is the one place that maps a lead to its
 global indices; assembly, packet injection, channel sums and site labels
 all read through it.
 
+A lead's plane wave e^{iqj} moves along j with group velocity
+-2J sin q, so on the input lead (j < 0) the incident wave has
+J sin q < 0.  ``incident_wave_vector`` alone picks it, for both engines.
+
 All specs are immutable; assembled Hamiltonians are safe for shared
 concurrent reads.
 """
@@ -304,3 +308,15 @@ def dispersion(J: float, mu: float, k: float) -> float:
 def group_velocity(J: float, k: float) -> float:
     """Magnitude of the lead group velocity |dE/dk| = 2 |J| sin k."""
     return 2.0 * abs(J) * abs(np.sin(k))
+
+
+def incident_wave_vector(J: float, k: float) -> float:
+    """The one of +-k with J sin q < 0, whose wave e^{iqj} travels toward
+    the centre: k for J < 0, -k for J > 0.  Zero group velocity raises:
+    J = 0, or k a multiple of pi, where sin k rounds to a few ulps of k."""
+    if group_velocity(J, k) == 0 or abs(np.sin(k)) <= 4.0 * abs(k) * np.finfo(float).eps:
+        raise PhysicsError(
+            f"zero group velocity at J={J}, k={k}: the lead hopping J must be nonzero "
+            "and k not a multiple of pi"
+        )
+    return -k if (J > 0) == (np.sin(k) > 0) else k

@@ -1,16 +1,20 @@
 """Exact plane-wave scattering with semi-infinite leads eliminated.
 
-Under the outgoing-wave ansatz, a semi-infinite lead attached to a center
-site contributes the energy-dependent boundary term J e^{ik} at that
-site.  Substituting the wavefunction continuity relation r = t1 - 1 turns
-the infinite scattering problem into a dense N x N linear system over the
-center amplitudes:
+A solve's k in (0, pi) is the magnitude of the incident wave vector
+q = ``lattice.incident_wave_vector(J, k)``: k for J < 0, -k for J > 0.
+The other sign would solve the time-reversed problem, which for a
+gain/loss centre swaps gain and loss.  Under the outgoing-wave ansatz, a
+semi-infinite lead attached to a center site contributes the
+energy-dependent boundary term J e^{iq} at that site.  Substituting the
+wavefunction continuity relation r = t1 - 1 turns the infinite
+scattering problem into a dense N x N linear system over the center
+amplitudes:
 
-    [H_c - E_k I + J e^{ik} (I + P_1)] t = 2 i J sin(k) e_1
+    [H_c - E I + J e^{iq} (I + P_1)] t = 2 i J sin(q) e_1
 
 where P_1 projects onto site 1, which carries the input lead and output
 lead 1 (the geometry ``NetworkSpec(alpha=None)`` builds), and
-E_k = 2 J cos k + mu.  The reflection amplitude is r = t_1 - 1.  The
+E = 2 J cos q + mu.  The reflection amplitude is r = t_1 - 1.  The
 two-lead geometry eliminates identically, with the single output lead
 doubling the boundary term at the shared site.
 
@@ -18,7 +22,7 @@ The multichannel geometry is a dense direct solve: centers are small (a
 few hundred sites at most).  The two-lead geometry needs only t_alpha,
 and every built-in centre is a chain, so there
 
-    t = 2 i J sin k / (h_aa - E + 2 J e^{ik} - S_left(E) - S_right(E)),
+    t = 2 i J sin q / (h_aa - E + 2 J e^{iq} - S_left(E) - S_right(E)),
 
 where each side's self-energy S is a continued fraction over its sites
 (the recursion method of Haydock, Heine & Kelly 1972): O(N) scalar work
@@ -26,7 +30,7 @@ per probe energy, from a ``center_chain`` built once per scan.  A chain
 whose entries are all real (every SSH centre) holds Python floats and
 runs the recursion in float arithmetic, bit for bit what complex
 arithmetic gives on the same entries; a gain/loss chain stays complex.
-The lead's terms 2J cos k, 2J e^{ik} and 2iJ sin k are computed once per
+The lead's terms 2J cos q, 2J e^{iq} and 2iJ sin q are computed once per
 (J, k), for both geometries, so a probe costs plain Python arithmetic
 only.  Sites past a zero bond are cut off the chain, so a level dark
 from alpha there drops out by construction.  A centre with any entry
@@ -54,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import BAND_CENTRE_K, group_velocity
+from .lattice import BAND_CENTRE_K, group_velocity, incident_wave_vector
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -249,6 +253,22 @@ def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
     return CenterChain(alpha, onsite[a], left, right)
 
 
+class _DenseCenter(NamedTuple):
+    """A centre off the tridiagonal band, solved by a dense LU."""
+
+    matrix: np.ndarray
+
+
+def _two_lead_system(center, alpha: int) -> CenterChain | _DenseCenter:
+    """``center`` classified for the two-lead solve at site ``alpha``: its
+    ``center_chain``, or else its dense block.  Classified input passes."""
+    if isinstance(center, (CenterChain, _DenseCenter)):
+        return center
+    hc = _center_block(center)
+    chain = center_chain(hc, alpha)
+    return _DenseCenter(hc) if chain is None else chain
+
+
 def _self_energy(
     side: tuple[tuple[float | complex, float | complex], ...], energy: float
 ) -> float | complex:
@@ -276,17 +296,12 @@ def two_lead_solve(
     """Solve the two-lead geometry: input and output both attached at
     center site ``alpha``.  Returns ``(r, t)``.
 
-    ``center`` is the dense matrix or its ``center_chain(center, alpha)``.
-    A tridiagonal centre is solved by the chain recursion:
-
-        t = 2 i J sin k / (h_aa - E + 2 J e^{ik} - S_left(E) - S_right(E))
-
-    with each side's self-energy a continued fraction (``_self_energy``),
-    O(N) scalar work, in floats on a real chain.  The lead terms 2J cos k,
-    2J e^{ik} and 2iJ sin k are computed once per (J, k) and reused by
-    every later call.  Sites beyond a zero bond never reach alpha, so a
-    dark level there drops out by construction.  Any other centre is
-    solved by a dense LU; there a probe energy exactly on a dark level (an
+    ``k`` is the magnitude of the incident wave vector q, which is -k for
+    J > 0 (see the module notes, which also give the chain recursion).
+    ``center`` is the dense matrix, its ``center_chain(center, alpha)`` or
+    ``mu_scan``'s classification of it.  A tridiagonal centre is solved
+    by the chain recursion, any other by a dense LU; there a probe energy
+    exactly on a dark level (an
     eigenstate with no weight at alpha) makes the system singular, but
     the dark direction never reaches alpha, so r and t are those of the
     center with the dark level removed.
@@ -298,10 +313,10 @@ def two_lead_solve(
     ``NumericalError``.
     """
     band, lead, drive = _lead_terms(J, k)
-    chain = center if isinstance(center, CenterChain) else center_chain(center, alpha)
+    chain = _two_lead_system(center, alpha)
     energy = band + float(mu)
-    if chain is None:
-        t = _dense_two_lead_amplitude(_center_block(center), alpha, energy, lead, drive)
+    if isinstance(chain, _DenseCenter):
+        t = _dense_two_lead_amplitude(chain.matrix, alpha, energy, lead, drive)
     else:
         if alpha != chain.alpha:
             raise PhysicsError(f"attachment site {alpha} differs from the chain's {chain.alpha}")
@@ -320,22 +335,22 @@ def two_lead_solve(
 
 @lru_cache(maxsize=64)
 def _lead_terms(J: float, k: float) -> tuple[float, complex, complex]:
-    """The lead's terms at (J, k), as Python numbers: the band offset
-    2J cos k of E = 2J cos k + mu (``dispersion`` less its mu), the
-    two-lead boundary term 2J e^{ik} (twice one lead's) and the drive
-    2iJ sin k.  Memoised, so a scan pays the numpy calls once per (J, k);
-    an invalid J or k raises on every call."""
+    """The lead's terms at (J, k), as Python numbers, for the incident
+    wave vector q = ``incident_wave_vector(J, k)`` of magnitude k: the
+    band offset 2J cos q of E = 2J cos q + mu (``dispersion`` less its
+    mu), the two-lead boundary term 2J e^{iq} (twice one lead's) and the
+    drive 2iJ sin q.  Memoised, so a scan pays the numpy calls once per
+    (J, k); an invalid J or k raises on every call."""
     if not 0 < k < np.pi:
         raise PhysicsError(
             f"wave vector k={k} outside (0, pi): the incident wave must travel "
             "toward the center"
         )
-    if J == 0:
-        raise PhysicsError("lead hopping J must be nonzero")
+    q = incident_wave_vector(J, k)
     return (
-        float(2.0 * J * np.cos(k)),
-        complex(2.0 * J * np.exp(1j * k)),
-        complex(2j * J * np.sin(k)),
+        float(2.0 * J * np.cos(q)),
+        complex(2.0 * J * np.exp(1j * q)),
+        complex(2j * J * np.sin(q)),
     )
 
 
@@ -436,13 +451,14 @@ def mu_scan(
     its caller reads the levels, dark ones included, from
     ``resonant_eigenvalues``.
 
-    The centre's ``center_chain`` is built once, and every grid point and
-    golden step is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``,
-    looked up through this module's global: the chain recursion, or a
-    dense LU for a centre off the tridiagonal band.  The grid is walked as
-    Python floats straight into the |r|^2 array.  A grid point that lands
-    exactly on a dark level is solved as by ``two_lead_solve``: the dark
-    level drops out and r is that of the remaining center.  A grid of more
+    The centre is classified once, into its ``center_chain`` or, off the
+    tridiagonal band, a dense block, and every grid point and golden step
+    is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``, looked up
+    through this module's global: the chain recursion, or a dense LU.  The
+    grid is walked as Python floats straight into the |r|^2 array.  A grid
+    point that lands exactly on a dark level is solved as by
+    ``two_lead_solve``: the dark level drops out and r is that of the
+    remaining center.  A grid of more
     than 10,000,000 points, or a lead whose band edge
     2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
     before the grid is allocated; a grid whose consecutive points are not
@@ -468,9 +484,7 @@ def mu_scan(
             f"scan of [{mu_lo}, {mu_hi}] at step {resolution} needs {n_steps + 1:.3g} "
             f"grid points, more than the cap of {_MAX_SCAN_POINTS:,}"
         )
-    hc = _center_block(center)
-    chain = center_chain(hc, alpha)
-    system = hc if chain is None else chain
+    system = _two_lead_system(center, alpha)
     n = int(n_steps) + 1
     grid = mu_lo + resolution * np.arange(n)
     if not np.all(grid[1:] > grid[:-1]):

@@ -469,17 +469,29 @@ def test_custom_center_summary_names_its_size(tmp_path):
     }
 
 
-def test_dynamics_summary_records_an_outgoing_packet(tmp_path):
-    # J < 0 with k = -pi/2 sends the packet away from the centre: the run
-    # still finishes, so the warning must reach summary.json as well
+def test_dynamics_refuses_an_outgoing_packet(tmp_path, capsys):
+    # J < 0 with k = -pi/2 sends the packet away from the centre: nothing
+    # would scatter, so the run is refused before any artifact is written
     payload = _small_dynamics_config()
     payload["packet"]["k"] = "-pi/2"
     out = tmp_path / "out"
     argv = ["dynamics", "--config", str(_write(tmp_path, payload)), "--out", str(out)]
-    with pytest.warns(UserWarning, match="away from the scattering center"):
-        assert cli.main(argv) == 0
-    (note,) = json.loads((out / "summary.json").read_text())["warnings"]
-    assert note.startswith("packet group velocity points away from the scattering center")
+    assert cli.main(argv) == cli.EXIT_PHYSICS == 3
+    assert "packet group velocity points away from the scattering center" in (
+        capsys.readouterr().err
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_packet_centre_beyond_the_float_range_is_refused(tmp_path, capsys):
+    # a 401-digit centre overflowed the stop time's float sum (exit 1)
+    payload = _small_dynamics_config()
+    payload["packet"]["center_site"] = -(10**400)
+    out = tmp_path / "out"
+    argv = ["dynamics", "--config", str(_write(tmp_path, payload)), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_PHYSICS == 3
+    assert "overflows the 60-site input lead" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_dynamics_run_artifacts_and_determinism(tmp_path):
@@ -910,11 +922,13 @@ def test_figure_3a_artifacts_match_golden(tmp_path):
 
 
 # sha256 of the fig7f panel of `reproduce-fig 7` (the 8-site gain/loss
-# centre, 20,001 grid points), recorded as above.
+# centre, 20,001 grid points), recorded as above, with the incident wave
+# e^{-i pi j/2} of J = +1 that packet dynamics confirms
+# (test_steady_solves_match_incoming_packets_at_positive_J).
 _FIG7F_GOLDEN = {
-    "scan.csv": "c1edc2faaf61d9687d38f74d0355d2be20b7f632a21f6aec09b61a178ba4ff0f",
-    "resonances.csv": "02a113cfccbefe724dd91c749216705a525f1cd1d29d76c428e6a609ac856a2a",
-    "reflection.svg": "d6d58256f728a0cf339becbba7dbd5685dcdc4dafd574ee68675a751d1aed5f8",
+    "scan.csv": "c42c66c72109594ef080b347235c0db0f69292f8717e3137bc8db62801875410",
+    "resonances.csv": "8f851b88c0afb58d4e8492ccdac0e7d892c01f40975169d2836e872704c438be",
+    "reflection.svg": "7ae3891f48da202c4dff315f5782e9ffd95f909e396b34a6f15453b6b5c88b2f",
 }
 
 

@@ -60,10 +60,13 @@ def test_gaussian_overflow_rejected():
         sl.init_gaussian(net, sl.WavePacketSpec(center_site=-50, sigma=6.0, k=K))
 
 
-def test_gaussian_warns_when_packet_moves_away():
-    net = _small_net(J=0.1)
-    with pytest.warns(UserWarning, match="away from the scattering center"):
-        sl.init_gaussian(net, _packet())
+def test_run_experiment_refuses_a_packet_moving_away(monkeypatch):
+    # at J > 0 the incoming packet has k < 0: k = pi/2 moves away
+    calls = []
+    monkeypatch.setattr(sl.dynamics, "assemble_network", calls.append)
+    with pytest.raises(sl.PhysicsError, match="away from the scattering center"):
+        sl.run_experiment(_small_net(J=0.1), _packet())
+    assert calls == []
 
 
 def test_rabi_half_period():
@@ -346,6 +349,39 @@ def test_run_experiment_cross_validates_steady_solver():
     assert np.max(rec.channel_probabilities[2::2]) < 1e-3
 
 
+def _steady_probabilities(net, mu):
+    """|r|^2 and each |t_l|^2 of ``net``'s geometry at the band centre."""
+    hc = sl.center_matrix(net.center)
+    if net.alpha is None:
+        sol = sl.solve_multichannel(hc, J=net.lead.J, mu=mu, k=K)
+        return np.concatenate(([sol.reflectance], sol.transmittance))
+    r, t = sl.two_lead_solve(hc, net.alpha, net.lead.J, mu, K)
+    return np.array([abs(r) ** 2, abs(t) ** 2])
+
+
+@pytest.mark.parametrize(
+    "center, J, alpha, mu, tol",
+    [
+        (sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4), 1.0, 1, 36.387, 1e-3),
+        (sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4), 1.0, 1, 45.0, 1e-3),
+        (sl.NonHermitianSSHCenter(8.0, 2.0, 1.0, 2), 0.5, None, 6.928203230275509, 2e-4),
+        (sl.NonHermitianSSHCenter(8.0, 2.0, 1.0, 2), 0.5, None, 3.0, 2e-4),
+    ],
+    ids=["fig7f-centre-off-resonance", "fig7f-centre-far", "multichannel-level",
+         "multichannel-off-level"],
+)
+def test_steady_solves_match_incoming_packets_at_positive_J(center, J, alpha, mu, tol):
+    # for J > 0 the incoming packet has k = -pi/2; a steady solve at k = pi/2
+    # must describe the same, retarded, problem.  Solving the time-reversed
+    # one (gain and loss swapped) missed p_0 by 0.36 on the fig 7f centre
+    # and by up to 0.08 on the multichannel network.
+    net = sl.NetworkSpec(center, sl.LeadSpec(J=J, mu=mu, length=400), alpha=alpha)
+    rec = sl.run_experiment(net, sl.WavePacketSpec(center_site=-200, sigma=40.0, k=-K))
+    assert not rec.warnings
+    steady = _steady_probabilities(net, mu)
+    assert np.max(np.abs(rec.channel_probabilities - steady)) < tol
+
+
 def test_run_experiment_record_contents():
     rec = sl.run_experiment(_small_net(), _packet())
     assert np.all(np.diff(rec.times) > 0)
@@ -408,14 +444,16 @@ def test_run_experiment_snapshot_budget(monkeypatch):
     [
         (10**19, _packet(), "more than the cap"),
         (60, _packet(center_site=-50), "overflows the 60-site input lead"),
+        # an int beyond the float range, compared exactly instead of overflowed
+        (60, _packet(center_site=-(10**400)), "overflows the 60-site input lead"),
         (60, _packet(k=0.0), "zero group velocity"),
         # sin k rounds to about 1e-16 here, not to 0
         (60, _packet(k=np.pi), "zero group velocity"),
         (60, _packet(k=-np.pi), "zero group velocity"),
         (60, _packet(k=2 * np.pi), "zero group velocity"),
     ],
-    ids=["snapshot-budget", "packet-fit", "stop-time", "stop-time-pi", "stop-time-minus-pi",
-         "stop-time-2pi"],
+    ids=["snapshot-budget", "packet-fit", "packet-fit-beyond-float", "stop-time", "stop-time-pi",
+         "stop-time-minus-pi", "stop-time-2pi"],
 )
 def test_run_experiment_checks_preconditions_before_assembly(monkeypatch, length, packet, message):
     calls = []

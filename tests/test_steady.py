@@ -3,13 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
 from scatterlab import steady
-from scatterlab.lattice import BAND_CENTRE_K, dispersion
+from scatterlab.lattice import BAND_CENTRE_K, dispersion, incident_wave_vector
 from scatterlab.steady import _golden_minimum
 
 
@@ -81,8 +81,8 @@ def test_odd_channel_ratio_approaches_minus_q():
     assert abs(sol.t[2] / sol.t[0] + 0.5) < 0.02
 
 
-# -pi/2 has the full group velocity 2|J|, but its wave travels away from
-# the centre: no k outside (0, pi) is an incident wave
+# a steady k is the magnitude of the incident wave vector, whose sign
+# follows J: no k outside (0, pi) is one, -pi/2 included
 @pytest.mark.parametrize("k", [0.0, np.pi, -0.2, 3.5, -K])
 def test_rejects_band_edge_wave_vector(k):
     message = r"outside \(0, pi\): the incident wave must travel toward the center"
@@ -99,7 +99,8 @@ def test_multichannel_refuses_a_zero_lead_hopping():
 
 # solve_multichannel reads its terms from _lead_terms; away from the
 # subnormal and overflow ranges doubling and halving are exact, so they
-# equal the multichannel system's own J e^{ik}, E and 2iJ sin k bit for bit
+# equal the multichannel system's own J e^{iq}, E and 2iJ sin q bit for
+# bit, at the incident wave vector q (k for J < 0, -k for J > 0)
 @given(
     J=st.floats(1e-100, 1e100).flatmap(lambda m: st.sampled_from((m, -m))),
     k=st.floats(1e-9, np.pi - 1e-9),
@@ -107,9 +108,11 @@ def test_multichannel_refuses_a_zero_lead_hopping():
 )
 def test_lead_terms_are_the_multichannel_terms_bitwise(J, k, mu):
     band, lead, drive = steady._lead_terms(J, k)
-    assert (band + mu).hex() == float(dispersion(J, mu, k)).hex()
-    assert 0.5 * lead == complex(J * np.exp(1j * k))
-    assert drive == complex(2j * J * np.sin(k))
+    q = incident_wave_vector(J, k)
+    assert q == (k if J < 0 else -k)
+    assert (band + mu).hex() == float(dispersion(J, mu, q)).hex()
+    assert 0.5 * lead == complex(J * np.exp(1j * q))
+    assert drive == complex(2j * J * np.sin(q))
 
 
 def test_singular_system_flagged():
@@ -240,11 +243,12 @@ def test_mu_scan_reports_dark_states():
     scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=(0.0, 3.0), resolution=1e-3)
     assert len(scan.resonances) == 1
     assert scan.resonances[0] == pytest.approx(1.0, abs=1e-6)
-    # on the dark level itself r is that of the center without it
+    # on the dark level itself r is that of the center without it:
+    # t = 2iJ sin q / (1 - 2 + 2J e^{iq}) at the incident q = -pi/2 of J = 1
     r_dark, _ = sl.two_lead_solve(center, 1, 1.0, 2.0, K)
     r_reduced, _ = sl.two_lead_solve(np.array([[1.0]]), 1, 1.0, 2.0, K)
     assert r_dark == pytest.approx(r_reduced, abs=1e-12)
-    assert r_reduced == pytest.approx(-0.2 - 0.4j, abs=1e-12)
+    assert r_reduced == pytest.approx(-0.2 + 0.4j, abs=1e-12)
 
 
 def _random_hermitian(seed, n=12):
@@ -291,10 +295,12 @@ def test_resonant_eigenvalues_rejects_site_outside_center(alpha):
 
 
 def test_two_lead_singular_at_attachment_site_raises():
-    # a loss level at mu - 2iJ cancels the lead self-energy 2J e^{ik} at
-    # k = pi/2: the singular direction sits on alpha, so r is undefined
-    with pytest.raises(sl.NumericalError):
-        sl.two_lead_solve(np.array([[-2.0j]]), 1, 1.0, 0.0, K)
+    # a gain level at mu + 2i|J| cancels the lead self-energy 2J e^{iq} =
+    # -2i|J| at the band centre, for either sign of J: the singular
+    # direction sits on alpha, so r is undefined
+    for J in (1.0, -1.0):
+        with pytest.raises(sl.NumericalError):
+            sl.two_lead_solve(np.array([[2.0j]]), 1, J, 0.0, K)
 
 
 def test_solve_multichannel_refuses_an_empty_centre():
@@ -423,20 +429,23 @@ def test_eigenfunction_from_transmissions_rejects_off_resonance():
 
 
 def _dense_r(center, alpha, J, mu, k):
-    """r by the dense LU route that serves centres off the tridiagonal band."""
-    energy = float(sl.dispersion(J, mu, k))
+    """r by the dense LU route that serves centres off the tridiagonal
+    band, at the incident wave vector q of (J, k)."""
+    q = incident_wave_vector(J, k)
+    energy = float(sl.dispersion(J, mu, q))
     t = steady._dense_two_lead_amplitude(
-        np.asarray(center, dtype=complex), alpha, energy, 2.0 * J * np.exp(1j * k), 2j * J * np.sin(k)
+        np.asarray(center, dtype=complex), alpha, energy, 2.0 * J * np.exp(1j * q), 2j * J * np.sin(q)
     )
     return t - 1.0
 
 
 def _oracle_r2(center, alpha, J, mu, k):
-    """|r|^2 of the two-lead system by a 40-digit LU, with E, e^{ik} and
-    sin k taken exactly at the float inputs."""
+    """|r|^2 of the two-lead system by a 40-digit LU, with E, e^{iq} and
+    sin q taken exactly at the float inputs, q the incident wave vector
+    of (J, k)."""
     with mpmath.workdps(40):
         n = center.shape[0]
-        kk, jj = mpmath.mpf(k), mpmath.mpf(J)
+        kk, jj = mpmath.mpf(incident_wave_vector(J, k)), mpmath.mpf(J)
         a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in center])
         energy = 2 * jj * mpmath.cos(kk) + mpmath.mpf(mu)
         for i in range(n):
@@ -505,8 +514,9 @@ def test_chain_agrees_with_dense_lu(centre, mu, J, k):
     center, alpha = centre
     r_dense = _dense_r(center, alpha, J, mu, k)
     r_chain, t_chain = sl.two_lead_solve(center, alpha, J, mu, k)
-    a = center - sl.dispersion(J, mu, k) * np.eye(len(center))
-    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
+    q = incident_wave_vector(J, k)
+    a = center - sl.dispersion(J, mu, q) * np.eye(len(center))
+    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * q)
     assert abs(r_chain - r_dense) <= 1e-13 * np.linalg.cond(a) * max(1.0, abs(t_chain))
 
 
@@ -621,8 +631,9 @@ def test_a_chain_is_real_exactly_when_every_imaginary_part_is_zero(centre, data)
 
 
 def test_chain_singular_at_attachment_site_raises():
-    chain = steady.center_chain(np.array([[-2.0j]]), 1)
-    assert chain == (1, -2.0j, (), ())
+    # the gain level of test_two_lead_singular_at_attachment_site_raises
+    chain = steady.center_chain(np.array([[2.0j]]), 1)
+    assert chain == (1, 2.0j, (), ())
     with pytest.raises(sl.NumericalError, match="singular two-lead system"):
         sl.two_lead_solve(chain, 1, 1.0, 0.0, K)
 
@@ -682,15 +693,16 @@ def test_two_lead_dense_fallback_matches_the_reduced_centre(monkeypatch):
 
 def _parent_dense_r2(center, alpha, J, mu, k):
     """|r|^2 by the dense solve every centre took before the chain route,
-    step for step."""
+    step for step, at the incident wave vector q of (J, k)."""
     hc = np.asarray(center, dtype=complex)
     n = hc.shape[0]
-    energy = sl.dispersion(J, mu, k)
+    q = incident_wave_vector(J, k)
+    energy = sl.dispersion(J, mu, q)
     a = hc.copy()
     a.ravel()[:: n + 1] -= energy
-    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * k)
+    a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * q)
     rhs = np.zeros(n, dtype=complex)
-    rhs[alpha - 1] = 2j * J * np.sin(k)
+    rhs[alpha - 1] = 2j * J * np.sin(q)
     t = np.linalg.solve(a, rhs)[alpha - 1]
     return float(abs(t - 1.0) ** 2)
 
@@ -717,6 +729,78 @@ def test_mu_scan_builds_the_chain_once(monkeypatch):
     scan = sl.mu_scan(_ssh(2.0, cells=3), alpha=1, J=1.0, mu_range=(-6.5, 6.5), resolution=1e-2)
     assert len(scan.resonances) == 6
     assert built == [1]
+
+
+def test_off_band_scan_classifies_the_centre_once(monkeypatch):
+    # a triangle is off the tridiagonal band: every probe takes the dense LU,
+    # and the band test runs once per scan, not at each grid point and step
+    center = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
+    built, original = [], steady.center_chain
+
+    def counting(center, alpha):
+        built.append(alpha)
+        return original(center, alpha)
+
+    monkeypatch.setattr(steady, "center_chain", counting)
+    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=(-3.0, 3.0), resolution=1e-2)
+    assert scan.mu_grid.size == 601 and scan.resonances
+    assert built == [1]
+    monkeypatch.undo()
+    expected = [abs(sl.two_lead_solve(center, 1, 1.0, mu, K)[0]) ** 2 for mu in scan.mu_grid]
+    assert scan.reflectance.tolist() == expected
+
+
+@st.composite
+def _gauge_cases(draw):
+    """(centre, alpha, mu, |J|): a random complex or gain/loss centre, on
+    the tridiagonal band (the chain path) or with a bond off it (the
+    dense path).  Entries and mu lie on a grid of step 0.1, so that no
+    feature is narrow enough to resolve the 1e-17 rounding of cos(pi/2)."""
+    dense = draw(st.booleans())
+    entry = st.integers(-30, 30).map(lambda i: i / 10)
+    if draw(st.booleans()):
+        n = draw(st.integers(3 if dense else 1, 5))
+        center = np.array(
+            [[complex(draw(entry), draw(entry)) for _ in range(n)] for _ in range(n)]
+        )
+        if not dense:
+            center = np.triu(np.tril(center, 1), -1)
+    else:
+        cells = draw(st.integers(2 if dense else 1, 3))
+        center = sl.center_matrix(
+            sl.NonHermitianSSHCenter(draw(entry), draw(entry), draw(entry), cells)
+        )
+    n = len(center)
+    if dense:
+        center[0, n - 1] = center[n - 1, 0] = 1.0
+    assert (steady.center_chain(center, 1) is None) == dense
+    alpha = draw(st.integers(1, n))
+    mu = draw(st.integers(-40, 40)) / 10
+    return center, alpha, mu, draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+
+
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-7, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gauge_cases())
+def test_probabilities_are_unchanged_when_the_lead_hopping_changes_sign(case):
+    # (-1)^j on every lead site maps J to -J with the centre fixed, and at
+    # the band centre the incident wave vector to -q: the same scattering
+    # problem, so every probability agrees up to the rounding of cos(pi/2)
+    center, alpha, mu, J = case
+    try:
+        two_lead = [sl.two_lead_solve(center, alpha, s * J, mu, K) for s in (1, -1)]
+        multi = [sl.solve_multichannel(center, J=s * J, mu=mu, k=K) for s in (1, -1)]
+    except sl.NumericalError:
+        assume(False)
+    probs = [
+        [abs(r) ** 2, abs(t) ** 2, sol.reflectance, *sol.transmittance]
+        for (r, t), sol in zip(two_lead, multi)
+    ]
+    assume(max(probs[0]) < 1e4)  # away from a lasing pole, where rounding is amplified
+    assert _close(probs[0], probs[1])
 
 
 @pytest.mark.parametrize(
