@@ -924,10 +924,12 @@ def test_figure_3a_artifacts_match_golden(tmp_path):
 # sha256 of the fig7f panel of `reproduce-fig 7` (the 8-site gain/loss
 # centre, 20,001 grid points), recorded as above, with the incident wave
 # e^{-i pi j/2} of J = +1 that packet dynamics confirms
-# (test_steady_solves_match_incoming_packets_at_positive_J).
+# (test_steady_solves_match_incoming_packets_at_positive_J), and the chain
+# recursion in extended precision, whose |r|^2 agrees with a 40-digit solve
+# to 2.1e-14 (test_gain_loss_chain_scan_is_within_1e_13_of_the_oracle_on_every_row).
 _FIG7F_GOLDEN = {
-    "scan.csv": "c42c66c72109594ef080b347235c0db0f69292f8717e3137bc8db62801875410",
-    "resonances.csv": "8f851b88c0afb58d4e8492ccdac0e7d892c01f40975169d2836e872704c438be",
+    "scan.csv": "529859a31c0f5fd06579cc1e830d04ca6b063e44e510b4413b463edd3a3b85b2",
+    "resonances.csv": "63d7d270ba9786daf2b5eda5bfaa3d6efd7e002948b140c2cd4faabdd2f84100",
     "reflection.svg": "7ae3891f48da202c4dff315f5782e9ffd95f909e396b34a6f15453b6b5c88b2f",
 }
 

@@ -484,6 +484,24 @@ def test_chain_scan_matches_oracle_at_least_as_often_as_dense(center, mu_range, 
     assert chain_right >= 0.9 * len(rows)
 
 
+@pytest.mark.parametrize("J", [1.0, -1.0])
+def test_gain_loss_chain_scan_is_within_1e_13_of_the_oracle_on_every_row(J):
+    # fig 7f's centre: near each level the recursion cancels terms of size
+    # 40 down to |r|; double precision was off by up to 3e-12 there (the
+    # dense LU by 1.5e-11), the extended chain is within 2.1e-14.  Assumes
+    # numpy's long double has a wider significand than double (x86-64).
+    center = sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4))
+    scan = sl.mu_scan(center, alpha=1, J=J, mu_range=(30.0, 50.0), resolution=1e-3)
+    grid = scan.mu_grid
+    rows = set(range(0, len(grid), 400))
+    for lam in np.linalg.eigvals(center).real:
+        i = int(np.argmin(np.abs(grid - lam)))
+        rows.update(range(max(i - 6, 0), min(i + 7, len(grid))))
+    for i in sorted(rows):
+        oracle = _oracle_r2(center, 1, J, grid[i], K)
+        assert abs(scan.reflectance[i] - oracle) <= 1e-13 * oracle, grid[i]
+
+
 @st.composite
 def _tridiagonal_centres(draw):
     """(centre, alpha): Hermitian bonds, some of them zero, and on-site
@@ -528,14 +546,19 @@ def test_zero_bond_gives_exactly_the_reduced_centre(centre, data, mu, k):
     cut = data.draw(st.integers(1, n - 1)) if n > 1 else None
     if cut is not None:
         center[cut - 1, cut] = center[cut, cut - 1] = 0.0
+    reduced, reduced_alpha = _reduced(center, alpha)
+    assert sl.two_lead_solve(center, alpha, 1.0, mu, k) == sl.two_lead_solve(
+        reduced, reduced_alpha, 1.0, mu, k
+    )
+
+
+def _reduced(center, alpha):
+    """(block, site) of the sites that no zero bond cuts off from alpha."""
     bonds = np.diagonal(center, 1) * np.diagonal(center, -1)
     zeros = np.flatnonzero(bonds == 0) + 1  # a zero bond between sites z and z + 1
     lo = max((z for z in zeros if z < alpha), default=0)
-    hi = min((z for z in zeros if z >= alpha), default=n)
-    reduced = center[lo:hi, lo:hi]
-    assert sl.two_lead_solve(center, alpha, 1.0, mu, k) == sl.two_lead_solve(
-        reduced, alpha - lo, 1.0, mu, k
-    )
+    hi = min((z for z in zeros if z >= alpha), default=len(center))
+    return center[lo:hi, lo:hi], alpha - lo
 
 
 # nonzero magnitudes from 1e-150 to 1e150, so a bond product stays finite
@@ -617,6 +640,18 @@ def test_zero_denominator_gives_an_infinite_self_energy_on_both_types():
             assert s == 0 and math.copysign(1.0, s.real) == -1.0
 
 
+def test_zero_denominator_gives_an_infinite_extended_self_energy():
+    # at E = +0, a = -0 makes the denominator a - E - 0 = -0, as on the float path
+    energy = np.clongdouble(0.0)
+    for a in (0.0, -0.0):
+        side = ((np.clongdouble(a), np.clongdouble(3.0)),)
+        outer = side + ((np.clongdouble(1.0), np.clongdouble(5.0)),)
+        with np.errstate(all="raise"):
+            assert steady._extended_self_energy(side, energy) == math.inf
+            s = steady._extended_self_energy(outer, energy)
+        assert s == 0 and math.copysign(1.0, s.real) == -1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(centre=_tridiagonal_centres(), data=st.data())
 def test_a_chain_is_real_exactly_when_every_imaginary_part_is_zero(centre, data):
@@ -625,9 +660,11 @@ def test_a_chain_is_real_exactly_when_every_imaginary_part_is_zero(centre, data)
         i = data.draw(st.integers(0, len(center) - 1))
         center[i, i] += data.draw(st.sampled_from([1e-300, -0.5, 2.0])) * 1j
     chain = steady.center_chain(center, alpha)
-    bonds = np.diagonal(center, 1) * np.diagonal(center, -1)
-    real = not (np.diagonal(center).imag.any() or bonds.imag.any())
-    assert {type(x) for x in _chain_entries(chain)} == {float if real else complex}
+    # sites cut off by a zero bond are not on the chain, imaginary or not
+    kept, _ = _reduced(center, alpha)
+    bonds = np.diagonal(kept, 1) * np.diagonal(kept, -1)
+    real = not (np.diagonal(kept).imag.any() or bonds.imag.any())
+    assert {type(x) for x in _chain_entries(chain)} == {float if real else np.clongdouble}
 
 
 def test_chain_singular_at_attachment_site_raises():
