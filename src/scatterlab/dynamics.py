@@ -24,7 +24,14 @@ same weights bound the truncation error for non-normal H.
 
 Each term costs one sparse matrix-vector product, scipy's ``csr_matvec``
 kernel called straight into a reused buffer, plus four in-place vector
-operations; the loop allocates nothing per term.  scipy is loaded only
+operations; the loop allocates nothing per term.  The kernel follows the
+scaled operator (``_kernel``, built once in the memoised plan): a real one,
+as every Hermitian network has (figures 3a-d and 5), runs as the real
+matrix A (x) I_2 on the float64 view of the state, a complex one (the
+gain/loss networks of figures 6a-d) as a complex matrix; both give the
+textbook recurrence's bits.  The recurrence's factor 2 stays a vector
+pass of its own, since (2a) x rounds apart from 2 (a x) where a x falls
+below the normal float range.  scipy is loaded only
 when a network is assembled or a step is planned (``scipy.sparse`` in
 ``assemble_network``, ``scipy.special.jv`` in ``_chebyshev_plan``), so
 importing the package and every steady-state run stay on numpy alone.
@@ -177,9 +184,10 @@ def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
 
 @lru_cache(maxsize=8)
 def _chebyshev_plan(H: Hamiltonian, t: float):
-    """(phase, scaled operator, coefficients) of exp(-iHt) = phase *
-    sum_n coeffs[n] T_n(scaled); for diagonal H the phase alone, with
-    ``None`` for the other two.  Memoised per network object and step."""
+    """(phase, scaled operator, coefficients, ``_kernel`` of the scaled
+    operator) of exp(-iHt) = phase * sum_n coeffs[n] T_n(scaled);
+    for diagonal H the phase alone, with ``None`` for the other three.
+    Memoised per network object and step."""
     import scipy.sparse as sp
     from scipy.special import jv
 
@@ -196,7 +204,7 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     re_half, im_half = 0.5 * (re_hi - re_lo), 0.5 * (im_hi - im_lo)
     half = max(re_half, im_half)
     if half <= 0:
-        return np.exp(-1j * m.diagonal() * t), None, None
+        return np.exp(-1j * m.diagonal() * t), None, None, None
     corner = complex(re_half, im_half) / half
     rho = abs(corner + np.sqrt(corner**2 - 1))
     big_r = half * t
@@ -221,7 +229,38 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     coeffs = 2.0 * (-1j) ** orders[: top + 1] * bess[: top + 1]
     coeffs[0] *= 0.5
     scaled = (m - mid * sp.identity(m.shape[0], format="csr", dtype=complex)) * (1.0 / half)
-    return np.exp(-1j * mid * t), scaled, coeffs
+    return np.exp(-1j * mid * t), scaled, coeffs, _kernel(scaled)
+
+
+def _kernel(scaled: sp.csr_matrix) -> tuple[tuple, type]:
+    """Arguments (rows, columns, indptr, indices, data) that make scipy's
+    ``csr_matvec`` add scaled x to y, and the dtype of the views of
+    complex x and y it takes.
+
+    A real operator (every imaginary part exactly 0, as for any Hermitian
+    network) runs as the real matrix A (x) I_2 on the interleaved (re, im)
+    float64 view, each row's entries in A's order.  A complex product
+    (a + 0i)(x_r + i x_i) rounds to exactly a x_r and a x_i, apart from the
+    sign of a zero, which the row sum from +0 drops; so the real kernel
+    gives the complex kernel's bits, with fewer operations per entry.  A
+    complex operator keeps the complex kernel: a real 2n form would round
+    each entry's two products apart and move the last bits."""
+    n, indptr, indices = scaled.shape[0], scaled.indptr, scaled.indices
+    if scaled.data.imag.any():
+        return (n, n, indptr, indices, scaled.data), np.complex128
+    # row 2i (2i + 1) of A (x) I_2 holds row i's entries at columns 2j (2j + 1)
+    row_sizes = np.repeat(np.diff(indptr), 2)
+    rows = np.repeat(np.arange(2 * n), row_sizes)
+    starts = np.concatenate(([0], np.cumsum(row_sizes)))
+    entry = indptr[rows // 2] + np.arange(rows.size) - starts[rows]
+    columns = 2 * indices[entry] + rows % 2
+    return (
+        2 * n,
+        2 * n,
+        starts.astype(indptr.dtype),
+        columns.astype(indices.dtype),
+        scaled.data.real[entry],
+    ), np.float64
 
 
 def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -236,28 +275,31 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
         raise PhysicsError(f"propagation time must be finite and nonnegative, got {t}")
     if t == 0:
         return psi0.copy()
-    phase, scaled, coeffs = _chebyshev_plan(H, float(t))
-    if scaled is None:
+    phase, _, coeffs, kernel = _chebyshev_plan(H, float(t))
+    if coeffs is None:
         return phase * psi0
     # the kernel ``scaled @ x`` runs on a zeroed result, without the dispatch
     from scipy.sparse._sparsetools import csr_matvec
 
-    matrix = (H.dim, H.dim, scaled.indptr, scaled.indices, scaled.data)
+    matrix, dtype = kernel
     phi_prev = np.array(psi0)  # a contiguous copy: the buffers below are overwritten
-    phi = np.zeros_like(phi_prev)
-    csr_matvec(*matrix, phi_prev, phi)
+    phi, y, tmp = np.zeros_like(phi_prev), np.empty_like(phi_prev), np.empty_like(phi_prev)
+    # each state beside the view of it that the kernel reads
+    prev, cur, y_view = (phi_prev, phi_prev.view(dtype)), (phi, phi.view(dtype)), y.view(dtype)
+    csr_matvec(*matrix, prev[1], cur[1])
     acc = coeffs[0] * phi_prev + coeffs[1] * phi
-    y, tmp = np.empty_like(phi), np.empty_like(phi)
     for coeff in coeffs[2:]:
-        # phi_prev, phi = phi, 2 scaled phi - phi_prev; acc += coeff * phi.  The
-        # scalar stays the first operand: numpy's SIMD complex multiply fuses
-        # differently for phi * coeff, which moves the last bits.
+        # prev, cur = cur, 2 scaled cur - prev; acc += coeff * cur.  y + y is the
+        # textbook 2.0 * y bit for bit: the complex product with 2 + 0i differs
+        # only at -0, which a row sum from +0 never is.  The scalar stays the
+        # first operand: numpy's SIMD complex multiply fuses differently for
+        # cur * coeff, which moves the last bits.
         y.fill(0)
-        csr_matvec(*matrix, phi, y)
-        np.multiply(2.0, y, out=y)
-        np.subtract(y, phi_prev, out=phi_prev)
-        phi_prev, phi = phi, phi_prev
-        np.multiply(coeff, phi, out=tmp)
+        csr_matvec(*matrix, cur[1], y_view)
+        np.add(y, y, out=y)
+        np.subtract(y, prev[0], out=prev[0])
+        prev, cur = cur, prev
+        np.multiply(coeff, cur[0], out=tmp)
         np.add(acc, tmp, out=acc)
     return phase * acc
 

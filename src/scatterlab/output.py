@@ -7,7 +7,8 @@ formatted with %.12g in CSV and fixed decimals in SVG geometry, so
 repeated runs of the same configuration produce identical files.  A line
 plot maps each series to pixels in one numpy expression per axis, in the
 scalar mapping's operation order, so every coordinate is bit for bit the
-per-point value.
+per-point value.  A heatmap places and colours all drawn cells of a panel
+the same way, in one numpy pass, and formats them with one template.
 
 A CSV table maps header names to columns; one printf template, a piece
 per column by its dtype kind, writes every row: ``%d`` for integers,
@@ -110,23 +111,24 @@ class Series:
         )
 
 
-_COLORMAP_STOPS = (
-    (0.00, (0, 0, 4)),
-    (0.25, (87, 16, 110)),
-    (0.50, (188, 55, 84)),
-    (0.75, (249, 142, 9)),
-    (1.00, (252, 255, 164)),
+# Colormap stops: positions in [0, 1] and their (r, g, b) rows.
+_COLORMAP_X = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_COLORMAP_RGB = np.array(
+    [(0, 0, 4), (87, 16, 110), (188, 55, 84), (249, 142, 9), (252, 255, 164)], dtype=float
 )
 
 
-def _colormap(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    for (x0, c0), (x1, c1) in zip(_COLORMAP_STOPS, _COLORMAP_STOPS[1:]):
-        if v <= x1:
-            f = 0.0 if x1 == x0 else (v - x0) / (x1 - x0)
-            rgb = tuple(round(a + f * (b - a)) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    return "rgb(252,255,164)"
+def _colormap(v: np.ndarray) -> np.ndarray:
+    """Integer (r, g, b) rows, shape ``v.shape + (3,)``, for intensities
+    ``v`` clipped to [0, 1]: a + f (b - a) between the two stops around
+    each value, rounded half to even as Python's ``round``."""
+    v = np.clip(v, 0.0, 1.0)
+    # the segment whose upper stop is the first one >= v; v = 0 takes the first
+    hi = np.maximum(np.searchsorted(_COLORMAP_X, v), 1)
+    x0, x1 = _COLORMAP_X[hi - 1], _COLORMAP_X[hi]
+    f = ((v - x0) / (x1 - x0))[..., None]
+    a, b = _COLORMAP_RGB[hi - 1], _COLORMAP_RGB[hi]
+    return np.rint(a + f * (b - a)).astype(int)
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -313,6 +315,10 @@ def svg_heatmap(
     svg = _Svg(int(panel_w + 150), height)
     svg.text((panel_w + 150) / 2, 20, title, size=14)
 
+    cell_rect = (
+        f'<rect x="%.2f" y="%.2f" width="{cell:.2f}" height="{row_h:.2f}" '
+        'fill="rgb(%d,%d,%d)"/>'
+    )
     for idx, (label, data) in enumerate(panels):
         if data.shape != (n_rows, n_cols):
             raise ValueError("all heatmap panels must share one shape")
@@ -320,17 +326,17 @@ def svg_heatmap(
         top = float(data.max())
         svg.add(
             f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{panel_w:.2f}" height="{panel_h:.2f}" '
-            f'fill="{_colormap(0.0)}" stroke="black"/>'
+            'fill="rgb(%d,%d,%d)" stroke="black"/>' % tuple(_colormap(0.0).tolist())
         )
         if top > 0:
             scaled = (data / top) ** _HEATMAP_GAMMA
             rows, cols = np.nonzero(scaled >= 1.0 / 255.0)
-            for r, c in zip(rows, cols):
-                svg.add(
-                    f'<rect x="{x0 + c * cell:.2f}" y="{y0 + r * row_h:.2f}" '
-                    f'width="{cell:.2f}" height="{row_h:.2f}" '
-                    f'fill="{_colormap(float(scaled[r, c]))}"/>'
-                )
+            cells = zip(
+                (x0 + cols * cell).tolist(),
+                (y0 + rows * row_h).tolist(),
+                _colormap(scaled[rows, cols]).tolist(),
+            )
+            svg.parts.extend(cell_rect % (x, y, *rgb) for x, y, rgb in cells)
         svg.text(x0 + panel_w + 8, y0 + 12, label, size=11, anchor="start")
         svg.text(x0 - 8, y0 + 10, "0", size=9, anchor="end")
         svg.text(x0 - 8, y0 + panel_h, str(n_rows - 1), size=9, anchor="end")

@@ -679,6 +679,24 @@ def test_zero_mode_overlay_needs_the_band_centre(tmp_path, mode, k):
     assert "theory" not in (out / "final_state.svg").read_text()
 
 
+# The incident wave at the band centre is k = pi/2 for J < 0 and -pi/2 for
+# J > 0.  J -> -J mirrors the network, so both runs measure the same p_1,
+# and both get the zero-mode closed form (a J > 0 run used to get NaN).
+@pytest.mark.parametrize(
+    "J, k", [(0.1, "-pi/2"), (-0.1, "pi/2")], ids=["J-positive", "J-negative"]
+)
+def test_zero_mode_overlay_for_either_sign_of_the_lead_hopping(tmp_path, J, k):
+    config = {
+        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 12},
+        "lead": {"J": J, "mu": 0.0, "length": 80},
+        "packet": {"center_site": -30, "sigma": 6, "k": k},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["dynamics", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert _csv_column(out / "channels.csv", "probability")[1] == "0.734657153057"
+    assert _csv_column(out / "channels.csv", "probability_theory")[1] == "0.734693877551"
+
+
 # A gain/loss centre without gain or loss, or with the sign flipped, is
 # outside the closed form's domain (gamma > 0): the run still succeeds,
 # with no theory overlay.  gamma = 1 is the control with one.

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -205,7 +207,7 @@ def test_order_beyond_cap_is_reported_in_short_form():
 def _textbook_propagate(H, psi0, t):
     """The Chebyshev recurrence as written in the literature, one fresh
     array per operation, on the plan ``propagate`` uses."""
-    phase, scaled, coeffs = sl.dynamics._chebyshev_plan(H, t)
+    phase, scaled, coeffs, _ = sl.dynamics._chebyshev_plan(H, t)
     phi_prev, phi = psi0, scaled.dot(psi0)
     acc = coeffs[0] * phi_prev + coeffs[1] * phi
     for coeff in coeffs[2:]:
@@ -214,10 +216,21 @@ def _textbook_propagate(H, psi0, t):
     return phase * acc
 
 
-def _figure_step(fig):
-    """Network, packet and default snapshot stride of a figure's run."""
+def _figure_step(fig, **lead):
+    """Network, packet and default snapshot stride of a figure's run; the
+    keyword arguments replace fields of its lead."""
     ((_, cfg),) = cli.figure_configs(fig)
-    net = sl.NetworkSpec(cfg.center, cfg.lead)
+    net = sl.NetworkSpec(cfg.center, dataclasses.replace(cfg.lead, **lead))
+    return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
+
+
+def _complex_hopping_step():
+    """A Hermitian 6-site ring with complex hoppings (a flux through it) on
+    figure 3a's lead and packet: a complex operator."""
+    ((_, cfg),) = cli.figure_configs("3a")
+    ring = np.diag(np.full(5, 4.0 * np.exp(0.4j)), 1)
+    ring[0, 5] = 3.0j
+    net = sl.NetworkSpec(sl.CustomCenter(ring + ring.conj().T), cfg.lead)
     return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
 
 
@@ -226,14 +239,23 @@ def _bits(z):
 
 
 @pytest.mark.parametrize(
-    "fig, min_order", [("3a", 150), ("6a", 1_000)], ids=["fig3a-hermitian", "fig6a-gain-loss"]
+    "step, min_order",
+    [
+        (lambda: _figure_step("3a"), 150),
+        (lambda: _figure_step("6a"), 1_000),
+        (lambda: _figure_step("3a", mu=0.37), 150),
+        (_complex_hopping_step, 150),
+    ],
+    ids=["fig3a-hermitian", "fig6a-gain-loss", "fig3a-lead-mu", "complex-hopping"],
 )
-def test_propagate_is_the_textbook_recurrence_bit_for_bit(fig, min_order):
+def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, min_order):
     # the in-place loop must not move a single bit of the figures: checked
-    # from the packet and from the state three strides on
-    net, packet, stride = _figure_step(fig)
+    # from the packet and from the state three strides on.  Real operators,
+    # with a diagonal (lead mu) or without, take the real kernel on the
+    # float view; the gain/loss network and the complex hopping the complex one
+    net, packet, stride = step()
     H = sl.assemble_network(net)
-    _, _, coeffs = sl.dynamics._chebyshev_plan(H, stride)
+    _, _, coeffs, _ = sl.dynamics._chebyshev_plan(H, stride)
     # past order 100, (-1j) ** n and the Bessel weights are no longer exact
     assert len(coeffs) > min_order
     psi = sl.init_gaussian(net, packet)
@@ -257,16 +279,48 @@ def test_propagate_reads_a_strided_state_like_a_contiguous_one():
 
 def test_csr_matvec_into_zeros_is_the_sparse_product():
     # propagate calls scipy's private kernel directly; a scipy release that
-    # moves or changes it must fail here, not shift the figures' digits
+    # moves or changes it must fail here, not shift the figures' digits.  A
+    # real operator runs it on the float view of the state, a complex one
+    # on the state itself
     from scipy.sparse._sparsetools import csr_matvec
 
     net, _, stride = _figure_step("3a")
-    _, scaled, _ = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+    _, scaled, _, (matrix, dtype) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+    assert dtype is np.float64
     rng = np.random.default_rng(7)
     x = rng.normal(size=net.dim) + 1j * rng.normal(size=net.dim)
     y = np.zeros(net.dim, dtype=complex)
     csr_matvec(net.dim, net.dim, scaled.indptr, scaled.indices, scaled.data, x, y)
     assert np.array_equal(_bits(y), _bits(scaled @ x))
+    y = np.zeros(net.dim, dtype=complex)
+    csr_matvec(*matrix, x.view(np.float64), y.view(np.float64))
+    assert np.array_equal(_bits(y), _bits(scaled @ x))
+
+
+def _figure_networks(fig):
+    """(network, packet) of every dynamics run of a figure: one per panel,
+    or one per q point of figure 5's sweep, built as ``run_q_sweep`` does."""
+    ((_, cfg),) = cli.figure_configs(fig)
+    sweep = cfg.sweep
+    if sweep is None:
+        return [(sl.NetworkSpec(cfg.center, cfg.lead), cfg.packet)]
+    centers = [sl.SSHCenter(q * sweep.w, sweep.w, sweep.cells) for q in sweep.q_values if q != 1]
+    return [(sl.NetworkSpec(center, cfg.lead), cfg.packet) for center in centers]
+
+
+@pytest.mark.parametrize(
+    "fig, real",
+    [("3a", True), ("3b", True), ("3c", True), ("3d", True), ("5", True)]
+    + [(f"6{panel}", False) for panel in "abcd"],
+)
+def test_hermitian_figures_take_the_real_kernel(fig, real):
+    # every Hermitian figure network has a real scaled operator, so its
+    # Chebyshev terms run on the float view; a gain/loss network cannot
+    for net, packet in _figure_networks(fig):
+        stride = sl.stop_time(net, packet) / 60.0
+        _, scaled, _, (_, dtype) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+        assert (dtype is np.float64) == real
+        assert scaled.data.imag.any() != real
 
 
 def test_propagate_refuses_a_half_width_beyond_the_float_range():

@@ -13,6 +13,7 @@ from scatterlab.output import (
     _PLOT_SIZE,
     CSV_VERSION_LINE,
     Series,
+    _colormap,
     _Frame,
     _nice_ticks,
     svg_heatmap,
@@ -206,6 +207,29 @@ def test_frame_maps_an_array_bitwise_as_its_elements(values, bounds):
             got = [v.hex() for v in mapped.tolist()]
             assert got == [float(scalar(v)).hex() for v in arr]  # numpy scalars, as before
             assert got == [float(scalar(v)).hex() for v in values]  # Python floats
+
+
+def _colormap_loop(v):
+    """The per-value colormap the heatmap used before its numpy pass."""
+    stops = ((0.0, (0, 0, 4)), (0.25, (87, 16, 110)), (0.5, (188, 55, 84)),
+             (0.75, (249, 142, 9)), (1.0, (252, 255, 164)))
+    v = min(max(v, 0.0), 1.0)
+    for (x0, c0), (x1, c1) in zip(stops, stops[1:]):
+        if v <= x1:
+            f = (v - x0) / (x1 - x0)
+            return tuple(round(a + f * (b - a)) for a, b in zip(c0, c1))
+
+
+def test_colormap_matches_the_per_value_loop():
+    # a fine grid over and beyond [0, 1], every stop and the floats either
+    # side of the inner ones; 15 grid values round a half-integer tie
+    values = np.concatenate(
+        (np.linspace(-0.5, 1.5, 40_001), [0.0, 0.25, 0.5, 0.75, 1.0],
+         np.nextafter([0.25, 0.5, 0.75], 0), np.nextafter([0.25, 0.5, 0.75], 1))
+    )
+    got = [tuple(rgb) for rgb in _colormap(values).tolist()]
+    assert got == [_colormap_loop(v) for v in values.tolist()]
+    assert tuple(_colormap(0.0).tolist()) == (0, 0, 4)
 
 
 def test_svg_heatmap_panels(tmp_path):
