@@ -15,8 +15,8 @@ q = 1 marks the localization transition; formulas that lose meaning there
 raise instead of returning a limit value.  The zero-mode laws (channel
 probabilities, visibility, reflection) are also stated at one operating
 point, a probe at E = 0 by the band centre's incident wave, k =
-``BAND_CENTRE_K`` for J < 0 and -``BAND_CENTRE_K`` for J > 0;
-``zero_mode_probe`` is the one check of it, and raises elsewhere.
+``BAND_CENTRE_K`` for lead hopping J < 0 and -``BAND_CENTRE_K`` for
+J > 0; ``zero_mode_probe`` is the one check of it, and raises elsewhere.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import numpy as np
 
 from .errors import PhysicsError
 from .lattice import BAND_CENTRE_K, incident_wave_vector
-
-# The incident waves at the band centre, of a J < 0 and of a J > 0 lead.
-_BAND_CENTRE_WAVES = tuple(incident_wave_vector(J, BAND_CENTRE_K) for J in (-1.0, 1.0))
 
 
 def edge_state_amplitudes(q: float, cells: int) -> np.ndarray:
@@ -47,17 +44,17 @@ def edge_state_amplitudes(q: float, cells: int) -> np.ndarray:
     return np.sqrt(1.0 - q * q) * (-q) ** np.arange(cells)
 
 
-def zero_mode_probe(energy: float, k: float) -> None:
-    """Check that a probe at incident ``energy`` and lead wave vector ``k``
-    sits on the zero-mode laws' operating point: E = 0, with k the incident
-    wave at the band centre, ``incident_wave_vector(J, BAND_CENTRE_K)``, of
-    a lead of either sign of J (pi/2 for J < 0, -pi/2 for J > 0), each to
-    within 1e-9.  Raises ``PhysicsError`` otherwise; off that point the
-    laws below do not describe the probe."""
-    if not (abs(energy) < 1e-9 and min(abs(k - q) for q in _BAND_CENTRE_WAVES) < 1e-9):
+def zero_mode_probe(energy: float, k: float, J: float) -> None:
+    """Check that a probe at incident ``energy`` and wave vector ``k`` on a
+    lead of hopping ``J`` sits on the zero-mode laws' operating point:
+    E = 0, and k the band centre's incident wave on that lead,
+    ``incident_wave_vector(J, BAND_CENTRE_K)`` (pi/2 for J < 0, -pi/2 for
+    J > 0), each to within 1e-9.  Raises ``PhysicsError`` otherwise; off
+    that point the laws below do not describe the probe."""
+    if not (abs(energy) < 1e-9 and abs(k - incident_wave_vector(J, BAND_CENTRE_K)) < 1e-9):
         raise PhysicsError(
             "zero-mode laws hold at E = 0, k = pi/2 (-pi/2 for J > 0); "
-            f"probe at E={energy:.6g}, k={k:.6g}"
+            f"probe at E={energy:.6g}, k={k:.6g}, J={J:.6g}"
         )
 
 

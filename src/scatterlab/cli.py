@@ -70,6 +70,7 @@ from .lattice import (
     SSHCenter,
     center_matrix,
     dispersion,
+    incident_wave_vector,
 )
 from .output import Series, svg_heatmap, svg_line_plot, write_csv, write_summary
 from .steady import DARK_OVERLAP2, mu_scan, resonant_eigenvalues, solve_multichannel
@@ -358,15 +359,16 @@ def _center_payload(center: CenterSpec) -> dict:
 
 
 def _ssh_theory_probabilities(
-    center: CenterSpec, energy: float, k: float, n_channels: int
+    center: CenterSpec, energy: float, k: float, J: float, n_channels: int
 ) -> np.ndarray:
-    """Zero-mode channel-probability overlay for an SSH center probed at
-    the laws' operating point (``analytic.zero_mode_probe``); NaN wherever
-    the closed form does not apply."""
+    """Zero-mode channel-probability overlay for an SSH center probed by
+    the incident wave ``k`` of a lead of hopping ``J`` at the laws'
+    operating point (``analytic.zero_mode_probe``); NaN wherever the
+    closed form does not apply."""
     theory = np.full(n_channels + 1, np.nan)
     if isinstance(center, SSHCenter):
         with suppress(PhysicsError):
-            analytic.zero_mode_probe(energy, k)
+            analytic.zero_mode_probe(energy, k, J)
             theory[:] = [analytic.predicted_probabilities(center.q, l) for l in range(theory.size)]
     return theory
 
@@ -417,7 +419,9 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     p = record.channel_probabilities
     energy = dispersion(cfg.lead.J, cfg.lead.mu, cfg.packet.k)
 
-    theory = _ssh_theory_probabilities(cfg.center, energy, cfg.packet.k, net.n_outputs)
+    theory = _ssh_theory_probabilities(
+        cfg.center, energy, cfg.packet.k, cfg.lead.J, net.n_outputs
+    )
     if np.all(np.isnan(theory)):
         theory = _nh_theory_profile(cfg.center, energy, p)
 
@@ -490,7 +494,8 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         k=cfg.steady.k,
     )
     n = len(sol.t)
-    theory = _ssh_theory_probabilities(cfg.center, sol.energy, cfg.steady.k, n)
+    wave = incident_wave_vector(cfg.lead.J, cfg.steady.k)
+    theory = _ssh_theory_probabilities(cfg.center, sol.energy, wave, cfg.lead.J, n)
     amps = np.concatenate(([sol.r], sol.t))
     write_csv(
         out_dir / "amplitudes.csv",
@@ -641,7 +646,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     # off the zero-mode operating point no closed form describes the packet
     on_point = True
     try:
-        analytic.zero_mode_probe(dispersion(lead.J, lead.mu, packet.k), packet.k)
+        analytic.zero_mode_probe(dispersion(lead.J, lead.mu, packet.k), packet.k, lead.J)
     except PhysicsError:
         on_point = False
 

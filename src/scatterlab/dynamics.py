@@ -244,7 +244,10 @@ def _kernel(scaled: sp.csr_matrix) -> tuple[tuple, type]:
     sign of a zero, which the row sum from +0 drops; so the real kernel
     gives the complex kernel's bits, with fewer operations per entry.  A
     complex operator keeps the complex kernel: a real 2n form would round
-    each entry's two products apart and move the last bits."""
+    each entry's two products apart and move the last bits.  (scipy's
+    ``csr_matvecs`` on the (n, 2) view, with A's own arrays, gives the
+    same bits, but its per-entry loop of two took 81-85 us a fig-3a term
+    against 51-55 us here.)"""
     n, indptr, indices = scaled.shape[0], scaled.indptr, scaled.indices
     if scaled.data.imag.any():
         return (n, n, indptr, indices, scaled.data), np.complex128

@@ -15,14 +15,21 @@ any_q = st.one_of(
 
 
 def test_zero_mode_probe_accepts_only_the_operating_point():
-    sl.analytic.zero_mode_probe(sl.dispersion(-0.1, 0.0, np.pi / 2), np.pi / 2)
+    sl.analytic.zero_mode_probe(sl.dispersion(-0.1, 0.0, np.pi / 2), np.pi / 2, -0.1)
     # k = -pi/2 is a J > 0 lead's incident wave at the band centre.  J -> -J
     # mirrors the network: a 12-cell v = 2, w = 4 chain measures p_1 =
     # 0.734657153057 at J = 0.1, k = -pi/2 and at J = -0.1, k = pi/2 alike
-    sl.analytic.zero_mode_probe(sl.dispersion(0.1, 0.0, -np.pi / 2), -np.pi / 2)
-    for energy, k in ((1e-6, np.pi / 2), (0.0, np.pi / 3), (1e-6, -np.pi / 2)):
+    sl.analytic.zero_mode_probe(sl.dispersion(0.1, 0.0, -np.pi / 2), -np.pi / 2, 0.1)
+    # off E = 0, off the band centre, or the wave moving away from the centre
+    for energy, k, J in (
+        (1e-6, np.pi / 2, -0.1),
+        (0.0, np.pi / 3, -0.1),
+        (1e-6, -np.pi / 2, 0.1),
+        (0.0, -np.pi / 2, -0.1),
+        (0.0, np.pi / 2, 0.1),
+    ):
         with pytest.raises(sl.PhysicsError, match="zero-mode laws hold at E = 0, k = pi/2"):
-            sl.analytic.zero_mode_probe(energy, k)
+            sl.analytic.zero_mode_probe(energy, k, J)
 
 
 def test_edge_state_small_chain():

@@ -697,6 +697,22 @@ def test_zero_mode_overlay_for_either_sign_of_the_lead_hopping(tmp_path, J, k):
     assert _csv_column(out / "channels.csv", "probability_theory")[1] == "0.734693877551"
 
 
+# A steady k is the incident wave's magnitude: the run with J > 0 solves
+# at -pi/2 and gets the same overlay as its mirror at J < 0.
+@pytest.mark.parametrize("J", [0.01, -0.01], ids=["J-positive", "J-negative"])
+def test_steady_overlay_for_either_sign_of_the_lead_hopping(tmp_path, J):
+    config = {
+        "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 2},
+        "lead": {"J": J, "mu": 0.0},
+        "steady": {"k": "pi/2"},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert _csv_column(out / "amplitudes.csv", "probability_theory") == [
+        "0.0204081632653", "0.734693877551", "0", "0.183673469388", "0"
+    ]
+
+
 # A gain/loss centre without gain or loss, or with the sign flipped, is
 # outside the closed form's domain (gamma > 0): the run still succeeds,
 # with no theory overlay.  gamma = 1 is the control with one.
