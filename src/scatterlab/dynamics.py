@@ -22,17 +22,22 @@ with parameter rho >= 1 (rho = 1 for Hermitian H); terms are kept while
 (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649, 2017), so the
 same weights bound the truncation error for non-normal H.
 
-Each term costs one sparse matrix-vector product, scipy's ``csr_matvec``
-kernel called straight into a reused buffer, plus four in-place vector
-operations; the loop allocates nothing per term.  The kernel follows the
-scaled operator (``_kernel``, built once in the memoised plan): a real one,
-as every Hermitian network has (figures 3a-d and 5), runs as the real
-matrix A (x) I_2 on the float64 view of the state, a complex one (the
-gain/loss networks of figures 6a-d) as a complex matrix; both give the
-textbook recurrence's bits.  The recurrence's factor 2 stays a vector
-pass of its own, since (2a) x rounds apart from 2 (a x) where a x falls
-below the normal float range.  scipy is loaded only
-when a network is assembled or a step is planned (``scipy.sparse`` in
+Each term costs one sparse matrix-vector product plus four in-place
+vector operations; the loop allocates nothing per term.  The product is
+split by rows once, in the memoised plan (``_kernel``).  The lead chains'
+rows, a band within one site of the diagonal and all but 2N + 1 rows of
+an N-site centre's network, run through scipy's ``dia_matvec`` without
+index indirection.  The junction rows (the centre and each lead's first
+site) run through ``csr_matvecs`` on a small CSR remainder and overwrite
+their rows of the banded product.  Both kernels are called straight into
+reused buffers.  A real scaled operator, as every Hermitian network has
+(figures 3a-d and 5), runs on the float64 view of the state, a complex
+one (the gain/loss networks of figures 6a-d) on the complex state; all
+give the textbook recurrence's bits for a finite state, and
+``propagate`` refuses any other.  The recurrence's factor 2 stays a
+vector pass of its own, since (2a) x rounds apart from 2 (a x) where a x
+falls below the normal float range.  scipy is loaded only when a network
+is assembled or a step is planned (``scipy.sparse`` in
 ``assemble_network``, ``scipy.special.jv`` in ``_chebyshev_plan``), so
 importing the package and every steady-state run stay on numpy alone.
 """
@@ -233,42 +238,71 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
 
 
 def _kernel(scaled: sp.csr_matrix) -> tuple[tuple, type]:
-    """Arguments (rows, columns, indptr, indices, data) that make scipy's
-    ``csr_matvec`` add scaled x to y, and the dtype of the views of
-    complex x and y it takes.
+    """Arguments that make scipy's kernels compute scaled x, split by
+    rows, and the dtype of the views of complex x and y they take:
+    ``((band, rows, remainder), dtype)``.
+
+    A band row stores its entries within one site of the diagonal, in
+    ascending column order: every lead site but the first.  ``band`` holds
+    those rows as diagonals, offsets ascending, for ``dia_matvec``, which
+    adds each row's products in offset order, the CSR row sum's order.  A
+    row that lacks an entry holds a stored zero there, adding +-0 to a sum
+    that starts at +0 and so is never -0: no bit of a finite state moves.
+    A diagonal of zeros only (the main one without an on-site term) is
+    left out.  The other ``rows`` (the centre and each lead's first site)
+    form the compact CSR ``remainder``, entries in their stored order, for
+    ``csr_matvecs``; its product overwrites theirs in the banded one.
+    scipy's arithmetic can leave the rows of a CSR built out of order
+    unsorted; such a row is summed in its stored order, in the remainder.
 
     A real operator (every imaginary part exactly 0, as for any Hermitian
-    network) runs as the real matrix A (x) I_2 on the interleaved (re, im)
-    float64 view, each row's entries in A's order.  A complex product
-    (a + 0i)(x_r + i x_i) rounds to exactly a x_r and a x_i, apart from the
-    sign of a zero, which the row sum from +0 drops; so the real kernel
-    gives the complex kernel's bits, with fewer operations per entry.  A
-    complex operator keeps the complex kernel: a real 2n form would round
-    each entry's two products apart and move the last bits.  (scipy's
-    ``csr_matvecs`` on the (n, 2) view, with A's own arrays, gives the
-    same bits, but its per-entry loop of two took 81-85 us a fig-3a term
-    against 51-55 us here.)"""
+    network) runs on the interleaved (re, im) float64 view: as A (x) I_2,
+    diagonals at offsets -2, 0, +2, and the remainder on two vectors, the
+    (n, 2) view.  A complex product (a + 0i)(x_r + i x_i) rounds to
+    exactly a x_r and a x_i, apart from the sign of a zero, which the row
+    sum from +0 drops; so the real kernels give the complex kernel's bits
+    with fewer operations per entry.  A complex operator keeps complex
+    arithmetic: a real 2n form would round each entry's two products apart
+    and move the last bits."""
     n, indptr, indices = scaled.shape[0], scaled.indptr, scaled.indices
-    if scaled.data.imag.any():
-        return (n, n, indptr, indices, scaled.data), np.complex128
-    # row 2i (2i + 1) of A (x) I_2 holds row i's entries at columns 2j (2j + 1)
-    row_sizes = np.repeat(np.diff(indptr), 2)
-    rows = np.repeat(np.arange(2 * n), row_sizes)
-    starts = np.concatenate(([0], np.cumsum(row_sizes)))
-    entry = indptr[rows // 2] + np.arange(rows.size) - starts[rows]
-    columns = 2 * indices[entry] + rows % 2
-    return (
-        2 * n,
-        2 * n,
-        starts.astype(indptr.dtype),
-        columns.astype(indices.dtype),
-        scaled.data.real[entry],
-    ), np.float64
+    real = not scaled.data.imag.any()
+    data = scaled.data.real if real else scaled.data
+    s = 2 if real else 1  # float64 values per state entry
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    offset = indices - row
+    fits = np.abs(offset) <= 1
+    fits[1:] &= (indices[1:] > indices[:-1]) | (row[1:] != row[:-1])
+    is_band = np.ones(n, dtype=bool)
+    is_band[row[~fits]] = False
+    in_band = is_band[row]
+    diagonals = np.zeros((3, n), dtype=data.dtype)
+    diagonals[offset[in_band] + 1, indices[in_band]] = data[in_band]
+    kept = np.flatnonzero(diagonals.any(axis=1))
+    band = (
+        s * n,
+        s * n,
+        kept.size,
+        s * n,
+        (s * (kept - 1)).astype(indices.dtype),
+        np.repeat(diagonals[kept], s, axis=1),
+    )
+    rows = np.flatnonzero(~is_band)
+    remainder_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr)[rows])))
+    remainder = (
+        rows.size,
+        n,
+        s,
+        remainder_ptr.astype(indptr.dtype),
+        indices[~in_band],
+        data[~in_band],
+    )
+    return (band, rows, remainder), (np.float64 if real else np.complex128)
 
 
 def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     """Evolved state exp(-iHt) psi0, valid for Hermitian and
-    non-Hermitian H alike (no unitarity assumption, no renormalization)."""
+    non-Hermitian H alike (no unitarity assumption, no renormalization).
+    A state or time that is not finite raises ``PhysicsError``."""
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.dim,):
         raise PhysicsError(
@@ -276,20 +310,32 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
         )
     if not (t >= 0 and np.isfinite(t)):
         raise PhysicsError(f"propagation time must be finite and nonnegative, got {t}")
+    if not np.isfinite(psi0).all():
+        raise PhysicsError("state to propagate must be finite in every entry")
     if t == 0:
         return psi0.copy()
     phase, _, coeffs, kernel = _chebyshev_plan(H, float(t))
     if coeffs is None:
         return phase * psi0
-    # the kernel ``scaled @ x`` runs on a zeroed result, without the dispatch
-    from scipy.sparse._sparsetools import csr_matvec
+    # the kernels add scaled x to a zeroed result, without scipy's dispatch
+    from scipy.sparse._sparsetools import csr_matvecs, dia_matvec
 
-    matrix, dtype = kernel
+    (band, rows, remainder), dtype = kernel
     phi_prev = np.array(psi0)  # a contiguous copy: the buffers below are overwritten
     phi, y, tmp = np.zeros_like(phi_prev), np.empty_like(phi_prev), np.empty_like(phi_prev)
-    # each state beside the view of it that the kernel reads
-    prev, cur, y_view = (phi_prev, phi_prev.view(dtype)), (phi, phi.view(dtype)), y.view(dtype)
-    csr_matvec(*matrix, prev[1], cur[1])
+    r = np.empty(rows.size, dtype=complex)
+    # each state beside the view of it that the kernels read
+    prev, cur = (phi_prev, phi_prev.view(dtype)), (phi, phi.view(dtype))
+    y_view, r_view = y.view(dtype), r.view(dtype)
+
+    def product(x_view, out, out_view):  # out = scaled x
+        out.fill(0)
+        dia_matvec(*band, x_view, out_view)
+        r.fill(0)
+        csr_matvecs(*remainder, x_view, r_view)
+        out[rows] = r
+
+    product(prev[1], phi, cur[1])
     acc = coeffs[0] * phi_prev + coeffs[1] * phi
     for coeff in coeffs[2:]:
         # prev, cur = cur, 2 scaled cur - prev; acc += coeff * cur.  y + y is the
@@ -297,8 +343,7 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
         # only at -0, which a row sum from +0 never is.  The scalar stays the
         # first operand: numpy's SIMD complex multiply fuses differently for
         # cur * coeff, which moves the last bits.
-        y.fill(0)
-        csr_matvec(*matrix, cur[1], y_view)
+        product(cur[1], y, y_view)
         np.add(y, y, out=y)
         np.subtract(y, prev[0], out=prev[0])
         prev, cur = cur, prev

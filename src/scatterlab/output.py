@@ -14,8 +14,9 @@ A CSV table maps header names to columns; one printf template, a piece
 per column by its dtype kind, writes every row: ``%d`` for integers,
 ``%.12g`` for floats (NaN prints as ``nan``), ``%s`` for strings and
 objects.  A bool or complex column raises ``TypeError``.  Rows are
-formatted ``_CSV_BLOCK`` at a time.  The JSON summary writes non-finite
-floats as ``null``, so strict parsers accept it.
+formatted ``_CSV_BLOCK`` at a time, a block with one ``%`` (``_format_rows``,
+which the SVG path data and heatmap cells share).  The JSON summary writes
+non-finite floats as ``null``, so strict parsers accept it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 CSV_VERSION_LINE = "# scatterlab-csv v1"
 
 
-# Rows per block: no whole column is held as Python objects at once.
-_CSV_BLOCK = 16_384
+# Rows per block: no whole column is held as Python objects at once, and
+# a block's text, formatted with one %, stays near 200 kB.
+_CSV_BLOCK = 4_096
 
 # A CSV column's printf piece, by numpy dtype kind.
 _CSV_PIECES = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s", "O": "%s"}
@@ -63,7 +65,19 @@ def write_csv(path, table: Mapping[str, Sequence]) -> None:
         f.write(f"{CSV_VERSION_LINE}\n{','.join(table)}\n")
         for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK):
             block = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
-            f.writelines(template % row for row in zip(*block))
+            f.write(_format_rows(template, block))
+
+
+def _format_rows(piece: str, columns: Sequence[list], sep: str = "") -> str:
+    """``sep.join(piece % row for row in zip(*columns))`` with one ``%``:
+    the piece repeated once per row, applied to the rows' values laid out
+    row-major (value j of each row from column j).  ``columns`` are
+    equal-length lists, at least one."""
+    k, m = len(columns), len(columns[0])
+    flat = [None] * (k * m)
+    for j, column in enumerate(columns):
+        flat[j::k] = column
+    return sep.join([piece] * m) % tuple(flat)
 
 
 def _jsonable(obj):
@@ -269,14 +283,14 @@ def svg_line_plot(
         px = fr.px(np.asarray(s.x, dtype=float)[mask]).tolist()
         py = fr.py(np.asarray(s.y, dtype=float)[mask]).tolist()
         if s.line and len(px) > 1:
-            d = "M " + " L ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+            d = "M " + _format_rows("%.2f,%.2f", [px, py], " L ")
             svg.add(f'<path d="{d}" fill="none" stroke="{s.color}" stroke-width="1.5"/>')
-        if s.markers:
-            for a, b in zip(px, py):
-                svg.add(
-                    f'<circle cx="{a:.2f}" cy="{b:.2f}" r="3" fill="none" '
-                    f'stroke="{s.color}" stroke-width="1.2"/>'
-                )
+        if s.markers and px:
+            circle = (
+                '<circle cx="%.2f" cy="%.2f" r="3" fill="none" '
+                f'stroke="{s.color.replace("%", "%%")}" stroke-width="1.2"/>'
+            )
+            svg.add(_format_rows(circle, [px, py], "\n"))
 
     ly = 40
     for s in series:
@@ -331,12 +345,10 @@ def svg_heatmap(
         if top > 0:
             scaled = (data / top) ** _HEATMAP_GAMMA
             rows, cols = np.nonzero(scaled >= 1.0 / 255.0)
-            cells = zip(
-                (x0 + cols * cell).tolist(),
-                (y0 + rows * row_h).tolist(),
-                _colormap(scaled[rows, cols]).tolist(),
-            )
-            svg.parts.extend(cell_rect % (x, y, *rgb) for x, y, rgb in cells)
+            if rows.size:
+                xs, ys = (x0 + cols * cell).tolist(), (y0 + rows * row_h).tolist()
+                rgb = _colormap(scaled[rows, cols]).T.tolist()
+                svg.add(_format_rows(cell_rect, [xs, ys, *rgb], "\n"))
         svg.text(x0 + panel_w + 8, y0 + 12, label, size=11, anchor="start")
         svg.text(x0 - 8, y0 + 10, "0", size=9, anchor="end")
         svg.text(x0 - 8, y0 + panel_h, str(n_rows - 1), size=9, anchor="end")

@@ -142,6 +142,13 @@ def test_propagate_input_validation():
     for t in (np.nan, np.inf):
         with pytest.raises(sl.PhysicsError, match="finite"):
             sl.propagate(H, psi, t)
+    # one bad entry would spread over the packet's rows, and the banded
+    # kernel's stored zeros would carry 0 * nan into rows CSR never touches
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        broken = psi.copy()
+        broken[50] = bad
+        with pytest.raises(sl.PhysicsError, match="finite"):
+            sl.propagate(H, broken, 1.0)
     assert np.array_equal(sl.propagate(H, psi, 0.0), psi)
 
 
@@ -234,27 +241,55 @@ def _complex_hopping_step():
     return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
 
 
+def _unsorted_network(net):
+    """The network of ``net`` plus an on-site 0.37 on the output leads, 0.5
+    on the centre and a long-range bond from the first centre site to the
+    input lead's far end, as a CSR whose output-lead rows list their
+    columns in descending order, every other row ascending.  scipy's
+    arithmetic on such a CSR lists a row's new entries first, then its
+    stored ones reversed.  So the shift by the centre of the spectrum
+    brings the output-lead rows back ascending, band rows, and leaves each
+    input-lead row j (no diagonal entry) as j, j + 1, j - 1: a row sum
+    whose last term is not the band's."""
+    m = sl.assemble_network(net).matrix
+    sites = net.leads(np.arange(net.dim))
+    onsite = np.zeros(net.dim)
+    onsite[: net.center.n_sites] = 0.5
+    onsite[sites[1:]] = 0.37
+    far = sites[0, -1]
+    bond = sp.csr_matrix(([0.01, 0.01], ([0, far], [far, 0])), shape=m.shape)
+    m = (m + sp.diags(onsite) + bond).tocsr()
+    row = np.repeat(np.arange(net.dim), np.diff(m.indptr))
+    key = np.where(np.isin(row, sites[1:]), -m.indices, m.indices)
+    order = np.lexsort((key, row))
+    return sl.Hamiltonian(sp.csr_matrix((m.data[order], m.indices[order], m.indptr), m.shape))
+
+
 def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
 @pytest.mark.parametrize(
-    "step, min_order",
+    "step, network, min_order",
     [
-        (lambda: _figure_step("3a"), 150),
-        (lambda: _figure_step("6a"), 1_000),
-        (lambda: _figure_step("3a", mu=0.37), 150),
-        (_complex_hopping_step, 150),
+        (lambda: _figure_step("3a"), sl.assemble_network, 150),
+        (lambda: _figure_step("3d"), sl.assemble_network, 150),
+        (lambda: _figure_step("6a"), sl.assemble_network, 1_000),
+        (lambda: _figure_step("3a", mu=0.37), sl.assemble_network, 150),
+        (_complex_hopping_step, sl.assemble_network, 150),
+        (lambda: _figure_step("3a"), _unsorted_network, 150),
     ],
-    ids=["fig3a-hermitian", "fig6a-gain-loss", "fig3a-lead-mu", "complex-hopping"],
+    ids=["fig3a-hermitian", "fig3d", "fig6a-gain-loss", "fig3a-lead-mu", "complex-hopping",
+         "unsorted-csr"],
 )
-def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, min_order):
-    # the in-place loop must not move a single bit of the figures: checked
-    # from the packet and from the state three strides on.  Real operators,
-    # with a diagonal (lead mu) or without, take the real kernel on the
-    # float view; the gain/loss network and the complex hopping the complex one
+def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, network, min_order):
+    # the in-place loop and the banded kernel must not move a single bit of
+    # the figures: checked from the packet and from the state three strides
+    # on.  Real operators, with a diagonal (lead mu) or without, run on the
+    # float view; the gain/loss network and the complex hopping in complex
+    # arithmetic; rows stored out of order in the CSR remainder
     net, packet, stride = step()
-    H = sl.assemble_network(net)
+    H = network(net)
     _, _, coeffs, _ = sl.dynamics._chebyshev_plan(H, stride)
     # past order 100, (-1j) ** n and the Bessel weights are no longer exact
     assert len(coeffs) > min_order
@@ -277,24 +312,58 @@ def test_propagate_reads_a_strided_state_like_a_contiguous_one():
     assert np.array_equal(_bits(sl.propagate(H, strided, 40.0)), _bits(ref))
 
 
-def test_csr_matvec_into_zeros_is_the_sparse_product():
-    # propagate calls scipy's private kernel directly; a scipy release that
-    # moves or changes it must fail here, not shift the figures' digits.  A
-    # real operator runs it on the float view of the state, a complex one
+@pytest.mark.parametrize("fig, dtype", [("3a", np.float64), ("6a", np.complex128)])
+def test_banded_and_remainder_kernels_are_the_sparse_product(fig, dtype):
+    # propagate calls scipy's private kernels directly; a scipy release that
+    # moves or changes one must fail here, not shift the figures' digits.  A
+    # real operator runs them on the float view of the state, a complex one
     # on the state itself
-    from scipy.sparse._sparsetools import csr_matvec
+    from scipy.sparse._sparsetools import csr_matvecs, dia_matvec
 
-    net, _, stride = _figure_step("3a")
-    _, scaled, _, (matrix, dtype) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
-    assert dtype is np.float64
+    net, _, stride = _figure_step(fig)
+    _, scaled, _, kernel = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+    (band, rows, remainder), view = kernel
+    assert view is dtype
     rng = np.random.default_rng(7)
     x = rng.normal(size=net.dim) + 1j * rng.normal(size=net.dim)
-    y = np.zeros(net.dim, dtype=complex)
-    csr_matvec(net.dim, net.dim, scaled.indptr, scaled.indices, scaled.data, x, y)
-    assert np.array_equal(_bits(y), _bits(scaled @ x))
-    y = np.zeros(net.dim, dtype=complex)
-    csr_matvec(*matrix, x.view(np.float64), y.view(np.float64))
-    assert np.array_equal(_bits(y), _bits(scaled @ x))
+    ref = scaled @ x
+    y, r = np.zeros(net.dim, dtype=complex), np.zeros(rows.size, dtype=complex)
+    dia_matvec(*band, x.view(dtype), y.view(dtype))
+    csr_matvecs(*remainder, x.view(dtype), r.view(dtype))
+    assert np.array_equal(_bits(r), _bits(ref[rows]))
+    band_rows = np.ones(net.dim, dtype=bool)
+    band_rows[rows] = False
+    assert np.array_equal(_bits(y[band_rows]), _bits(ref[band_rows]))
+    assert not y[rows].any()  # the remainder's rows hold nothing in the band
+
+
+@pytest.mark.parametrize("mu, offsets", [(0.0, [-2, 2]), (0.37, [-2, 0, 2])])
+def test_fig3a_remainder_is_its_junction_rows(mu, offsets):
+    # only the centre and each lead's first site leave the band: 81 of the
+    # 8,240 rows of A, 162 rows of its float view.  The main diagonal is
+    # kept only when the lead has an on-site term
+    net, _, stride = _figure_step("3a", mu=mu)
+    _, _, _, ((band, rows, remainder), _) = sl.dynamics._chebyshev_plan(
+        sl.assemble_network(net), stride
+    )
+    junctions = np.union1d(np.arange(net.center.n_sites), net.leads(np.arange(net.dim))[:, 0])
+    assert np.array_equal(rows, junctions)
+    assert rows.size == 81 and remainder[0] * remainder[2] == 162
+    assert band[4].tolist() == offsets
+
+
+def test_rows_out_of_order_go_to_the_remainder():
+    # a band-shaped row stored out of order must not be summed in the
+    # band's column order: the input lead's rows here
+    net, _, stride = _figure_step("3a")
+    _, scaled, _, ((_, rows, _), _) = sl.dynamics._chebyshev_plan(
+        _unsorted_network(net), stride
+    )
+    sites = net.leads(np.arange(net.dim))
+    j = sites[0, 1]
+    assert scaled.indices[scaled.indptr[j] : scaled.indptr[j + 1]].tolist() == [j, j + 1, j - 1]
+    assert np.isin(sites[0], rows).all()
+    assert not np.isin(sites[1:, 1:], rows).any()
 
 
 def _figure_networks(fig):

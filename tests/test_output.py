@@ -14,6 +14,7 @@ from scatterlab.output import (
     CSV_VERSION_LINE,
     Series,
     _colormap,
+    _format_rows,
     _Frame,
     _nice_ticks,
     svg_heatmap,
@@ -113,6 +114,45 @@ def test_csv_rows_cross_the_block_boundary_unchanged():
 def test_csv_empty_rows_write_the_header_only():
     table = {"a": [], "b": np.array([], dtype=np.int64), "c": np.array([], dtype=object)}
     assert _written(table) == f"{CSV_VERSION_LINE}\na,b,c\n"
+
+
+def _per_row(piece, columns, sep=""):
+    """The loop that one ``%`` per block replaces: one ``%`` per row."""
+    return sep.join(piece % row for row in zip(*columns))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, _CSV_BLOCK + 1])
+def test_csv_blocks_are_the_per_row_loop(n):
+    # NaN, -0.0, int64's ends, a Python int beyond int64 (an object column),
+    # and strings holding printf directives, across the block boundary
+    cycle = np.arange(n) % 3
+    table = {
+        "i": np.array([2**63 - 1, -(2**63), 0])[cycle],
+        "big": [10**30 + j for j in range(n)],
+        "x": np.array([math.nan, -0.0, 1 / 3])[cycle],
+        "s": np.array(["center", "100%", "%d%%"], dtype=object)[cycle],
+    }
+    rows = _per_row("%d,%s,%.12g,%s\n", [np.asarray(c).tolist() for c in table.values()])
+    assert _written(table) == f"{CSV_VERSION_LINE}\ni,big,x,s\n" + rows
+
+
+def test_csv_of_an_empty_table_is_its_version_and_blank_header():
+    assert _written({}) == f"{CSV_VERSION_LINE}\n\n"
+
+
+_SVG_PIECES = [
+    ("%.2f,%.2f", " L "),  # a line plot's path data
+    ('<rect x="%.2f" y="%.2f" width="1.00" height="2.00" fill="rgb(%d,%d,%d)"/>', "\n"),
+]
+
+
+@pytest.mark.parametrize("piece, sep", _SVG_PIECES, ids=["path", "heatmap-cells"])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_svg_parts_are_the_per_row_loop(piece, sep, n):
+    values = [math.nan, -0.0, 1e300, -1e-300, 0.005, 2.675, math.inf]
+    k = piece.count("%")
+    columns = [(values * 2)[j : j + n] if j < 2 else list(range(j, j + n)) for j in range(k)]
+    assert _format_rows(piece, columns, sep) == _per_row(piece, columns, sep)
 
 
 @pytest.mark.parametrize("flag", [True, np.True_, False])
