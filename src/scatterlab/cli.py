@@ -49,7 +49,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -72,7 +71,7 @@ from .lattice import (
     dispersion,
     incident_wave_vector,
 )
-from .output import Series, svg_heatmap, svg_line_plot, write_csv, write_summary
+from .output import Series, csv_cells, svg_heatmap, svg_line_plot, write_csv, write_summary
 from .steady import DARK_OVERLAP2, mu_scan, resonant_eigenvalues, solve_multichannel
 
 EXIT_OK = 0
@@ -413,6 +412,23 @@ def _channel_plot(out_dir: Path, p: np.ndarray, theory: np.ndarray, title: str) 
     )
 
 
+def _snapshot_blocks(net: NetworkSpec, times: np.ndarray, prob: np.ndarray):
+    """snapshots.csv as one block per snapshot: the sites above 1e-12 in
+    index order.  Each time's text is formatted once, and each site's
+    region, channel and offset text once per run."""
+    region, channel, offset = net.labels()
+    channel, offset = csv_cells(channel), csv_cells(offset)
+    for time, row in zip(csv_cells(times), prob):
+        si = np.flatnonzero(row > 1e-12)
+        yield {
+            "time": np.full(si.size, time, dtype=object),
+            "region": region[si],
+            "channel": channel[si],
+            "offset": offset[si],
+            "probability": row[si],
+        }
+
+
 def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     net = NetworkSpec(center=cfg.center, lead=cfg.lead)
     record = run_experiment(net, cfg.packet, cfg.propagator)
@@ -443,18 +459,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     )
 
     prob = record.site_probabilities
-    region, channel, offset = net.labels()
-    ti, si = np.nonzero(prob > 1e-12)
-    write_csv(
-        out_dir / "snapshots.csv",
-        {
-            "time": record.times[ti],
-            "region": region[si],
-            "channel": channel[si],
-            "offset": offset[si],
-            "probability": prob[ti, si],
-        },
-    )
+    write_csv(out_dir / "snapshots.csv", _snapshot_blocks(net, record.times, prob))
 
     # Channel x lead-site intensity maps at a few snapshot times.
     n_panels = min(6, len(record.times))
@@ -637,6 +642,9 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
     ]
 
     if workers > 1 and len(tasks) > 1:
+        # imported here: only a pooled sweep loads the multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork starts every worker up front, so ask for no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_sweep_point, tasks))

@@ -72,8 +72,9 @@ _MAX_ORDER = 5_000_000
 # than this within 5 sites of its junction; the same level flags leakage
 # at the truncated far ends.
 FINISH_THRESHOLD = 1e-4
-# Cap on the stored snapshot values, (snapshots) x (network dimension):
-# 200 MB of float64, where a figure needs at most 181 x 8,240.
+# Cap on the snapshot values a run may store, (snapshots) x (network
+# dimension): 200 MB of float64, allocated once and resident only as far
+# as the run writes it, where a figure needs at most 181 x 8,240.
 _MAX_SNAPSHOT_VALUES = 25_000_000
 # Neighbouring odd channels holding less than this in total have no
 # well-defined visibility.
@@ -127,7 +128,11 @@ DEFAULT_CONFIG = PropagatorConfig()
 class TrajectoryRecord:
     """Everything recorded from one wave-packet experiment: snapshot
     times, per-site probabilities, norms, and the final per-channel
-    probability sums p_0..p_N."""
+    probability sums p_0..p_N.
+
+    ``site_probabilities`` holds |psi|^2 of each snapshot as one row, the
+    only copy of the snapshots: a view of the written rows of the array
+    ``run_experiment`` allocates for its snapshot budget."""
 
     times: np.ndarray
     site_probabilities: np.ndarray
@@ -140,9 +145,16 @@ class TrajectoryRecord:
     warnings: tuple[str, ...] = ()
 
     def channel_history(self) -> np.ndarray:
-        """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1)."""
-        net = self.network
-        return self.site_probabilities[:, net.leads(np.arange(net.dim))].sum(axis=-1)
+        """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1).
+
+        Each lead's sites are added one offset at a time, from the junction
+        outward, on the ``leads`` view of the snapshots: no copy of them,
+        and the order of a sequential sum over the offsets."""
+        lead = self.network.leads(self.site_probabilities)
+        total = lead[..., 0].copy()
+        for offset in range(1, lead.shape[-1]):
+            total += lead[..., offset]
+        return total
 
 
 def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
@@ -404,6 +416,22 @@ def _edge_probability(prob: np.ndarray, net: NetworkSpec, sites: slice) -> float
     return float(net.leads(prob)[:, sites].sum(axis=-1).max())
 
 
+def _schedule(stride: float, t_max: float, n_steps: int):
+    """(step, time) of each step of a run from 0 up to ``t_max``: strides
+    of ``stride``, their times accumulated, then one last step that ends
+    at exactly t_max.  The last step comes once the next stride would
+    reach t_max, and at the latest as step ``n_steps`` = ceil(t_max /
+    stride), however the accumulated time rounds: a run stores at most
+    n_steps + 1 snapshots, its budget, and every step is positive."""
+    t = 0.0
+    for _ in range(n_steps - 1):
+        if t + stride >= t_max:
+            break
+        t += stride
+        yield stride, t
+    yield t_max - t, t_max
+
+
 def run_experiment(
     net: NetworkSpec,
     packet: WavePacketSpec,
@@ -420,6 +448,14 @@ def run_experiment(
     A packet that does not fit its lead or is not incoming (``stop_time``),
     and a run that would store more than ``_MAX_SNAPSHOT_VALUES`` snapshot
     values, raise ``PhysicsError`` before the network is assembled.
+
+    The snapshots go into one float64 array of the run's budget, ceil(t_max
+    / stride) + 1 rows of the network dimension, allocated once: each
+    snapshot's |psi|^2 is written into its row in place (the bits of
+    ``np.abs(psi) ** 2``), rows the run never reaches are never touched,
+    and the record's ``site_probabilities`` is the view of the written
+    rows.  The final channel and centre probabilities are read off the
+    last row.
     """
     _require_fit(net, packet)
     t_base = stop_time(net, packet)
@@ -436,32 +472,31 @@ def run_experiment(
     psi = init_gaussian(net, packet)
     network = assemble_network(net)
 
+    probs = np.empty((int(n_snapshots), net.dim))
+    prob = probs[0]
+    np.abs(psi, out=prob)
+    np.square(prob, out=prob)
     times = [0.0]
-    site_probs = [np.abs(psi) ** 2]
     norms = [float(np.linalg.norm(psi))]
     notes: list[str] = []
 
-    t = 0.0
-    while True:
-        step = min(stride, t_max - t)
+    for n, (step, t) in enumerate(_schedule(stride, t_max, len(probs) - 1), start=1):
         psi = propagate(network, psi, step)
-        t += step
-        prob = np.abs(psi) ** 2
+        prob = probs[n]
+        np.abs(psi, out=prob)
+        np.square(prob, out=prob)
         times.append(t)
-        site_probs.append(prob)
         norms.append(float(np.linalg.norm(psi)))
         if t + 1e-9 >= t_base and _edge_probability(prob, net, np.s_[:5]) < FINISH_THRESHOLD:
             break
-        if t + 1e-9 >= t_max:
-            msg = (
-                f"t_max={t_max:.6g} reached with {_edge_probability(prob, net, np.s_[:5]):.3e} "
-                "probability still near the junctions; scattering unfinished"
-            )
-            notes.append(msg)
-            _warnings.warn(msg, stacklevel=2)
-            break
+    else:
+        msg = (
+            f"t_max={t_max:.6g} reached with {_edge_probability(prob, net, np.s_[:5]):.3e} "
+            "probability still near the junctions; scattering unfinished"
+        )
+        notes.append(msg)
+        _warnings.warn(msg, stacklevel=2)
 
-    prob = np.abs(psi) ** 2
     leakage = _edge_probability(prob, net, np.s_[-5:])
     if leakage > FINISH_THRESHOLD:
         msg = (
@@ -473,9 +508,9 @@ def run_experiment(
 
     return TrajectoryRecord(
         times=np.asarray(times),
-        site_probabilities=np.asarray(site_probs),
+        site_probabilities=probs[: n + 1],
         norms=np.asarray(norms),
-        channel_probabilities=channel_probabilities(psi, net),
+        channel_probabilities=net.leads(prob).sum(axis=-1),
         center_probability=float(prob[: net.center.n_sites].sum()),
         final_time=t,
         final_state=psi,

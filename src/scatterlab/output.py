@@ -10,10 +10,12 @@ scalar mapping's operation order, so every coordinate is bit for bit the
 per-point value.  A heatmap places and colours all drawn cells of a panel
 the same way, in one numpy pass, and formats them with one template.
 
-A CSV table maps header names to columns; one printf template, a piece
-per column by its dtype kind, writes every row: ``%d`` for integers,
-``%.12g`` for floats (NaN prints as ``nan``), ``%s`` for strings and
-objects.  A bool or complex column raises ``TypeError``.  Rows are
+A CSV table maps header names to columns, and may come as a stream of
+such blocks; one printf template per block, a piece per column by its
+dtype kind, writes every row: ``%d`` for integers, ``%.12g`` for floats
+(NaN prints as ``nan``), ``%s`` for strings and objects.  A bool or
+complex column raises ``TypeError``.  ``csv_cells`` gives the same text
+ahead of time, for a value that repeats over many rows.  Rows are
 formatted ``_CSV_BLOCK`` at a time, a block with one ``%`` (``_format_rows``,
 which the SVG path data and heatmap cells share).  The JSON summary writes
 non-finite floats as ``null``, so strict parsers accept it.
@@ -25,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,32 +42,71 @@ _CSV_BLOCK = 4_096
 _CSV_PIECES = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s", "O": "%s"}
 
 
-def write_csv(path, table: Mapping[str, Sequence]) -> None:
+def write_csv(path, table: Mapping[str, Sequence] | Iterable[Mapping[str, Sequence]]) -> None:
     """Write a versioned CSV table: the version line, the header (the keys
     of ``table``), then one line per row of its columns, arrays or lists.
 
-    Each column's piece of the one row template is chosen by the dtype
-    kind of its ``np.asarray`` (``_CSV_PIECES``): ``%d`` integers,
+    ``table`` is one block of rows, or an iterable of blocks written one
+    after another, each with the header's keys: a caller can stream a
+    table too large to hold at once.  A single mapping is the one-block
+    case.  Each column's piece of a block's row template is chosen by the
+    dtype kind of its ``np.asarray`` (``_CSV_PIECES``): ``%d`` integers,
     ``%.12g`` floats, ``%s`` strings and object arrays (such as
-    ``NetworkSpec.labels()``'s regions).  Any other kind (bool, complex)
-    raises ``TypeError``, and columns of unequal length ``ValueError``,
-    before the file is opened.  A list of Python ints beyond int64 may
-    convert to float, as ``np.asarray`` decides.  Rows are converted
-    with ``tolist`` and written ``_CSV_BLOCK`` at a time.
+    ``NetworkSpec.labels()``'s regions, or ``csv_cells``' text).  Any
+    other kind (bool, complex) raises ``TypeError``, and columns of
+    unequal length or a block with other keys ``ValueError``: for the
+    first block before the file is opened, for a later one when it is
+    reached.  A list of Python ints beyond int64 may convert to float, as
+    ``np.asarray`` decides.  Rows are converted with ``tolist`` and
+    written ``_CSV_BLOCK`` at a time.
     """
+    blocks = iter((table,) if isinstance(table, Mapping) else table)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("write_csv needs at least one block of rows")
+    header = list(first)
+    rows = _csv_rows(first)
+    with open(path, "w") as f:
+        f.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
+        f.writelines(rows)
+        for block in blocks:
+            if list(block) != header:
+                raise ValueError(f"write_csv block columns {list(block)} are not the header {header}")
+            f.writelines(_csv_rows(block))
+
+
+def _csv_rows(table: Mapping[str, Sequence]) -> Iterator[str]:
+    """The text of ``table``'s rows, ``_CSV_BLOCK`` rows per string, its
+    columns checked (``write_csv``) before the first one is made."""
     columns = [np.asarray(column) for column in table.values()]
-    for name, column in zip(table, columns):
-        if column.dtype.kind not in _CSV_PIECES:
-            raise TypeError(f"write_csv cannot format column {name!r} of dtype {column.dtype}")
+    template = ",".join(_csv_piece(name, column) for name, column in zip(table, columns)) + "\n"
     lengths = sorted({len(column) for column in columns})
     if len(lengths) > 1:
         raise ValueError(f"write_csv columns have unequal lengths {lengths}")
-    template = ",".join(_CSV_PIECES[column.dtype.kind] for column in columns) + "\n"
-    with open(path, "w") as f:
-        f.write(f"{CSV_VERSION_LINE}\n{','.join(table)}\n")
-        for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK):
-            block = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
-            f.write(_format_rows(template, block))
+    return (
+        _format_rows(template, [column[start : start + _CSV_BLOCK].tolist() for column in columns])
+        for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK)
+    )
+
+
+def _csv_piece(name: str, column: np.ndarray) -> str:
+    if column.dtype.kind not in _CSV_PIECES:
+        raise TypeError(f"write_csv cannot format column {name!r} of dtype {column.dtype}")
+    return _CSV_PIECES[column.dtype.kind]
+
+
+def csv_cells(column: Sequence) -> np.ndarray:
+    """The text ``write_csv`` writes for each value of ``column``, as an
+    object array: a column of these cells writes the same bytes, so a
+    value repeated over many rows is formatted once.  The distinct values
+    of an integer column are formatted once each, their text shared."""
+    column = np.asarray(column)
+    piece = _csv_piece("cells", column)
+    index = None
+    if column.dtype.kind in "iu":
+        column, index = np.unique(column, return_inverse=True)
+    cells = np.array([piece % value for value in column.tolist()], dtype=object)
+    return cells if index is None else cells[index]
 
 
 def _format_rows(piece: str, columns: Sequence[list], sep: str = "") -> str:

@@ -1,8 +1,10 @@
+import concurrent.futures
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import scatterlab as sl
 from scatterlab import cli
-from scatterlab.output import CSV_VERSION_LINE
+from scatterlab.output import CSV_VERSION_LINE, write_csv
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -1014,7 +1016,7 @@ def _serial_pool(created: list):
 
 def test_q_sweep_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
     created = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(created))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _serial_pool(created))
     config, csv_hashes, _ = _GOLDEN["q-sweep"]
     out = tmp_path / "out"
     argv = ["q-sweep", "--config", str(_write(tmp_path, config())), "--out", str(out)]
@@ -1027,7 +1029,7 @@ def test_q_sweep_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_q_sweep_rejects_fewer_than_one_worker(tmp_path, monkeypatch, capsys, workers):
     created = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(created))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _serial_pool(created))
     path = _write(tmp_path, _small_q_sweep_config())
     argv = ["q-sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", workers]
     assert cli.main(argv) == 2
@@ -1180,6 +1182,82 @@ def test_cli_paths_leave_scipy_unloaded(tmp_path, path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a pooled q-sweep needs concurrent.futures.process (and with it
+    # multiprocessing); every other run skips that import
+    code = "import sys, scatterlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=Path(sl.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _whole_table_snapshots(path, net, times, prob):
+    """snapshots.csv written as one table of every row above 1e-12: the
+    reference that the streamed blocks must match byte for byte."""
+    region, channel, offset = net.labels()
+    ti, si = np.nonzero(prob > 1e-12)
+    write_csv(path, {
+        "time": times[ti], "region": region[si], "channel": channel[si], "offset": offset[si],
+        "probability": prob[ti, si],
+    })
+
+
+def test_streamed_snapshots_match_the_whole_table(tmp_path):
+    # snapshot 1 holds no row above 1e-12 (one exactly at it), so its block
+    # is empty; the times and probabilities span the %.12g cases
+    net = sl.NetworkSpec(sl.SSHCenter(2.0, 4.0, 1), sl.LeadSpec(J=-0.1, length=6))
+    rng = np.random.default_rng(3)
+    prob = 10.0 ** rng.uniform(-16, 0, (4, net.dim))
+    prob[1] = np.minimum(prob[1], 1e-12)
+    prob[2, ::3] = 1e-12
+    times = np.array([0.0, 1 / 3, 2.5e-7, 1e5 + 0.1])
+    write_csv(tmp_path / "streamed.csv", cli._snapshot_blocks(net, times, prob))
+    _whole_table_snapshots(tmp_path / "whole.csv", net, times, prob)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_snapshots_of_a_run_clipped_at_t_max_match_the_whole_table(tmp_path):
+    config = {**_small_dynamics_config(), "propagator": {"snapshot_stride": 7.0, "t_max": 50.0}}
+    cfg = cli.parse_config(_write(tmp_path, config), "dynamics")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="unfinished"):
+        summary = cli.run(cfg, out)
+        net = sl.NetworkSpec(cfg.center, cfg.lead)
+        rec = sl.run_experiment(net, cfg.packet, cfg.propagator)
+    assert summary["final_time"] == rec.times[-1] == 50.0
+    _whole_table_snapshots(tmp_path / "whole.csv", net, rec.times, rec.site_probabilities)
+    assert (out / "snapshots.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_fig3a_dynamics_allocates_less_than_its_snapshots_beyond_them(tmp_path, monkeypatch):
+    # the snapshot array is allocated once for the run's budget and resident
+    # only as far as it is written, so it is counted apart; everything else
+    # the run allocates (propagation, channel history, the three CSVs, the
+    # SVGs) stays below one record's bytes: 0.73 of them here, against 2.44
+    # with a stacked copy of the snapshots, a fancy-index copy of the lead
+    # sites and a whole snapshots.csv table
+    import scipy.sparse  # noqa: F401 -- imports are not the run's
+    import scipy.special  # noqa: F401
+
+    cfg = dict(cli.figure_configs("3a"))["fig3a"]
+    records = []
+    run_experiment = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda *a: records.append(run_experiment(*a))
+                        or records[-1])
+    tracemalloc.start()
+    try:
+        cli.run_dynamics(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    snapshots = records[0].site_probabilities
+    held = snapshots if snapshots.base is None else snapshots.base
+    assert peak - held.nbytes < snapshots.nbytes
 
 
 def test_every_public_name_resolves():

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -520,6 +522,31 @@ def test_run_experiment_record_contents():
     assert hist[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.fixture(scope="module", params=["3a", "6a"])
+def figure_record(request):
+    cfg = dict(cli.figure_configs(request.param))[f"fig{request.param}"]
+    net = sl.NetworkSpec(center=cfg.center, lead=cfg.lead)
+    return net, sl.run_experiment(net, cfg.packet, cfg.propagator)
+
+
+def test_figure_record_holds_each_snapshot_once(figure_record):
+    net, rec = figure_record
+    snapshots = rec.site_probabilities
+    # the written rows of one array, the last one the final state's
+    assert snapshots.base is not None and snapshots.base.shape[1:] == (net.dim,)
+    assert snapshots[-1].tobytes() == (np.abs(rec.final_state) ** 2).tobytes()
+    p = sl.channel_probabilities(rec.final_state, net)
+    assert rec.channel_probabilities.tobytes() == p.tobytes()
+
+
+def test_channel_history_is_the_fancy_index_sum_bit_for_bit(figure_record):
+    # the reference copies every lead site of every snapshot with a fancy
+    # index, whose layout reduces over the offsets in sequence
+    net, rec = figure_record
+    reference = rec.site_probabilities[:, net.leads(np.arange(net.dim))].sum(axis=-1)
+    assert rec.channel_history().tobytes() == reference.tobytes()
+
+
 def test_run_experiment_two_lead_geometry():
     center = sl.SSHCenter(2.0, 4.0, 2)
     vals = np.linalg.eigvalsh(sl.center_matrix(center))
@@ -560,6 +587,43 @@ def test_run_experiment_snapshot_budget(monkeypatch):
     with pytest.warns(UserWarning, match="unfinished"):
         rec = sl.run_experiment(net, _packet(), cfg)
     assert len(rec.times) == 11
+
+
+def test_run_ending_at_t_max_keeps_its_snapshot_budget():
+    # 1,712 accumulated strides fall about 1e-9 short of t_max; an absolute
+    # test t + 1e-9 >= t_max took a 1,713th step of 1e-9 there, one snapshot
+    # beyond the budget, at a time that prints like the one before it
+    net = sl.NetworkSpec(sl.SSHCenter(1e-3, 1e-3, 1), sl.LeadSpec(J=-1e-3, length=60))
+    cfg = sl.PropagatorConfig(snapshot_stride=14.33064088758873, t_max=24534.057199551906)
+    with pytest.warns(UserWarning, match="unfinished"):
+        rec = sl.run_experiment(net, _packet(center_site=-25), cfg)
+    assert len(rec.times) == np.ceil(cfg.t_max / cfg.snapshot_stride) + 1 == 1713
+    assert rec.times[-1] == rec.final_time == cfg.t_max
+    assert len({"%.12g" % t for t in rec.times}) == 1713
+    assert rec.site_probabilities.shape == (1713, net.dim)
+
+
+@given(
+    stride=st.floats(1e-3, 1e3),
+    n=st.integers(1, 3000),
+    skew=st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 0.5]),
+)
+@example(stride=14.33064088758873, n=1712, skew=0.0)
+def test_schedule_ends_at_t_max_within_the_budget(stride, n, skew):
+    t_max = stride * n * (1.0 + skew)
+    budget = int(np.ceil(t_max / stride))
+    steps = list(sl.dynamics._schedule(stride, t_max, budget))
+    assert 1 <= len(steps) <= budget
+    # strides of `stride`, their times accumulated from 0, then a positive
+    # last step that ends at exactly t_max
+    t = 0.0
+    for step, time in steps[:-1]:
+        t += stride
+        assert (step, time) == (stride, t) and t < t_max
+    last, end = steps[-1]
+    assert end == t_max and last == t_max - t and last > 0
+    # the accumulated times round by at most half an ulp of t_max per stride
+    assert last <= stride + budget * np.spacing(t_max)
 
 
 @pytest.mark.parametrize(

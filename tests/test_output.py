@@ -17,6 +17,7 @@ from scatterlab.output import (
     _format_rows,
     _Frame,
     _nice_ticks,
+    csv_cells,
     svg_heatmap,
     svg_line_plot,
     write_csv,
@@ -98,6 +99,46 @@ def _column(n: int):
 def test_csv_matches_per_cell_reference(columns):
     table = {f"c{i}": column for i, column in enumerate(columns)}
     assert _written(table) == _reference_csv(table)
+
+
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(0, 12))
+
+
+@given(_SHAPES.flatmap(
+    lambda shape: st.lists(_column(shape[1]), min_size=shape[0], max_size=shape[0])
+), st.lists(st.integers(0, 12), max_size=4))
+def test_csv_blocks_write_the_table_they_split(columns, cuts):
+    # the table streamed as blocks at sorted cuts, empty blocks included,
+    # writes the bytes of the whole table
+    table = {f"c{i}": column for i, column in enumerate(columns)}
+    bounds = [0, *sorted(min(c, len(columns[0])) for c in cuts), len(columns[0])]
+    blocks = ({name: column[a:b] for name, column in table.items()}
+              for a, b in zip(bounds, bounds[1:]))
+    assert _written(blocks) == _written(table)
+
+
+@given(_SHAPES.flatmap(lambda shape: _column(shape[1])))
+@example(np.array([0.0, -0.0, math.nan, 0.0, -0.0]))
+@example(np.array([7, -(2**63), 7, 2**63 - 1, 7]))
+def test_csv_cells_write_the_bytes_of_their_column(column):
+    # integers are formatted once per distinct value; floats never are, so
+    # -0.0 and 0.0 keep their own text
+    cells = csv_cells(column)
+    assert cells.dtype == object
+    assert _written({"x": cells}) == _written({"x": column})
+
+
+def test_csv_block_with_other_columns_is_refused(tmp_path):
+    blocks = iter([{"a": [1], "b": [0.5]}, {"b": [0.25], "a": [2]}])
+    with pytest.raises(ValueError, match="not the header"):
+        write_csv(tmp_path / "t.csv", blocks)
+
+
+def test_csv_needs_a_block(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="at least one block"):
+        write_csv(path, iter([]))
+    assert not path.exists()
 
 
 def test_csv_rows_cross_the_block_boundary_unchanged():
