@@ -1238,9 +1238,9 @@ def test_fig3a_dynamics_allocates_less_than_its_snapshots_beyond_them(tmp_path, 
     # the snapshot array is allocated once for the run's budget and resident
     # only as far as it is written, so it is counted apart; everything else
     # the run allocates (propagation, channel history, the three CSVs, the
-    # SVGs) stays below one record's bytes: 0.73 of them here, against 2.44
-    # with a stacked copy of the snapshots, a fancy-index copy of the lead
-    # sites and a whole snapshots.csv table
+    # SVGs) stays below one record's bytes.  It reads 0.73 of them; a stacked
+    # copy of the snapshots, a fancy-index copy of the lead sites and a whole
+    # snapshots.csv table together read 2.44
     import scipy.sparse  # noqa: F401 -- imports are not the run's
     import scipy.special  # noqa: F401
 

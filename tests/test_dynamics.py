@@ -590,9 +590,9 @@ def test_run_experiment_snapshot_budget(monkeypatch):
 
 
 def test_run_ending_at_t_max_keeps_its_snapshot_budget():
-    # 1,712 accumulated strides fall about 1e-9 short of t_max; an absolute
-    # test t + 1e-9 >= t_max took a 1,713th step of 1e-9 there, one snapshot
-    # beyond the budget, at a time that prints like the one before it
+    # 1,712 accumulated strides fall about 1e-9 short of t_max: the last of
+    # them must still end on t_max, not leave a 1e-9 step past the budget
+    # at a time that prints like the one before it
     net = sl.NetworkSpec(sl.SSHCenter(1e-3, 1e-3, 1), sl.LeadSpec(J=-1e-3, length=60))
     cfg = sl.PropagatorConfig(snapshot_stride=14.33064088758873, t_max=24534.057199551906)
     with pytest.warns(UserWarning, match="unfinished"):
