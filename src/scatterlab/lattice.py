@@ -2,12 +2,11 @@
 
 A scattering network is a finite cluster (the *center*) with uniform
 tight-binding chains (the *leads*) attached to its sites.
-``NetworkSpec.alpha`` picks one of two geometries:
-
-* multichannel (``alpha=None``) -- one output lead per center site, plus
-  one input lead sharing the attachment site of output lead 1;
-* two-lead (``alpha`` an int) -- a single input and a single output lead,
-  both attached to center site ``alpha``.
+``NetworkSpec.alpha`` picks one of two geometries, and only
+``attachment_sites`` spells where each lead attaches, for assembly and
+the steady solver alike: multichannel (``alpha=None``) has one output
+lead per center site and the input lead at site 1, two-lead (``alpha``
+an int) one input and one output lead, both at site ``alpha``.
 
 An assembled network's basis holds the center sites first, then the
 input lead, then output leads 1..n, each lead running from its junction
@@ -158,14 +157,22 @@ class LeadSpec:
             raise PhysicsError(f"lead length must be >= 1, got {self.length}")
 
 
+def attachment_sites(n_sites: int, alpha: int | None) -> tuple[int, ...]:
+    """1-based center site of each lead, the input lead first, then each
+    output lead: ``(1, 1, 2, ..., n_sites)`` for multichannel
+    (``alpha=None``), ``(alpha, alpha)`` for two-lead."""
+    if alpha is None:
+        return (1, *range(1, n_sites + 1))
+    return (alpha, alpha)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Declarative description of a full scattering network.
 
     ``alpha`` picks the geometry, named as in ``two_lead_solve``: ``None``
-    is multichannel (output lead l attaches at center site l, the input
-    lead at site 1), an int is two-lead (the input and the single output
-    lead both attach at center site ``alpha``).
+    is multichannel, an int is two-lead.  ``attachments`` gives each
+    lead's center site, from ``attachment_sites``.
 
     The assembled basis has ``dim`` sites: the center sites, then
     ``n_outputs + 1`` leads of ``lead.length`` sites each, the input lead
@@ -185,11 +192,8 @@ class NetworkSpec:
 
     @property
     def attachments(self) -> tuple[int, ...]:
-        """1-based center site of each lead in ``leads`` row order: the
-        input lead first, then each output lead."""
-        if self.alpha is None:
-            return (1, *range(1, self.center.n_sites + 1))
-        return (self.alpha, self.alpha)
+        """``attachment_sites`` of this geometry, in ``leads`` row order."""
+        return attachment_sites(self.center.n_sites, self.alpha)
 
     @property
     def n_outputs(self) -> int:

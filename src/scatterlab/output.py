@@ -240,8 +240,11 @@ class _Svg:
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def tostring(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def write(self, path) -> None:
+        """Write the parts in turn, each followed by a newline: no joined copy."""
+        with open(path, "w") as f:
+            for part in (*self.parts, "</svg>"):
+                print(part, file=f)
 
 
 def _escape(s: str) -> str:
@@ -340,7 +343,7 @@ def svg_line_plot(
         svg.text(lx - 30, ly, s.label, size=10, anchor="end")
         ly += 14
 
-    Path(path).write_text(svg.tostring())
+    svg.write(path)
 
 
 def svg_heatmap(
@@ -399,4 +402,4 @@ def svg_heatmap(
         f'text-anchor="middle" transform="rotate(-90 14 {height / 2:.2f})">'
         f"{_escape(ylabel)}</text>"
     )
-    Path(path).write_text(svg.tostring())
+    svg.write(path)

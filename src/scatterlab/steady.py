@@ -4,23 +4,23 @@ A solve's k in (0, pi) is the magnitude of the incident wave vector
 q = ``lattice.incident_wave_vector(J, k)``: k for J < 0, -k for J > 0.
 The other sign would solve the time-reversed problem, which for a
 gain/loss centre swaps gain and loss.  Under the outgoing-wave ansatz, a
-semi-infinite lead attached to a center site contributes the
-energy-dependent boundary term J e^{iq} at that site.  Substituting the
-wavefunction continuity relation r = t1 - 1 turns the infinite
-scattering problem into a dense N x N linear system over the center
-amplitudes:
+semi-infinite lead attached to a center site contributes the boundary
+term J e^{iq} at that site.  With the input lead at a_0 and output lead
+l at a_l, the sites of ``lattice.attachment_sites``, continuity turns
+either geometry into one N x N system over the center amplitudes:
 
-    [H_c - E I + J e^{iq} (I + P_1)] t = 2 i J sin(q) e_1
+    [H_c - E + J e^{iq} sum_l P_{a_l}] psi = 2 i J sin(q) e_{a_0}
 
-where P_1 projects onto site 1, which carries the input lead and output
-lead 1 (the geometry ``NetworkSpec(alpha=None)`` builds), and
-E = 2 J cos q + mu.  The reflection amplitude is r = t_1 - 1.  The
-two-lead geometry eliminates identically, with the single output lead
-doubling the boundary term at the shared site.
+with E = 2 J cos q + mu, r = psi_{a_0} - 1 and t_l = psi_{a_l}.  A dense
+LU solves it (centers have a few hundred sites at most), adding each
+site's lead count times J e^{iq} to its diagonal entry in one addition.
+A singular system still determines psi at the attachment sites when no
+null direction reaches them (a level dark from every lead); otherwise it
+raises.  Multichannel, (1, 1, 2, ..., N), reads every site, so there a
+singular system always raises.
 
-The multichannel geometry is a dense direct solve: centers are small (a
-few hundred sites at most).  The two-lead geometry needs only t_alpha,
-and every built-in centre is a chain, so there
+The two-lead geometry, (alpha, alpha), needs only psi_alpha, and every
+built-in centre is a chain, so there
 
     t = 2 i J sin q / (h_aa - E + 2 J e^{iq} - S_left(E) - S_right(E)),
 
@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PhysicsError
-from .lattice import BAND_CENTRE_K, group_velocity, incident_wave_vector
+from .lattice import BAND_CENTRE_K, attachment_sites, group_velocity, incident_wave_vector
 
 # A refined reflection minimum must fall below this to count as a resonance.
 RESONANCE_R2 = 1e-8
@@ -133,24 +133,27 @@ class ResonanceScan:
     resonance_reflectance: tuple[float, ...]
 
 
-def _center_block(center: np.ndarray) -> np.ndarray:
+def _center_block(center: np.ndarray, alpha: int | None = None) -> np.ndarray:
     m = np.asarray(center, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise PhysicsError(f"center block must be square and non-empty, got shape {m.shape}")
+    if alpha is not None and not 1 <= alpha <= m.shape[0]:
+        raise PhysicsError(f"attachment site {alpha} outside [1, {m.shape[0]}]")
     return m
 
 
 def _degeneracy_warning(vals: np.ndarray, energy: float, width: float) -> tuple[str, ...]:
-    """Warn when the two center levels ``vals`` nearest the probe energy sit
-    closer than the resonance width 2|J| sin k, which bounds every level's
-    half-width: the probe then images the pair, not one level (e.g. the
-    zero-mode pair near the localization transition)."""
+    """Warn when the probe energy is on resonance (within the width
+    2|J| sin k of the nearest level in ``vals``) and the two levels nearest
+    it sit closer than that width, which bounds every level's half-width:
+    the probe then images the pair, not one level (e.g. the zero-mode pair
+    near the localization transition)."""
     if len(vals) < 2:
         return ()
     order = np.argsort(np.abs(vals - energy))
     a, b = vals[order[0]], vals[order[1]]
     gap = abs(a - b)
-    if gap < width:
+    if abs(a - energy) <= width and gap < width:
         return (
             f"levels {a:.6g} and {b:.6g} nearest E={energy:.6g} are split by "
             f"{gap:.3e} < resonance width 2|J| sin k = {width:.3e}; "
@@ -165,9 +168,8 @@ def solve_multichannel(
     mu: float,
     k: float,
 ) -> ScatteringSolution:
-    """Solve the multichannel geometry of ``NetworkSpec(alpha=None)``: one
-    output lead per center site and the input lead at site 1, so the
-    wave-packet engine runs the same network.
+    """Solve the multichannel geometry, ``attachment_sites(N, None)``, the
+    network the wave-packet engine runs for ``NetworkSpec(alpha=None)``.
 
     Continuity t_1 - r = 1 holds by construction; for Hermitian centers
     the flux |r|^2 + sum|t|^2 = 1 is a property of the solution and is
@@ -175,21 +177,11 @@ def solve_multichannel(
     """
     band, lead, drive = _lead_terms(J, k)
     hc = _center_block(center)
-    n = hc.shape[0]
     energy = band + mu
-    phase = 0.5 * lead
-    a = hc.copy()
-    diag = a.ravel()[:: n + 1]  # a view: the copy is C-contiguous
-    diag -= energy
-    diag += phase
-    a[0, 0] += phase
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = drive
-    try:
-        t = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular scattering system at mu={mu}, k={k}: {exc}") from exc
-    r = t[0] - 1.0
+    psi = _attached_solve(hc, attachment_sites(hc.shape[0], None), energy, lead, drive)
+    if psi is None:
+        raise NumericalError(f"singular scattering system at mu={mu}, k={k}")
+    r, t = psi[0] - 1.0, psi[1:]
     flux_error = float(abs(r) ** 2 + np.sum(np.abs(t) ** 2) - 1.0)
     vals = np.linalg.eigvals(hc)
     width = float(group_velocity(J, k))
@@ -241,10 +233,8 @@ def center_chain(center: np.ndarray, alpha: int) -> CenterChain | None:
     path of nonzero bond products joins them to alpha, so they are dark
     from it and cannot enter r or t.
     """
-    hc = _center_block(center)
+    hc = _center_block(center, alpha)
     n = hc.shape[0]
-    if not 1 <= alpha <= n:
-        raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
     if np.count_nonzero(np.triu(hc, 2)) or np.count_nonzero(np.tril(hc, -2)):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -328,11 +318,8 @@ def two_lead_solve(
     J > 0 (see the module notes, which also give the chain recursion).
     ``center`` is the dense matrix, its ``center_chain(center, alpha)`` or
     ``mu_scan``'s classification of it.  A tridiagonal centre is solved
-    by the chain recursion, any other by a dense LU; there a probe energy
-    exactly on a dark level (an
-    eigenstate with no weight at alpha) makes the system singular, but
-    the dark direction never reaches alpha, so r and t are those of the
-    center with the dark level removed.
+    by the chain recursion, any other by the dense solve, where a probe
+    energy exactly on a level dark from alpha drops that level.
 
     At the band centre k = ``BAND_CENTRE_K`` (pi/2), where E = mu, with mu
     equal to a real center eigenvalue whose wavefunction does not vanish
@@ -343,7 +330,9 @@ def two_lead_solve(
     band, lead, drive = _lead_terms(J, k)
     chain = _two_lead_system(center, alpha)
     if isinstance(chain, _DenseCenter):
-        t = _dense_two_lead_amplitude(chain.matrix, alpha, band + float(mu), lead, drive)
+        sites = attachment_sites(chain.matrix.shape[0], alpha)
+        psi = _attached_solve(chain.matrix, sites, band + float(mu), lead, drive)
+        t = None if psi is None else psi[0]
     else:
         if alpha != chain.alpha:
             raise PhysicsError(f"attachment site {alpha} differs from the chain's {chain.alpha}")
@@ -395,41 +384,47 @@ def _extended_lead_terms(J: float, k: float) -> tuple[np.clongdouble, ...]:
     return tuple(map(np.clongdouble, _lead_terms(J, k)))
 
 
-def _dense_two_lead_amplitude(
-    hc: np.ndarray, alpha: int, energy: float, lead: complex, drive: complex
-) -> complex | None:
-    """psi_alpha of (H_c - E + lead P_alpha) psi = drive e_alpha by a dense
-    LU, or None if the system is singular at alpha."""
+def _attached_solve(
+    hc: np.ndarray, sites: tuple[int, ...], energy: float, lead: complex, drive: complex
+) -> np.ndarray | None:
+    """psi at ``sites`` of the module's system, by a dense LU or, if it is
+    singular, ``_dark_level_amplitude``.  ``lead`` is 2J e^{iq}: a site
+    with c leads gets c * (lead / 2) in one addition, ``lead`` itself for
+    two-lead, and no other entry is touched."""
     n = hc.shape[0]
     a = hc.copy()
     a.ravel()[:: n + 1] -= energy
-    a[alpha - 1, alpha - 1] += lead
+    attached, count = np.unique(sites, return_counts=True)
+    a[attached - 1, attached - 1] += count * (0.5 * lead)
     rhs = np.zeros(n, dtype=complex)
-    rhs[alpha - 1] = drive
+    rhs[sites[0] - 1] = drive
     try:
-        return np.linalg.solve(a, rhs)[alpha - 1]
+        return np.linalg.solve(a, rhs)[np.subtract(sites, 1)]
     except np.linalg.LinAlgError:
-        return _dark_level_amplitude(a, rhs, alpha)
+        return _dark_level_amplitude(a, rhs, sites)
 
 
-def _dark_level_amplitude(a: np.ndarray, rhs: np.ndarray, alpha: int) -> complex | None:
-    """psi_alpha of the singular system a psi = rhs, or None if it is not
-    determined.
+def _dark_level_amplitude(
+    a: np.ndarray, rhs: np.ndarray, sites: tuple[int, ...]
+) -> np.ndarray | None:
+    """psi at ``sites`` of the singular system a psi = rhs, driven at
+    ``sites[0]``, or None if it is not determined there.
 
     The right-hand side lies in the range of ``a`` exactly when every left
-    null vector vanishes at alpha, and psi_alpha is unique exactly when
-    every right null vector does ("vanishes" meaning weight below
-    DARK_OVERLAP2, as for dark states).  The pseudo-inverse then gives it.
+    null vector vanishes at the driven site, and psi at ``sites`` is unique
+    exactly when every right null vector vanishes on all of them
+    ("vanishes" meaning weight below DARK_OVERLAP2, as for dark states).
+    The pseudo-inverse then gives it.
     """
     u, s, vh = np.linalg.svd(a)
     null = s <= s[0] * a.shape[0] * np.finfo(float).eps
-    if np.sum(np.abs(u[alpha - 1, null]) ** 2) >= DARK_OVERLAP2:
+    if np.sum(np.abs(u[sites[0] - 1, null]) ** 2) >= DARK_OVERLAP2:
         return None
-    if np.sum(np.abs(vh[null, alpha - 1]) ** 2) >= DARK_OVERLAP2:
+    if np.sum(np.abs(vh[null][:, np.unique(sites) - 1]) ** 2) >= DARK_OVERLAP2:
         return None
     keep = ~null
     coeffs = (u[:, keep].conj().T @ rhs) / s[keep]
-    return complex(vh[keep, alpha - 1] @ coeffs)
+    return np.array([vh[keep, site - 1] @ coeffs for site in sites])
 
 
 def _golden_minimum(
@@ -495,12 +490,11 @@ def mu_scan(
     The centre is classified once, into its ``center_chain`` or, off the
     tridiagonal band, a dense block, and every grid point and golden step
     is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``, looked up
-    through this module's global: the chain recursion, or a dense LU.  The
-    grid is walked as Python floats straight into the |r|^2 array.  A grid
-    point that lands exactly on a dark level is solved as by
-    ``two_lead_solve``: the dark level drops out and r is that of the
-    remaining center.  A grid of more
-    than 10,000,000 points, or a lead whose band edge
+    through this module's global: the chain recursion, or the dense
+    solve, whose singular-system rule a grid point exactly on a dark
+    level follows.  The grid is walked as Python floats straight into the
+    |r|^2 array.  A grid of more than 10,000,000 points, or a lead whose
+    band edge
     2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
     before the grid is allocated; a grid whose consecutive points are not
     strictly increasing in floating point (a step below the float spacing
@@ -594,10 +588,7 @@ def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np
     A level counts as real when |Im lambda| <= 1e-9 max(1, max |lambda|),
     a cut that scales with the spectrum as eig's rounding noise does.
     """
-    hc = _center_block(center)
-    n = hc.shape[0]
-    if not 1 <= alpha <= n:
-        raise PhysicsError(f"attachment site {alpha} outside [1, {n}]")
+    hc = _center_block(center, alpha)
     vals, vecs = np.linalg.eig(hc)
     order = np.argsort(vals.real, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

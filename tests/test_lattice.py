@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterlab as sl
-from scatterlab.lattice import REGION_CENTER, REGION_INPUT, REGION_OUTPUT
+from scatterlab.lattice import REGION_CENTER, REGION_INPUT, REGION_OUTPUT, attachment_sites
 
 
 def test_ssh_center_matrix_alternating_bonds():
@@ -166,6 +166,7 @@ def test_assemble_matches_dense_reference(alpha, attachments):
         lead = sl.LeadSpec(J=-0.7, mu=mu, length=3)
         net = sl.NetworkSpec(center=center, lead=lead, alpha=alpha)
         assert net.attachments == attachments
+        assert attachment_sites(center.n_sites, alpha) == attachments
         H = sl.assemble_network(net)
         expected = _dense_network(hc, -0.7, mu, 3, attachments)
         np.testing.assert_array_equal(H.matrix.toarray(), expected)

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
 from scatterlab import steady
-from scatterlab.lattice import BAND_CENTRE_K, dispersion, incident_wave_vector
+from scatterlab.lattice import BAND_CENTRE_K, attachment_sites, dispersion, incident_wave_vector
 from scatterlab.steady import _golden_minimum
 
 
@@ -127,6 +127,16 @@ def test_degenerate_pair_warning():
     assert on_pair.warnings  # hybridized zero modes split by ~1e-6 << J^2
     off_pair = sl.solve_multichannel(_ssh(6.0), J=-0.1, mu=0.0, k=K)
     assert not off_pair.warnings
+
+
+# fig 3a's chain: the levels 5.98 and 5.94 nearest mu = 7 are split by less
+# than the width 0.2, but the probe is 1.016 from them, off resonance, and
+# images neither; the zero-mode pair at mu = 0 is on resonance
+@pytest.mark.parametrize("mu, warns", [(0.0, True), (7.0, False), (50.0, False)])
+def test_degeneracy_warning_only_on_resonance(mu, warns):
+    sol = sl.solve_multichannel(_ssh(2.0), J=-0.1, mu=mu, k=K)
+    assert (sol.detuning <= sol.width) == warns
+    assert bool(sol.warnings) == warns
 
 
 def test_degeneracy_warning_compares_the_gap_with_the_resonance_width():
@@ -433,10 +443,12 @@ def _dense_r(center, alpha, J, mu, k):
     band, at the incident wave vector q of (J, k)."""
     q = incident_wave_vector(J, k)
     energy = float(sl.dispersion(J, mu, q))
-    t = steady._dense_two_lead_amplitude(
-        np.asarray(center, dtype=complex), alpha, energy, 2.0 * J * np.exp(1j * q), 2j * J * np.sin(q)
+    center = np.asarray(center, dtype=complex)
+    sites = attachment_sites(len(center), alpha)
+    psi = steady._attached_solve(
+        center, sites, energy, 2.0 * J * np.exp(1j * q), 2j * J * np.sin(q)
     )
-    return t - 1.0
+    return psi[0] - 1.0
 
 
 def _oracle_r2(center, alpha, J, mu, k):
@@ -699,7 +711,7 @@ def test_dark_level_amplitude_is_the_reduced_centre_value():
     a = _STAR - 2.0 * np.eye(3)
     a[0, 0] += 2j
     rhs = np.array([2j, 0.0, 0.0])
-    t = steady._dark_level_amplitude(a, rhs, 1)
+    (t, _) = steady._dark_level_amplitude(a, rhs, (1, 1))
     # reduced centre: t = 2i / (-2 + 2i - (sqrt 2)^2 / (3 - 2))
     assert t == pytest.approx(2j / (-4.0 + 2j), abs=1e-12)
     assert t == pytest.approx(0.2 - 0.4j, abs=1e-12)
@@ -707,10 +719,31 @@ def test_dark_level_amplitude_is_the_reduced_centre_value():
 
 def test_dark_level_amplitude_undetermined_when_the_null_vector_sits_on_alpha():
     # a left null vector on alpha: the drive is outside the range
-    assert steady._dark_level_amplitude(np.zeros((1, 1), dtype=complex), np.array([2j]), 1) is None
+    assert steady._dark_level_amplitude(np.zeros((1, 1), dtype=complex), np.array([2j]), (1, 1)) is None
     # only a right null vector, (1, -1) / sqrt 2, on alpha: psi_alpha is not unique
     a = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert steady._dark_level_amplitude(a, np.array([2j, 0.0]), 1) is None
+    assert steady._dark_level_amplitude(a, np.array([2j, 0.0]), (1, 1)) is None
+
+
+def test_multichannel_singular_system_raises_when_dark_from_the_input_only(monkeypatch):
+    # site 2 is cut off and its entry cancels its own lead's term J e^{iq}:
+    # the null direction misses the input site, so the two-lead reading
+    # (1, 1) is determined, but output lead 2 reads it, so multichannel is not
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    band, lead, drive = steady._lead_terms(-1.0, K)
+    center = np.diag([0.0, band - 0.5 * lead])
+    a = center - band * np.eye(2)
+    a[0, 0] += lead
+    a[1, 1] += 0.5 * lead
+    rhs = np.array([drive, 0.0])
+    assert steady._dark_level_amplitude(a, rhs, attachment_sites(2, None)) is None
+    (t, _) = steady._dark_level_amplitude(a, rhs, attachment_sites(2, 1))
+    assert t == pytest.approx(drive / (lead - band), abs=1e-12)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(sl.NumericalError, match="singular scattering system"):
+        sl.solve_multichannel(center, J=-1.0, mu=0.0, k=K)
 
 
 def test_two_lead_dense_fallback_matches_the_reduced_centre(monkeypatch):
@@ -728,9 +761,10 @@ def test_two_lead_dense_fallback_matches_the_reduced_centre(monkeypatch):
     assert t == pytest.approx(expected[1], abs=1e-12)
 
 
-def _parent_dense_r2(center, alpha, J, mu, k):
-    """|r|^2 by the dense solve every centre took before the chain route,
-    step for step, at the incident wave vector q of (J, k)."""
+def _parent_two_lead_amplitude(center, alpha, J, mu, k):
+    """t by the dense two-lead solve every centre took before the chain
+    route, step for step, at the incident wave vector q of (J, k): the
+    whole term 2J e^{iq} added to (h - E) at alpha in one addition."""
     hc = np.asarray(center, dtype=complex)
     n = hc.shape[0]
     q = incident_wave_vector(J, k)
@@ -740,8 +774,60 @@ def _parent_dense_r2(center, alpha, J, mu, k):
     a[alpha - 1, alpha - 1] += 2.0 * J * np.exp(1j * q)
     rhs = np.zeros(n, dtype=complex)
     rhs[alpha - 1] = 2j * J * np.sin(q)
-    t = np.linalg.solve(a, rhs)[alpha - 1]
+    return np.linalg.solve(a, rhs)[alpha - 1]
+
+
+def _parent_dense_r2(center, alpha, J, mu, k):
+    """|r|^2 by ``_parent_two_lead_amplitude``."""
+    t = _parent_two_lead_amplitude(center, alpha, J, mu, k)
     return float(abs(t - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("gain_loss", [False, True], ids=["hermitian", "gain-loss"])
+@pytest.mark.parametrize("J", [1.0, -0.3])
+def test_dense_two_lead_solve_keeps_the_parent_bits(gain_loss, J):
+    # the attachment-site solve adds 2 x (J e^{iq}) at alpha in one addition,
+    # which is the parent's 2J e^{iq} exactly, so r and t keep every bit
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        center = m + m.conj().T
+        if gain_loss:
+            center[np.diag_indices(n)] += 1j * rng.normal(size=n)
+        alpha = int(rng.integers(1, n + 1))
+        mu, k = rng.uniform(-4.0, 4.0), rng.uniform(0.05, np.pi - 0.05)
+        t = _parent_two_lead_amplitude(center, alpha, J, mu, k)
+        got = sl.two_lead_solve(steady._DenseCenter(center), alpha, J, mu, k)
+        assert got == (complex(t - 1.0), complex(t))
+
+
+_FIG7F_CENTRE = sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4))
+
+
+@pytest.mark.parametrize(
+    "center, mus",
+    [(_ssh(2.0), (0.0, 0.3, 1.7, 5.0)), (_FIG7F_CENTRE, (35.0, 38.7, 40.1, 42.0))],
+    ids=["fig3a-chain", "fig7f-centre"],
+)
+@pytest.mark.parametrize("J", [-0.1, 0.1])
+@pytest.mark.parametrize("k", [K, 0.7])
+def test_dense_geometries_agree_with_the_chain_recursion(center, mus, J, k):
+    # the dense solve over the attachment sites against the chain recursion:
+    # two-lead on the centre forced down the dense route, and multichannel
+    # as the two-lead chain at site 1 of the centre with one lead's term
+    # J e^{iq} on every other site (site 1 carries two leads either way)
+    n = len(center)
+    sigma = J * np.exp(1j * incident_wave_vector(J, k))
+    shifted = center + sigma * np.diag(np.arange(n) > 0)
+    for mu in mus:
+        for alpha in (1, 4, n):
+            dense = sl.two_lead_solve(steady._DenseCenter(center), alpha, J, mu, k)
+            chain = sl.two_lead_solve(center, alpha, J, mu, k)
+            assert np.allclose(dense, chain, rtol=0, atol=1e-12)
+        r_multi = sl.solve_multichannel(center, J=J, mu=mu, k=k).r
+        r_chain, _ = sl.two_lead_solve(shifted, 1, J, mu, k)
+        assert abs(r_multi - r_chain) <= 1e-12
 
 
 def test_full_custom_centre_scans_by_the_dense_path():
