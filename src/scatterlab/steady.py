@@ -44,17 +44,16 @@ The lead's terms 2J cos q, 2J e^{iq} and 2iJ sin q are computed once per
 Python arithmetic only.  Sites past a zero bond are cut off the chain,
 so a level dark from alpha there drops out by construction.  A centre
 with any entry off the tridiagonal band falls back to a dense LU, as
-does one whose on-site entries or bond products are not finite numbers.
+does one whose bond products overflow.
 A scan runs at the lead's band centre ``lattice.BAND_CENTRE_K``, where
 the probe energy equals mu.  All functions are pure; scans are
 deterministic.
 
-Scan resonances are refined by golden-section search (Kiefer 1953), done
-here with the constants and step order of scipy's golden scalar
-minimizer, so every refined zero is bit-identical to it.  The search
-reuses the scan's grid values for its bracket.  scipy's optimize package
-is not a runtime import: loading it would cost every CLI call about a
-third of its import time for these few lines.
+A scan resonance is a zero of the complex reflection amplitude r(mu), on
+a centre level.  A secant on r inside the candidate's grid bracket finds
+it, taking the real part of each step, so a gain/loss centre's complex r
+needs no other rule.  On fig 7 it lands within 2e-15 max(1, |lambda|)
+of a 40-digit eigensolver's levels lambda, in 5 to 22 solves each.
 """
 
 from __future__ import annotations
@@ -76,12 +75,8 @@ RESONANCE_R2 = 1e-8
 CANDIDATE_R2 = 1e-2
 # |<alpha|phi>|^2 below this marks an eigenstate invisible to the scan.
 DARK_OVERLAP2 = 1e-12
-# Golden-section search: scipy's rounded ratio (not the exact
-# (sqrt(5) - 1) / 2), relative x tolerance and iteration cap.
-_gR = 0.61803399
-_gC = 1.0 - _gR
-GOLDEN_XTOL = 1e-13
-GOLDEN_MAXITER = 5000
+# Step cap of the secant that refines a scan candidate (3-20 steps on fig 7).
+_SECANT_MAXITER = 60
 # A scan grid may hold at most this many points (fig 7 uses 20,001).
 _MAX_SCAN_POINTS = 10_000_000
 
@@ -133,12 +128,16 @@ class ResonanceScan:
     resonance_reflectance: tuple[float, ...]
 
 
-def _center_block(center: np.ndarray, alpha: int | None = None) -> np.ndarray:
+def _center_block(
+    center: np.ndarray, alpha: int | None = None, finite: bool = False
+) -> np.ndarray:
     m = np.asarray(center, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise PhysicsError(f"center block must be square and non-empty, got shape {m.shape}")
     if alpha is not None and not 1 <= alpha <= m.shape[0]:
         raise PhysicsError(f"attachment site {alpha} outside [1, {m.shape[0]}]")
+    if finite and not np.isfinite(m).all():  # for eig and the dense LU
+        raise PhysicsError("center block entries must be finite numbers")
     return m
 
 
@@ -152,7 +151,8 @@ def _degeneracy_warning(vals: np.ndarray, energy: float, width: float) -> tuple[
         return ()
     order = np.argsort(np.abs(vals - energy))
     a, b = vals[order[0]], vals[order[1]]
-    gap = abs(a - b)
+    with np.errstate(over="ignore"):  # an infinite gap splits no pair
+        gap = abs(a - b)
     if abs(a - energy) <= width and gap < width:
         return (
             f"levels {a:.6g} and {b:.6g} nearest E={energy:.6g} are split by "
@@ -173,10 +173,13 @@ def solve_multichannel(
 
     Continuity t_1 - r = 1 holds by construction; for Hermitian centers
     the flux |r|^2 + sum|t|^2 = 1 is a property of the solution and is
-    reported via ``flux_error``.
+    reported via ``flux_error``.  A non-finite centre entry or mu, or a J
+    whose lead terms overflow, raises ``PhysicsError``.
     """
     band, lead, drive = _lead_terms(J, k)
-    hc = _center_block(center)
+    if not math.isfinite(mu):
+        raise PhysicsError(f"lead potential mu={mu} must be finite")
+    hc = _center_block(center, finite=True)
     energy = band + mu
     psi = _attached_solve(hc, attachment_sites(hc.shape[0], None), energy, lead, drive)
     if psi is None:
@@ -268,7 +271,7 @@ def _two_lead_system(center, alpha: int) -> CenterChain | _DenseCenter:
     ``center_chain``, or else its dense block.  Classified input passes."""
     if isinstance(center, (CenterChain, _DenseCenter)):
         return center
-    hc = _center_block(center)
+    hc = _center_block(center, finite=True)
     chain = center_chain(hc, alpha)
     return _DenseCenter(hc) if chain is None else chain
 
@@ -325,9 +328,12 @@ def two_lead_solve(
     equal to a real center eigenvalue whose wavefunction does not vanish
     at alpha, the transmission is perfect (r = 0) for any coupling
     strength J.  A singularity that couples to alpha raises
-    ``NumericalError``.
+    ``NumericalError``; a non-finite centre entry or mu, or a J whose
+    lead terms overflow, raises ``PhysicsError``.
     """
     band, lead, drive = _lead_terms(J, k)
+    if not math.isfinite(mu):
+        raise PhysicsError(f"lead potential mu={mu} must be finite")
     chain = _two_lead_system(center, alpha)
     if isinstance(chain, _DenseCenter):
         sites = attachment_sites(chain.matrix.shape[0], alpha)
@@ -362,12 +368,15 @@ def _lead_terms(J: float, k: float) -> tuple[float, complex, complex]:
     band offset 2J cos q of E = 2J cos q + mu (``dispersion`` less its
     mu), the two-lead boundary term 2J e^{iq} (twice one lead's) and the
     drive 2iJ sin q.  Memoised, so a scan pays the numpy calls once per
-    (J, k); an invalid J or k raises on every call."""
+    (J, k); an invalid J or k raises on every call, as does a J whose 2J
+    is not a finite float, which would make the terms infinite or NaN."""
     if not 0 < k < np.pi:
         raise PhysicsError(
             f"wave vector k={k} outside (0, pi): the incident wave must travel "
             "toward the center"
         )
+    if not math.isfinite(2.0 * float(J)):
+        raise PhysicsError(f"lead hopping J={J} must be finite, with 2J within the float range")
     q = incident_wave_vector(J, k)
     return (
         float(2.0 * J * np.cos(q)),
@@ -427,40 +436,35 @@ def _dark_level_amplitude(
     return np.array([vh[keep, site - 1] @ coeffs for site in sites])
 
 
-def _golden_minimum(
-    f: Callable[[float], float], xs: Sequence[float], fs: Sequence[float]
-) -> tuple[float, float]:
-    """Golden-section minimum ``(x, f(x))`` of ``f`` in the bracket
-    ``xs = (xa, xb, xc)``, xa < xb < xc, given ``fs``, the values of ``f``
-    there.
+def _secant_zero(
+    f: Callable[[float], complex], xs: Sequence[float], fs: Sequence[float]
+) -> tuple[float, complex] | None:
+    """Zero ``(x, f(x))`` of the complex ``f`` by a secant inside the
+    bracket ``xs = (xa, xb, xc)``, xa < xb < xc, given ``fs``, the values
+    of |f|^2 there, or None if a step leaves the bracket.
 
-    This is scipy's golden scalar minimizer step for step (same
-    constants, first split of the longer side, stop test, cap and final
-    tie rule), so ``x`` and ``f(x)`` are bit-identical to it with
-    ``bracket=xs`` and ``xtol=GOLDEN_XTOL``.  Only f(xb) enters the
-    search, and no bracket point is evaluated again.  Where f(xb) ties f(xa) or f(xc),
-    scipy rejects the bracket; here the search runs all the same.
+    The secant starts from xb and from whichever end has the smaller
+    |f|^2 (xa on a tie): started from both ends, it lost one of fig 7b's
+    edge pair, two levels 5.7e-6 apart with |r|^2 near 1 at the grid point
+    between them.  It steps x <- x - Re[f dx / df] and stops when f is
+    exactly 0, when two successive f are equal, when a step is below 2 ulp
+    of x, or after ``_SECANT_MAXITER`` steps.
     """
-    x0, xb, x3 = (float(x) for x in xs)
-    fb = float(fs[1])
-    if abs(x3 - xb) > abs(xb - x0):
-        x1, x2 = xb, xb + _gC * (x3 - xb)
-        f1, f2 = fb, f(x2)
-    else:
-        x1, x2 = xb - _gC * (xb - x0), xb
-        f1, f2 = f(x1), fb
-    for _ in range(GOLDEN_MAXITER):
-        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
+    xa, xb, xc = xs
+    x0, x1 = (xc if fs[2] < fs[0] else xa), xb
+    f0, f1 = f(x0), f(x1)
+    for _ in range(_SECANT_MAXITER):
+        if not f1 or f1 == f0:
             break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _gR * x1 + _gC * x3
-            f2 = f(x2)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _gR * x2 + _gC * x0
-            f1 = f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+        step = (f1 * (x1 - x0) / (f1 - f0)).real
+        x0, f0 = x1, f1
+        x1 -= step
+        if not xa <= x1 <= xc:
+            return None
+        f1 = f(x1)
+        if abs(step) < 2.0 * math.ulp(x1):
+            break
+    return x1, f1
 
 
 def mu_scan(
@@ -476,19 +480,15 @@ def mu_scan(
     At the band centre the probe energy is E = mu, so each reflection zero
     sits on a center eigenvalue; at any other k it sits 2J cos k away.
 
-    Candidate local minima below 1e-2 are refined by golden-section
-    minimization over the bracket of their two grid neighbours.  The
-    search is scipy's golden scalar minimizer step for step, with its
-    rounded ratio 0.61803399, xtol 1e-13 and 5,000-iteration cap, so the
-    refined mu* and |r|^2 are bit-identical to it.  The bracket's |r|^2 is
-    taken from the grid rather than solved again, and scipy's optimize
-    package is not imported.  Only minima reaching |r|^2 < 1e-8 are
+    Each candidate, a local minimum of the grid's |r|^2 below 1e-2, is
+    refined as a zero of r by a secant inside the bracket of its two grid
+    neighbours (``_secant_zero``).  Only zeros reaching |r|^2 < 1e-8 are
     reported as resonances.  The scan does not diagonalise the centre:
     its caller reads the levels, dark ones included, from
     ``resonant_eigenvalues``.
 
     The centre is classified once, into its ``center_chain`` or, off the
-    tridiagonal band, a dense block, and every grid point and golden step
+    tridiagonal band, a dense block, and every grid point and secant step
     is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``, looked up
     through this module's global: the chain recursion, or the dense
     solve, whose singular-system rule a grid point exactly on a dark
@@ -528,11 +528,10 @@ def mu_scan(
             "consecutive grid points coincide in floating point"
         )
 
-    def r2(mu: float) -> float:
-        r, _ = two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)
-        return float(abs(r) ** 2)
+    def reflection(mu: float) -> complex:
+        return two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)[0]
 
-    curve = np.fromiter(map(r2, grid.tolist()), dtype=float, count=n)
+    curve = np.fromiter((abs(reflection(mu)) ** 2 for mu in grid.tolist()), dtype=float, count=n)
 
     # candidates: local minima (strict on the left) below CANDIDATE_R2
     mid = curve[1:-1]
@@ -540,10 +539,10 @@ def mu_scan(
     resonances: list[float] = []
     res_r2: list[float] = []
     for i in (np.flatnonzero(candidate) + 1).tolist():
-        mu_star, r2_star = _golden_minimum(r2, grid[i - 1 : i + 2], curve[i - 1 : i + 2])
-        if r2_star < RESONANCE_R2:
-            resonances.append(mu_star)
-            res_r2.append(r2_star)
+        zero = _secant_zero(reflection, grid[i - 1 : i + 2].tolist(), curve[i - 1 : i + 2])
+        if zero and abs(zero[1]) ** 2 < RESONANCE_R2:
+            resonances.append(zero[0])
+            res_r2.append(abs(zero[1]) ** 2)
 
     return ResonanceScan(
         mu_grid=grid,
@@ -588,7 +587,7 @@ def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np
     A level counts as real when |Im lambda| <= 1e-9 max(1, max |lambda|),
     a cut that scales with the spectrum as eig's rounding noise does.
     """
-    hc = _center_block(center, alpha)
+    hc = _center_block(center, alpha, finite=True)
     vals, vecs = np.linalg.eig(hc)
     order = np.argsort(vals.real, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

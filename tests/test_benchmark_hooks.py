@@ -34,25 +34,25 @@ def test_every_benchmark_span_wraps_an_existing_function():
 def test_mu_scan_solves_through_the_module_global_once_per_grid_point_and_golden_step(
     monkeypatch,
 ):
-    counts = {"solve": 0, "golden": 0}
-    solve, golden = steady.two_lead_solve, steady._golden_minimum
+    counts = {"solve": 0, "refine": 0}
+    solve, secant_zero = steady.two_lead_solve, steady._secant_zero
 
     def counted_solve(*args, **kwargs):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    def counted_golden(f, xs, fs):
+    def counted_secant_zero(f, xs, fs):
         def step(x):
-            counts["golden"] += 1
+            counts["refine"] += 1
             return f(x)
 
-        return golden(step, xs, fs)
+        return secant_zero(step, xs, fs)
 
     monkeypatch.setattr(steady, "two_lead_solve", counted_solve)
-    monkeypatch.setattr(steady, "_golden_minimum", counted_golden)
+    monkeypatch.setattr(steady, "_secant_zero", counted_secant_zero)
     # the benchmark's own span test scans this centre
     center = sl.center_matrix(sl.SSHCenter(v=2.0, w=4.0, cells=3))
     scan = steady.mu_scan(center, 1, 1.0, (-7.0, 7.0), 1e-2)
     assert scan.mu_grid.size == 1401
-    assert scan.resonances and counts["golden"] > 0
-    assert counts["solve"] == scan.mu_grid.size + counts["golden"]
+    assert scan.resonances and counts["refine"] > 0
+    assert counts["solve"] == scan.mu_grid.size + counts["refine"]

@@ -883,7 +883,7 @@ _GOLDEN = {
     "mu-scan": (
         _small_mu_scan_config,
         {
-            "resonances.csv": "eb6993da45ac3a6475c3868ea0e6d7e7b3c5cd555ec9ddea30b475ba67e50b31",
+            "resonances.csv": "6fecdd6e5e3cbd2cf7fa73945ca11c01718c24463f58c79c3dce10c477a3e70c",
             "scan.csv": "8c3d227c98e036a612b4686d80b88a9701dff9c71ca87c48a2ebe9025595aca7",
         },
         {
@@ -965,7 +965,7 @@ def test_figure_3a_artifacts_match_golden(tmp_path):
 # to 2.1e-14 (test_gain_loss_chain_scan_is_within_1e_13_of_the_oracle_on_every_row).
 _FIG7F_GOLDEN = {
     "scan.csv": "529859a31c0f5fd06579cc1e830d04ca6b063e44e510b4413b463edd3a3b85b2",
-    "resonances.csv": "63d7d270ba9786daf2b5eda5bfaa3d6efd7e002948b140c2cd4faabdd2f84100",
+    "resonances.csv": "3cda757565b417573e53c1a1755ce6c56b3350f5efba6dfd3e818d06dbc922eb",
     "reflection.svg": "7ae3891f48da202c4dff315f5782e9ffd95f909e396b34a6f15453b6b5c88b2f",
 }
 
@@ -983,7 +983,7 @@ def test_figure_7f_artifacts_match_golden(tmp_path):
 # The SVG pins the plot of a real chain, whose recursion runs in floats.
 _FIG7B_GOLDEN = {
     "scan.csv": "cd76b04946ca1ded4a8c3207256a169c5ecc3b5f74aabdc097ef1b1fad818ad4",
-    "resonances.csv": "481aa5d7a1b091bfd23dcbb84bc4212bba8d8c822312d8cffb3786d2d5090550",
+    "resonances.csv": "dd87d15a22afc12b56715aff14d9b6c5416e41cefe23137a0c18131f2e0a26ee",
     "reflection.svg": "c7cec9173b46c27c096bf00295562c9d1f5a8ba148f632fd39a01c6f6c4df8f7",
 }
 

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 import scatterlab as sl
-from scatterlab import steady
+from scatterlab import cli, steady
 from scatterlab.lattice import BAND_CENTRE_K, attachment_sites, dispersion, incident_wave_vector
-from scatterlab.steady import _golden_minimum
 
 
 def _ssh(v, w=4.0, cells=20):
@@ -340,64 +338,116 @@ def test_mu_scan_rejects_non_finite_inputs(mu_range, resolution):
         sl.mu_scan(_ssh(2.0, cells=3), 1, 1.0, mu_range, resolution)
 
 
-def _candidate_brackets(center, mu_range):
-    """Every (f, grid bracket, grid values) the refinement of a step-1e-2
-    scan of ``center`` starts from, by mu_scan's candidate rule."""
-    scan = sl.mu_scan(center, alpha=1, J=1.0, mu_range=mu_range, resolution=1e-2)
-    grid, curve = scan.mu_grid, scan.reflectance
-
-    def r2(mu):
-        return float(abs(sl.two_lead_solve(center, 1, 1.0, mu, K)[0]) ** 2)
-
-    return [
-        (r2, grid[i - 1 : i + 2], curve[i - 1 : i + 2])
-        for i in range(1, len(grid) - 1)
-        if curve[i] < curve[i - 1] and curve[i] <= curve[i + 1] and curve[i] < 1e-2
-    ]
+def _fig7_scan(name, offset=0.0):
+    """The centre, scan config and ``mu_scan`` of a fig 7 panel, its
+    window moved by ``offset`` steps."""
+    cfg = dict(cli.figure_configs("7"))[name]
+    s, center = cfg.scan, sl.center_matrix(cfg.center)
+    d = offset * s.step
+    return center, s, sl.mu_scan(center, s.alpha, s.J, (s.mu_min + d, s.mu_max + d), s.step)
 
 
-def _scipy_golden(f, xs):
-    return minimize_scalar(f, bracket=tuple(xs), method="golden", options={"xtol": 1e-13})
+@pytest.mark.parametrize("name", ["fig7b", "fig7c", "fig7d", "fig7e", "fig7f"])
+def test_fig7_resonances_lie_within_2e_15_of_the_40_digit_levels(name):
+    # relative above 1: fig 7f's levels sit near 38, where doubles are
+    # 7.1e-15 apart
+    center, _, scan = _fig7_scan(name)
+    assert scan.resonances
+    with mpmath.workdps(40):
+        a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in center])
+        levels = mpmath.eig(a, left=False, right=False)
+        for mu in scan.resonances:
+            lam = min(levels, key=lambda e: abs(mpmath.mpf(mu) - e))
+            assert abs(mpmath.mpf(mu) - lam) <= 2e-15 * max(1.0, abs(lam)), mu
+
+
+@pytest.mark.parametrize("name", ["fig7b", "fig7f"])
+def test_fig7_scan_finds_each_bright_isolated_level_once_at_any_window_offset(name):
+    # perfbench's check_fig7 rule: a level whose dip is at least 5 steps
+    # wide and which lies at least 4 steps from every other level has a
+    # grid candidate wherever the window starts
+    for offset in (0.0, 0.13, 0.29, 0.5, 0.71, 0.94):
+        center, s, scan = _fig7_scan(name, offset)
+        real, weights = sl.resonant_eigenvalues(center, s.alpha)
+        every = np.linalg.eigvals(center)
+        found = np.array(scan.resonances)
+        nearest = np.abs(found[:, None] - real[None, :]).argmin(axis=1)
+        assert np.abs(found - real[nearest]).max() <= 1e-9
+        assert len(set(nearest.tolist())) == len(found), offset  # one per level
+        lo, hi = scan.mu_grid[0] + s.step, scan.mu_grid[-1] - s.step
+        width = 2.0 * abs(s.J) * abs(np.sin(s.k)) * weights
+        for lam, wid in zip(real, width):
+            isolated = np.sum(np.abs(every - lam) < 4 * s.step) == 1
+            if wid >= 5 * s.step and isolated and lo <= lam <= hi:
+                assert np.sum(np.abs(found - lam) <= 1e-9) == 1, (offset, lam)
+        if name == "fig7b":
+            # the edge pair, split by 5.7e-6 inside one step, shares one dip
+            pair = real[np.argsort(np.abs(real))[:2]]
+            assert np.abs(found[:, None] - pair[None, :]).min() <= 1e-9, offset
+
+
+@pytest.mark.parametrize("xs", [(-0.01, 0.0001, 0.0101), (-0.02, -0.001, 0.018), (-0.1, 0.05, 0.2)])
+def test_secant_lands_on_a_zero_at_mu_0(xs):
+    # the 3-site chain's middle level is 0, where a step test relative to
+    # x alone would not stop: r reaches exactly 0 at mu = -2J cos q
+    center = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    calls = []
+
+    def r(mu):
+        calls.append(mu)
+        return sl.two_lead_solve(center, 1, 1.0, mu, K)[0]
+
+    fs = [abs(r(x)) ** 2 for x in xs]
+    calls.clear()
+    mu_star, r_star = steady._secant_zero(r, xs, fs)
+    assert abs(mu_star) <= 1e-15
+    assert abs(r_star) ** 2 < steady.RESONANCE_R2
+    assert len(calls) < 2 + steady._SECANT_MAXITER
+    scan = sl.mu_scan(center, 1, 1.0, (-1.003, 1.0), 1e-2)
+    assert min(abs(mu) for mu in scan.resonances) <= 1e-15
 
 
 @pytest.mark.parametrize(
-    ("center", "mu_range"),
-    [
-        (_ssh(2.0, cells=3), (-6.5, 6.5)),
-        (sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4)), (30.0, 50.0)),
-    ],
-    ids=["ssh-3-cells", "gain-loss-8-sites"],
+    ("fs", "first"),
+    [((2.25, 0.25, 0.25), 1.0), ((1.0, 0.25, 2.25), -1.0), ((1.0, 0.25, 1.0), -1.0)],
+    ids=["right-lower-and-tied-with-the-centre", "left-lower", "ends-tie"],
 )
-def test_golden_minimum_matches_scipy_on_scan_brackets(center, mu_range):
-    brackets = _candidate_brackets(center, mu_range)
-    assert len(brackets) >= 4
-    for f, xs, fs in brackets:
-        ref = _scipy_golden(f, xs)
-        assert _golden_minimum(f, xs, fs) == (float(ref.x), float(ref.fun))
+def test_secant_starts_from_the_lower_grid_neighbour(fs, first):
+    # mu_scan's candidate rule admits a centre value equal to its right
+    # neighbour's; the secant starts there all the same
+    calls = []
 
-
-def test_golden_minimum_matches_scipy_at_an_exact_zero():
-    # the minimum sits on x = 0, so the relative stop test |x3 - x0| <=
-    # xtol (|x1| + |x2|) is met only after many steps: this pins termination
     def f(x):
-        return x * x
+        calls.append(x)
+        return complex(x - 0.5)
 
-    ref = _scipy_golden(f, (-1.0, 0.1, 1.0))
-    assert ref.nit == 837
-    assert _golden_minimum(f, (-1.0, 0.1, 1.0), (1.0, 0.01, 1.0)) == (float(ref.x), float(ref.fun))
+    assert steady._secant_zero(f, (-1.0, 0.0, 1.0), fs) == (0.5, 0j)
+    assert calls[:2] == [first, 0.0]
 
 
-def test_golden_minimum_accepts_a_tie_with_the_right_bracket_value():
-    # mu_scan's candidate rule admits f(xb) == f(xc), which scipy rejects
+def test_secant_rejects_a_step_that_leaves_the_bracket():
+    # from xb = 0.1 and xa = -1 (a tie with xc), the first step lands at 1.22
     def f(x):
-        return (x - 0.5) ** 2
+        return complex(1.0 + x * x)
 
-    xs, fs = (-1.0, 0.0, 1.0), (2.25, 0.25, 0.25)
-    with pytest.raises(ValueError, match="Bracketing values"):
-        _scipy_golden(f, xs)
-    x, fun = _golden_minimum(f, xs, fs)
-    assert x == pytest.approx(0.5, abs=1e-12)
-    assert fun == pytest.approx(0.0, abs=1e-24)
+    assert steady._secant_zero(f, (-1.0, 0.1, 1.0), (4.0, 1.0201, 4.0)) is None
+
+
+def test_mu_scan_drops_a_dip_that_never_reaches_the_resonance_threshold(monkeypatch):
+    # one gain site: |r|^2 = mu^2 + 0.01 over mu^2 + 3.61 bottoms out at
+    # 0.0028, a candidate below 1e-2 whose refinement ends above 1e-8
+    refined = []
+    secant_zero = steady._secant_zero
+
+    def recording(f, xs, fs):
+        refined.append(secant_zero(f, xs, fs))
+        return refined[-1]
+
+    monkeypatch.setattr(steady, "_secant_zero", recording)
+    scan = sl.mu_scan(np.array([[0.1j]]), 1, 1.0, (-0.5, 0.5), 1e-2)
+    assert scan.resonances == ()
+    (zero,) = refined
+    assert abs(zero[1]) ** 2 == pytest.approx(0.01 / 3.61)
 
 
 def test_eigenfunction_from_transmissions_images_edge_state():
@@ -949,6 +999,45 @@ def test_overflowing_bond_products_take_the_dense_route(center):
     assert r == pytest.approx(-1.0) and abs(t) < 1e-100
     scan = sl.mu_scan(center, 1, 1.0, (-1.0, 1.0), 0.25)
     np.testing.assert_allclose(scan.reflectance, 1.0)
+
+
+_SSH_2_4_3 = sl.center_matrix(sl.SSHCenter(2.0, 4.0, 3))
+_FIG7F_CENTRE = sl.center_matrix(sl.NonHermitianSSHCenter(40.0, 2.0, 10.0, 4))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: sl.solve_multichannel(_SSH_2_4_3, 1e308, 0.0, K),
+        lambda: sl.solve_multichannel(_SSH_2_4_3, np.nan, 0.0, K),
+        lambda: sl.solve_multichannel(_SSH_2_4_3, -1.0, np.nan, K),
+        lambda: sl.solve_multichannel(_SSH_2_4_3, -1.0, np.inf, K),
+        lambda: sl.solve_multichannel(np.diag([np.inf, 0.0]), -1.0, 0.0, K),
+        lambda: sl.resonant_eigenvalues(np.diag([np.nan, 0.0]), 1),
+        lambda: sl.two_lead_solve(_SSH_2_4_3, 1, 1e308, 0.0, K),
+        lambda: sl.two_lead_solve(_SSH_2_4_3, 1, np.nan, 0.0, K),
+        lambda: sl.two_lead_solve(_SSH_2_4_3, 1, 1.0, np.nan, K),
+        lambda: sl.two_lead_solve(_FIG7F_CENTRE, 1, 1e308, 0.0, K),
+        lambda: sl.two_lead_solve(np.diag([0.0, np.nan]), 1, 1.0, 0.3, K),
+        lambda: sl.mu_scan(np.diag([0.0, np.nan]), 1, 1.0, (-1.0, 1.0), 0.1),
+    ],
+    ids=[
+        "multichannel-J-1e308", "multichannel-J-nan", "multichannel-mu-nan",
+        "multichannel-mu-inf", "multichannel-inf-centre", "eigenvalues-nan-centre",
+        "two-lead-J-1e308", "two-lead-J-nan", "two-lead-mu-nan", "two-lead-gain-loss-J-1e308",
+        "two-lead-nan-centre", "mu-scan-nan-centre",
+    ],
+)
+def test_steady_solvers_refuse_non_finite_or_overflowing_input(solve):
+    # these gave NaN amplitudes, a numpy RuntimeWarning or LinAlgError
+    with pytest.raises(sl.PhysicsError, match="finite"):
+        solve()
+
+
+def test_degeneracy_warning_takes_an_overflowing_gap_as_no_pair():
+    # levels +-1.4e308: their difference overflows, which numpy warned about
+    sol = sl.solve_multichannel(np.array([[1e308, 1e308], [1e308, -1e308]]), -0.1, 0.0, K)
+    assert sol.warnings == ()
 
 
 def test_center_chain_refuses_a_non_finite_onsite_entry():
