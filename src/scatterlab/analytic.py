@@ -61,6 +61,8 @@ def zero_mode_probe(energy: float, k: float, J: float) -> None:
 def zero_mode_amplitudes(q: float) -> tuple[float, float]:
     """Resonant (t1, r) of the zero mode: t1 = 2(1-q^2)/(2-q^2),
     r = -q^2/(2-q^2).  Satisfies t1 - r = 1 identically."""
+    if not np.isfinite(q):
+        raise PhysicsError(f"amplitudes need a finite q, got q={q}")
     denom = 2.0 - q * q
     if denom == 0:
         raise PhysicsError("amplitudes undefined at q = sqrt(2)")
@@ -75,7 +77,7 @@ def predicted_probabilities(q: float, l: int) -> float:
     geometric series |t1|^2 q^(l-1); even output channels are dark.  For
     q > 1 there is no in-gap mode and everything reflects.
     """
-    if q <= 0:
+    if not q > 0:  # NaN too
         raise PhysicsError(f"q must be positive, got {q}")
     if q == 1:
         raise PhysicsError("q = 1 is the transition point; probabilities undefined")
@@ -101,7 +103,7 @@ def visibility_theory(q: float) -> float:
 def reflection_theory(q: float) -> float:
     """Resonant reflection law: q^4/(2-q^2)^2 below the transition, total
     reflection above it."""
-    if q <= 0:
+    if not q > 0:  # NaN too
         raise PhysicsError(f"q must be positive, got {q}")
     if q == 1:
         raise PhysicsError("q = 1 is the transition point; reflection law undefined")
@@ -138,8 +140,8 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
     energy sqrt((v - w cos kappa)^2 - gamma^2).  Levels with negative
     radicand are flagged complex rather than rejected.
     """
-    if v <= 0 or w <= 0 or gamma <= 0:
-        raise PhysicsError("nh_spectrum requires v, w, gamma > 0")
+    if not all(0 < x < np.inf for x in (v, w, gamma)):
+        raise PhysicsError(f"nh_spectrum requires finite v, w, gamma > 0, got {v}, {w}, {gamma}")
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
     levels = []

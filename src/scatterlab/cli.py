@@ -26,9 +26,10 @@ the magnitude of ``lattice.incident_wave_vector``; a ``packet.k`` must
 equal it (J sin k < 0), or the run exits 3.  A mu-scan diagonalises
 its centre once, in ``run_mu_scan``: those levels give both the
 ``nearest_eigenvalue`` column and the dark states in ``summary.json``.
-The zero-mode closed forms (the SSH overlay of steady and dynamics runs,
-the q-sweep's theory columns) are written only where
-``analytic.zero_mode_probe`` accepts the probe, and NaN elsewhere.
+Steady and dynamics runs share one theory overlay: the zero-mode law for
+an SSH center where ``analytic.zero_mode_probe`` accepts the probe (as do
+the q-sweep's theory columns), for a gain/loss center the per-cell
+profile of a real level within 0.5 of the incident energy, NaN elsewhere.
 Every run is fully deterministic, so identical configs produce
 byte-identical CSV artifacts.  ``--workers`` must be at least 1; q-sweep
 (and figure 5) runs its points in that many processes (default: the CPU
@@ -357,21 +358,6 @@ def _center_payload(center: CenterSpec) -> dict:
     return {"type": kind, **asdict(center)}
 
 
-def _ssh_theory_probabilities(
-    center: CenterSpec, energy: float, k: float, J: float, n_channels: int
-) -> np.ndarray:
-    """Zero-mode channel-probability overlay for an SSH center probed by
-    the incident wave ``k`` of a lead of hopping ``J`` at the laws'
-    operating point (``analytic.zero_mode_probe``); NaN wherever the
-    closed form does not apply."""
-    theory = np.full(n_channels + 1, np.nan)
-    if isinstance(center, SSHCenter):
-        with suppress(PhysicsError):
-            analytic.zero_mode_probe(energy, k, J)
-            theory[:] = [analytic.predicted_probabilities(center.q, l) for l in range(theory.size)]
-    return theory
-
-
 def _nh_theory_levels(center: CenterSpec) -> tuple[analytic.NHLevel, ...]:
     """Real levels of the gain/loss closed form for ``center``; none for
     other centers or where the closed form does not apply."""
@@ -382,21 +368,28 @@ def _nh_theory_levels(center: CenterSpec) -> tuple[analytic.NHLevel, ...]:
     return ()
 
 
-def _nh_theory_profile(center: CenterSpec, energy: float, p: np.ndarray) -> np.ndarray:
-    """Sinusoidal per-channel overlay for a gain/loss center whose incident
-    energy sits within 0.5 of one of its real levels, rescaled to the
-    measured output maximum."""
+def _theory_overlay(
+    center: CenterSpec, energy: float, k: float, J: float, p: np.ndarray
+) -> np.ndarray:
+    """Closed-form overlay of the channel probabilities ``p`` measured for
+    the incident wave ``k`` at ``energy`` on a lead of hopping ``J``; NaN
+    wherever no closed form applies.
+
+    An SSH center gets the zero-mode law where ``analytic.zero_mode_probe``
+    accepts the probe.  A gain/loss center whose incident energy sits
+    within 0.5 of one of its real levels gets that level's per-cell
+    profile, scaled to the largest output probability; the two leads of
+    cell m, channels 2m-1 and 2m, share its value."""
     theory = np.full(len(p), np.nan)
-    real = _nh_theory_levels(center)
-    if not real:
-        return theory
-    nearest = min(real, key=lambda lv: abs(lv.real_energy - energy))
-    if abs(nearest.real_energy - energy) > 0.5:
-        return theory
-    profile = analytic.nh_transmission_profile(nearest, center.cells)
-    scale = float(p[1:].max()) if len(p) > 1 else 1.0
-    # the two leads of cell m, channels 2m-1 and 2m, share its value
-    theory[1 : 2 * center.cells + 1] = np.repeat(profile * scale, 2)
+    with suppress(PhysicsError):
+        if isinstance(center, SSHCenter):
+            analytic.zero_mode_probe(energy, k, J)
+            theory[:] = [analytic.predicted_probabilities(center.q, l) for l in range(len(p))]
+        elif real := _nh_theory_levels(center):
+            nearest = min(real, key=lambda lv: abs(lv.real_energy - energy))
+            if abs(nearest.real_energy - energy) <= 0.5:
+                profile = analytic.nh_transmission_profile(nearest, center.cells)
+                theory[1:] = np.repeat(profile * p[1:].max(), 2)
     return theory
 
 
@@ -435,12 +428,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
     p = record.channel_probabilities
     energy = dispersion(cfg.lead.J, cfg.lead.mu, cfg.packet.k)
 
-    theory = _ssh_theory_probabilities(
-        cfg.center, energy, cfg.packet.k, cfg.lead.J, net.n_outputs
-    )
-    if np.all(np.isnan(theory)):
-        theory = _nh_theory_profile(cfg.center, energy, p)
-
+    theory = _theory_overlay(cfg.center, energy, cfg.packet.k, cfg.lead.J, p)
     channels = np.arange(len(p))
     write_csv(
         out_dir / "channels.csv",
@@ -498,14 +486,14 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         mu=cfg.lead.mu,
         k=cfg.steady.k,
     )
-    n = len(sol.t)
+    probs = np.concatenate(([sol.reflectance], sol.transmittance))
     wave = incident_wave_vector(cfg.lead.J, cfg.steady.k)
-    theory = _ssh_theory_probabilities(cfg.center, sol.energy, wave, cfg.lead.J, n)
+    theory = _theory_overlay(cfg.center, sol.energy, wave, cfg.lead.J, probs)
     amps = np.concatenate(([sol.r], sol.t))
     write_csv(
         out_dir / "amplitudes.csv",
         {
-            "channel": np.arange(n + 1),
+            "channel": np.arange(len(probs)),
             "amp_re": amps.real,
             "amp_im": amps.imag,
             # scalar abs per amplitude: np.abs may differ in the last bit
@@ -514,7 +502,6 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
         },
     )
 
-    probs = np.concatenate(([sol.reflectance], sol.transmittance))
     _channel_plot(out_dir, probs, theory, "steady-state channel probabilities")
 
     return {

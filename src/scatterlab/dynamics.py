@@ -20,7 +20,13 @@ with parameter rho >= 1 (rho = 1 for Hermitian H); terms are kept while
 |J_n(R)| rho^n exceeds a fixed cutoff (Tal-Ezer & Kosloff, J. Chem. Phys.
 81, 3967, 1984).  The numerical range is a (1 + sqrt 2)-spectral set
 (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649, 2017), so the
-same weights bound the truncation error for non-normal H.
+same weights would bound the truncation error for non-normal H, but on
+the gain/loss networks of figures 6a-d they do not fall below the cutoff
+before ``jv`` underflows: on figure 6a (rho = 1.643, R = 659.6) they reach 1.8e146 at n = 760 and
+are still 2.7e-4 at n = 1,394, the last order whose scipy ``jv`` is
+nonzero.  That series of 1,396 terms ends where ``jv`` underflows, not
+at the cutoff.  The accuracy of such a series rests on checks against
+dense ``expm``, not on a bound (ROADMAP item 12).
 
 Each term costs one sparse matrix-vector product plus four in-place
 vector operations; the loop allocates nothing per term.  The product is
@@ -55,6 +61,7 @@ from .errors import NumericalError, PhysicsError
 from .lattice import (
     Hamiltonian,
     NetworkSpec,
+    _require_finite,
     assemble_network,
     group_velocity,
     incident_wave_vector,
@@ -98,6 +105,7 @@ class WavePacketSpec:
             raise PhysicsError(
                 f"packet center {self.center_site} must be a negative input-lead site"
             )
+        _require_finite(self, "sigma", "k")
         if self.sigma <= 0:
             raise PhysicsError(f"packet width sigma must be positive, got {self.sigma}")
 
@@ -204,7 +212,13 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     """(phase, scaled operator, coefficients, ``_kernel`` of the scaled
     operator) of exp(-iHt) = phase * sum_n coeffs[n] T_n(scaled);
     for diagonal H the phase alone, with ``None`` for the other three.
-    Memoised per network object and step."""
+    Memoised per network object and step.
+
+    Terms are kept while |J_n(R)| rho^n exceeds ``_CUTOFF``.  Where rho > 1
+    that weight need not fall below the cutoff before ``jv`` underflows to
+    0: on figure 6a it is still 2.7e-4 at n = 1,394, the last nonzero
+    order, so the series ends there and the cutoff bounds nothing (ROADMAP
+    item 12)."""
     import scipy.sparse as sp
     from scipy.special import jv
 

@@ -118,6 +118,9 @@ class CustomCenter:
             raise PhysicsError(f"custom center matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise PhysicsError("custom center matrix must be at least 1x1")
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise PhysicsError(f"CustomCenter.matrix must be finite, got {m[i, j]} at [{i}][{j}]")
         m.setflags(write=False)
         self.matrix = m
 

@@ -179,6 +179,35 @@ def test_nh_spectrum_rejects_nonpositive_parameters():
         sl.nh_spectrum(1.0, 1.0, -1.0, 2)
 
 
+# A NaN q or a non-finite chain parameter is outside every law's domain,
+# so each law raises rather than answer NaN (nh_spectrum: NaN levels
+# flagged complex).
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda: sl.predicted_probabilities(np.nan, 1),
+        lambda: sl.predicted_probabilities(np.nan, 0),
+        lambda: sl.reflection_theory(np.nan),
+        lambda: sl.zero_mode_amplitudes(np.nan),
+        lambda: sl.zero_mode_amplitudes(np.inf),
+        lambda: sl.nh_spectrum(np.nan, 2.0, 1.0, 2),
+        lambda: sl.nh_spectrum(8.0, np.inf, 1.0, 2),
+        lambda: sl.nh_spectrum(8.0, 2.0, np.nan, 2),
+        lambda: sl.nh_spectrum(np.inf, 2.0, 1.0, 2),
+    ],
+    ids=["p1-nan", "p0-nan", "reflection-nan", "amplitudes-nan", "amplitudes-inf",
+         "nh-v-nan", "nh-w-inf", "nh-gamma-nan", "nh-v-inf"],
+)
+def test_laws_refuse_non_finite_input(law):
+    with pytest.raises(sl.PhysicsError):
+        law()
+
+
+def test_infinite_q_still_reflects_everything():
+    assert sl.reflection_theory(np.inf) == 1.0
+    assert [sl.predicted_probabilities(np.inf, l) for l in range(3)] == [1.0, 0.0, 0.0]
+
+
 def test_nh_profile_lowest_level_symmetric():
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
     prof = sl.nh_transmission_profile(spec[0], 4)

@@ -716,8 +716,9 @@ def test_steady_overlay_for_either_sign_of_the_lead_hopping(tmp_path, J):
 
 
 # A gain/loss centre without gain or loss, or with the sign flipped, is
-# outside the closed form's domain (gamma > 0): the run still succeeds,
-# with no theory overlay.  gamma = 1 is the control with one.
+# outside the closed form's domain (gamma > 0): each run still succeeds,
+# with no theory overlay.  gamma = 1 is the control with one.  The steady
+# and dynamics runs probe E = mu = 6.9, 0.03 below the lowest level.
 @pytest.mark.parametrize("gamma", [1.0, 0.0, -1.0])
 def test_gain_loss_overlays_outside_the_closed_form(tmp_path, gamma):
     center = {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": gamma, "cells": 2}
@@ -735,32 +736,67 @@ def test_gain_loss_overlays_outside_the_closed_form(tmp_path, gamma):
         "lead": {"J": -0.1, "mu": 6.9, "length": 60},
         "packet": {"center_site": -30, "sigma": 6, "k": "pi/2"},
     }
-    out = tmp_path / "dynamics"
-    path = _write(tmp_path, dynamics)
-    assert cli.main(["dynamics", "--config", str(path), "--out", str(out)]) == 0
-    theory = _csv_column(out / "channels.csv", "probability_theory")
-    assert (theory == ["nan"] * 5) == (gamma <= 0)
+    steady = {"center": center, "lead": dynamics["lead"], "steady": {"k": "pi/2"}}
+    for mode, config, table in [
+        ("dynamics", dynamics, "channels.csv"), ("steady", steady, "amplitudes.csv")
+    ]:
+        out = tmp_path / mode
+        path = _write(tmp_path, config, name=f"{mode}.json")
+        assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 0
+        theory = _csv_column(out / table, "probability_theory")
+        assert (theory == ["nan"] * 5) == (gamma <= 0)
+        assert ("theory" in (out / "final_state.svg").read_text()) == (gamma > 0)
 
 
 # The gain/loss overlay is keyed on the incident energy E = 2J cos k + mu,
 # here E = mu - 1: mu = level + 1 puts E on the lowest real level, while
 # mu = level + 0.45 leaves E 0.55 off it, beyond the overlay's 0.5 window.
-@pytest.mark.parametrize("offset, drawn", [(1.0, True), (0.45, False)], ids=["on", "off"])
-def test_gain_loss_overlay_follows_the_incident_energy(tmp_path, offset, drawn):
+# The dynamics cases keep their ids "on" and "off", so that test
+# selections by name still find them.
+@pytest.mark.parametrize(
+    "mode, offset, drawn",
+    [("dynamics", 1.0, True), ("dynamics", 0.45, False),
+     ("steady", 1.0, True), ("steady", 0.45, False)],
+    ids=["on", "off", "steady-on", "steady-off"],
+)
+def test_gain_loss_overlay_follows_the_incident_energy(tmp_path, mode, offset, drawn):
     level = sl.nh_spectrum(8.0, 2.0, 1.0, 2)[0].real_energy
     config = {
         "center": {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2},
         "lead": {"J": -1.0, "mu": level + offset, "length": 60},
-        "packet": {"center_site": -30, "sigma": 6, "k": "pi/3"},
     }
+    if mode == "steady":
+        config["steady"] = {"k": "pi/3"}
+    else:
+        config["packet"] = {"center_site": -30, "sigma": 6, "k": "pi/3"}
     out = tmp_path / "out"
-    assert cli.main(["dynamics", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
-    theory = _csv_column(out / "channels.csv", "probability_theory")
+    assert cli.main([mode, "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    table = "amplitudes.csv" if mode == "steady" else "channels.csv"
+    theory = _csv_column(out / table, "probability_theory")
     assert (theory[1:] != ["nan"] * 4) == drawn
     assert ("theory" in (out / "final_state.svg").read_text()) == drawn
 
 
-def test_nh_theory_profile_matches_the_per_cell_loop():
+# A steady run at each of figure 6's four probes draws the per-cell profile
+# of its level, as the dynamics run of the same panel does.  The profile is
+# the v >> w approximation, so the bound is loose: it was within 0.119,
+# 0.101, 0.095 and 0.053 of max(p_1..p_8) of the measured channels.
+@pytest.mark.parametrize("panel", "abcd")
+def test_steady_run_on_figure_6_draws_the_per_cell_profile(tmp_path, panel):
+    ((_, fig),) = cli.figure_configs(f"6{panel}")
+    steady = cli.SteadySection(k=cli.BAND_CENTRE_K)
+    cli.run(cli.RunConfig("steady", fig.center, fig.lead, steady=steady), tmp_path)
+    p, theory = (
+        np.array(_csv_column(tmp_path / "amplitudes.csv", name), dtype=float)
+        for name in ("probability", "probability_theory")
+    )
+    assert np.isnan(theory[0]) and not np.isnan(theory[1:]).any()
+    np.testing.assert_array_equal(theory[1::2], theory[2::2])
+    assert np.abs(theory[1:] - p[1:]).max() <= 0.15 * p[1:].max()
+    assert "theory" in (tmp_path / "final_state.svg").read_text()
+
+
+def test_theory_overlay_matches_the_per_cell_loop():
     center = sl.NonHermitianSSHCenter(v=40.0, w=2.0, gamma=10.0, cells=4)
     level = sl.nh_spectrum(40.0, 2.0, 10.0, 4)[1]
     p = np.linspace(0.0, 0.3, 9)
@@ -768,7 +804,8 @@ def test_nh_theory_profile_matches_the_per_cell_loop():
     expected = np.full(9, np.nan)
     for m in range(1, 5):  # channels 2m-1 and 2m of cell m, scaled to max(p[1:])
         expected[2 * m - 1] = expected[2 * m] = profile[m - 1] * 0.3
-    np.testing.assert_array_equal(cli._nh_theory_profile(center, level.real_energy, p), expected)
+    theory = cli._theory_overlay(center, level.real_energy, cli.BAND_CENTRE_K, -0.1, p)
+    np.testing.assert_array_equal(theory, expected)
 
 
 # resonances.csv's nearest-level columns: one broadcast argmin in place of

@@ -50,6 +50,27 @@ def test_gaussian_plane_wave_limit():
     assert abs(np.vdot(plane, window)) > 0.999
 
 
+# A non-finite packet width or wave vector, or a non-finite custom entry,
+# is refused by its spec, naming the field; past the spec it fails for
+# another reason: numpy's "cannot convert float NaN to integer", a packet
+# "pointing away", a Gershgorin rectangle that is not finite.
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: sl.WavePacketSpec(-20, np.nan, K), "WavePacketSpec.sigma must be finite"),
+        (lambda: sl.WavePacketSpec(-20, np.inf, K), "WavePacketSpec.sigma must be finite"),
+        (lambda: sl.WavePacketSpec(-20, 3.0, np.nan), "WavePacketSpec.k must be finite"),
+        (lambda: sl.WavePacketSpec(-20, 3.0, -np.inf), "WavePacketSpec.k must be finite"),
+        (lambda: sl.CustomCenter([[np.nan, 1], [1, 0]]), "CustomCenter.matrix must be finite"),
+        (lambda: sl.CustomCenter([[0, 1], [1, 1j * np.inf]]), "CustomCenter.matrix must be finite"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "k-nan", "k-inf", "custom-nan", "custom-inf"],
+)
+def test_specs_refuse_non_finite_packet_and_custom_input(make, message):
+    with pytest.raises(sl.PhysicsError, match=message):
+        make()
+
+
 def test_gaussian_zero_momentum_is_real_positive():
     net = _small_net()
     psi = sl.init_gaussian(net, sl.WavePacketSpec(center_site=-30, sigma=5.0, k=0.0))
