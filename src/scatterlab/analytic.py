@@ -148,27 +148,17 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
     for n in range(cells):
         kappa = (n + 1) * np.pi / (cells + 1)
         radicand = (v - w * np.cos(kappa)) ** 2 - gamma * gamma
-        if radicand >= 0:
-            eps = float(np.sqrt(radicand))
-            levels.append(
-                NHLevel(
-                    n=n,
-                    kappa=kappa,
-                    energy=complex(eps),
-                    phase=float(np.arctan2(gamma, eps)),
-                    is_real=True,
-                )
+        eps = float(np.sqrt(abs(radicand)))
+        real = bool(radicand >= 0)
+        levels.append(
+            NHLevel(
+                n=n,
+                kappa=kappa,
+                energy=complex(eps) if real else 1j * eps,
+                phase=float(np.arctan2(gamma, eps)) if real else float("nan"),
+                is_real=real,
             )
-        else:
-            levels.append(
-                NHLevel(
-                    n=n,
-                    kappa=kappa,
-                    energy=1j * float(np.sqrt(-radicand)),
-                    phase=float("nan"),
-                    is_real=False,
-                )
-            )
+        )
     return tuple(levels)
 
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import analytic
 from .dynamics import PropagatorConfig, WavePacketSpec, run_experiment, visibility
-from .errors import ConfigError, NumericalError, PhysicsError, ScatterlabError
+from .errors import ConfigError, NumericalError, PhysicsError
 from .lattice import (
     BAND_CENTRE_K,
     CenterSpec,
@@ -397,7 +397,7 @@ def _channel_plot(out_dir: Path, p: np.ndarray, theory: np.ndarray, title: str) 
     """final_state.svg: the measured channel probabilities ``p``, with the
     theory overlay unless it is NaN throughout."""
     channels = np.arange(len(p))
-    series = [Series(x=channels, y=p, label="measured", color="#c0392b", markers=True, line=False)]
+    series = [Series(x=channels, y=p, label="measured", color="#c0392b", markers=True)]
     if not np.all(np.isnan(theory)):
         series.append(Series(x=channels, y=theory, label="theory", color="black"))
     svg_line_plot(
@@ -559,7 +559,6 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
             label="resonances",
             color="#c0392b",
             markers=True,
-            line=False,
         ),
     ]
     if analytic_levels:
@@ -571,7 +570,6 @@ def run_mu_scan(cfg: RunConfig, out_dir: Path) -> dict:
                 label="analytic levels",
                 color="#27ae60",
                 markers=True,
-                line=False,
             )
         )
     svg_line_plot(
@@ -664,9 +662,9 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
 
     series = [
         Series(x=q, y=vis_th, label="V(1) theory", color="black"),
-        Series(x=q, y=vis, label="V(1) measured", color="black", markers=True, line=False),
+        Series(x=q, y=vis, label="V(1) measured", color="black", markers=True),
         Series(x=q, y=refl_th, label="|r|^2 theory", color="#c0392b"),
-        Series(x=q, y=refl, label="|r|^2 measured", color="#c0392b", markers=True, line=False),
+        Series(x=q, y=refl, label="|r|^2 measured", color="#c0392b", markers=True),
     ]
     svg_line_plot(
         out_dir / "sweep.svg",
@@ -754,9 +752,6 @@ def main(argv=None) -> int:
         return EXIT_PHYSICS
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ScatterlabError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -116,17 +116,17 @@ class PropagatorConfig:
 
     ``snapshot_stride`` is the time between stored snapshots (default:
     base stop time / 60); ``t_max`` bounds the extension phase (default:
-    3x base stop time).  Both must be positive.
+    3x base stop time).  Both must be positive and finite.
     """
 
     snapshot_stride: float | None = None
     t_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.snapshot_stride is not None and not self.snapshot_stride > 0:
-            raise PhysicsError("snapshot_stride must be positive")
-        if self.t_max is not None and not self.t_max > 0:
-            raise PhysicsError("t_max must be positive")
+        for name in ("snapshot_stride", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise PhysicsError(f"{name} must be positive and finite, got {value}")
 
 
 DEFAULT_CONFIG = PropagatorConfig()
@@ -211,7 +211,8 @@ def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
 def _chebyshev_plan(H: Hamiltonian, t: float):
     """(phase, scaled operator, coefficients, ``_kernel`` of the scaled
     operator) of exp(-iHt) = phase * sum_n coeffs[n] T_n(scaled);
-    for diagonal H the phase alone, with ``None`` for the other three.
+    for H = cI (both Gershgorin half-widths zero; any other diagonal H
+    runs the series) the phase alone, with ``None`` for the other three.
     Memoised per network object and step.
 
     Terms are kept while |J_n(R)| rho^n exceeds ``_CUTOFF``.  Where rho > 1

@@ -254,15 +254,12 @@ def center_matrix(spec: CenterSpec) -> np.ndarray:
     if isinstance(spec, CustomCenter):
         return np.array(spec.matrix, dtype=complex, copy=True)
     m = np.zeros((n, n), dtype=complex)
-    # Odd bonds (2m-1, 2m) carry v; even bonds (2m, 2m+1) carry w.
-    for cell in range(1, spec.cells + 1):
-        i, j = 2 * cell - 2, 2 * cell - 1
-        m[i, j] += spec.v
-        m[j, i] += spec.v
-    for cell in range(1, spec.cells):
-        i, j = 2 * cell - 1, 2 * cell
-        m[i, j] += spec.w
-        m[j, i] += spec.w
+    # Odd bonds (2m-1, 2m) carry v, even bonds w: bond (i, i+1) of 0-based
+    # rows has an even i for v.  += on zeros stores a -0.0 hopping as +0.0.
+    for i in range(n - 1):
+        t = spec.w if i % 2 else spec.v
+        m[i, i + 1] += t
+        m[i + 1, i] += t
     if isinstance(spec, NonHermitianSSHCenter):
         sites = np.arange(1, n + 1)
         m[np.diag_indices(n)] += 1j * spec.gamma * (-1.0) ** sites

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -157,8 +157,7 @@ class Series:
     y: np.ndarray
     label: str
     color: str
-    markers: bool = False  # draw empty circles at the data points
-    line: bool = True
+    markers: bool = False  # empty circles at the data points instead of a line
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(np.asarray(self.x, dtype=float)) & np.isfinite(
@@ -186,11 +185,11 @@ def _colormap(v: np.ndarray) -> np.ndarray:
     return np.rint(a + f * (b - a)).astype(int)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
         return [lo]
     span = hi - lo
-    raw = span / target
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -232,6 +231,13 @@ class _Svg:
         self.add(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" '
             f'text-anchor="{anchor}" fill="black">{_escape(s)}</text>'
+        )
+
+    def ylabel(self, y: float, s: str) -> None:
+        """An axis label at height ``y``, rotated to read bottom to top."""
+        self.add(
+            f'<text x="14" y="{y:.2f}" font-size="12" font-family="sans-serif" '
+            f'text-anchor="middle" transform="rotate(-90 14 {y:.2f})">{_escape(s)}</text>'
         )
 
     def line(self, x1, y1, x2, y2, color="black", width=1.0) -> None:
@@ -289,11 +295,7 @@ def _draw_axes(svg: _Svg, fr: _Frame, xlabel: str, ylabel: str) -> None:
         svg.line(fr.x0 - 4, py, fr.x0, py)
         svg.text(fr.x0 - 6, py + 3, _tick_label(ty), size=10, anchor="end")
     svg.text(fr.x0 + fr.w / 2, fr.y0 + fr.h + 32, xlabel, size=12)
-    svg.add(
-        f'<text x="14" y="{fr.y0 + fr.h / 2:.2f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 14 {fr.y0 + fr.h / 2:.2f})">'
-        f"{_escape(ylabel)}</text>"
-    )
+    svg.ylabel(fr.y0 + fr.h / 2, ylabel)
 
 
 def svg_line_plot(
@@ -326,7 +328,7 @@ def svg_line_plot(
         mask = s.finite_mask()
         px = fr.px(np.asarray(s.x, dtype=float)[mask]).tolist()
         py = fr.py(np.asarray(s.y, dtype=float)[mask]).tolist()
-        if s.line and len(px) > 1:
+        if not s.markers and len(px) > 1:
             d = "M " + _format_rows("%.2f,%.2f", [px, py], " L ")
             svg.add(f'<path d="{d}" fill="none" stroke="{s.color}" stroke-width="1.5"/>')
         if s.markers and px:
@@ -397,9 +399,5 @@ def svg_heatmap(
         svg.text(x0 - 8, y0 + 10, "0", size=9, anchor="end")
         svg.text(x0 - 8, y0 + panel_h, str(n_rows - 1), size=9, anchor="end")
     svg.text(70 + panel_w / 2, height - 8, xlabel, size=12)
-    svg.add(
-        f'<text x="14" y="{height / 2:.2f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 14 {height / 2:.2f})">'
-        f"{_escape(ylabel)}</text>"
-    )
+    svg.ylabel(height / 2, ylabel)
     svg.write(path)

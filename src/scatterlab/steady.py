@@ -494,11 +494,10 @@ def mu_scan(
     solve, whose singular-system rule a grid point exactly on a dark
     level follows.  The grid is walked as Python floats straight into the
     |r|^2 array.  A grid of more than 10,000,000 points, or a lead whose
-    band edge
-    2|J| + max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError``
-    before the grid is allocated; a grid whose consecutive points are not
-    strictly increasing in floating point (a step below the float spacing
-    of mu) raises it before any solve.
+    band edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
+    ``PhysicsError`` before the grid is allocated; a grid whose
+    consecutive points are not strictly increasing in floating point (a
+    step below the float spacing of mu) raises it before any solve.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -1231,6 +1232,30 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_q_sweep_process_pool_writes_the_serial_bytes(tmp_path):
+    # a real ProcessPoolExecutor, forked in a child process rather than in
+    # the test process; every other q-sweep test runs serially
+    config = _write(tmp_path, {
+        "sweep": {"q_values": [0.5, 1.0, 1.5], "w": 4.0, "cells": 2},
+        "lead": {"J": -0.1, "length": 40},
+        "packet": {"center_site": -15, "sigma": 4, "k": "pi/2"},
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).parents[1])}
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"workers-{workers}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "scatterlab", "q-sweep", "--config", str(config),
+             "--out", str(outs[workers]), "--workers", workers],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names and names == sorted(p.name for p in outs["2"].iterdir())
+    for name in names:
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
 
 
 def _whole_table_snapshots(path, net, times, prob):

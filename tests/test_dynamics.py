@@ -703,6 +703,18 @@ def test_propagator_config_rejects_nonpositive_times(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("snapshot_stride", np.inf), ("t_max", np.inf), ("snapshot_stride", np.nan)],
+    ids=["stride-inf", "t_max-inf", "stride-nan"],
+)
+def test_propagator_config_refuses_non_finite_times(field, value):
+    # an infinite stride used to pass and leave a one-snapshot schedule,
+    # which run_experiment indexed past with a bare IndexError
+    with pytest.raises(sl.PhysicsError, match=f"{field} must be positive and finite, got {value}"):
+        sl.PropagatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [({"center_site": 0}, "must be a negative input-lead site"),
      ({"sigma": 0.0}, "sigma must be positive")],

@@ -257,7 +257,7 @@ def test_summary_writes_non_finite_floats_as_null(tmp_path):
 def test_svg_line_plot_deterministic_and_labeled(tmp_path):
     x = np.linspace(0, 1, 20)
     series = [
-        Series(x=x, y=x**2, label="measured", color="#c0392b", markers=True, line=False),
+        Series(x=x, y=x**2, label="measured", color="#c0392b", markers=True),
         Series(x=x, y=np.where(x < 0.5, x, np.nan), label="theory", color="black"),
     ]
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -268,6 +268,8 @@ def test_svg_line_plot_deterministic_and_labeled(tmp_path):
     assert text.startswith("<svg")
     assert "demo" in text and "measured" in text and "theory" in text
     assert "<circle" in text and "<path" in text
+    # a path for the theory line only, a circle for each measured point
+    assert text.count("<path") == 1 and text.count("<circle") == 20
 
 
 _COORDS = st.floats(-1e12, 1e12)
