@@ -73,9 +73,10 @@ def predicted_probabilities(q: float, l: int) -> float:
     """Channel probability p_l for an incident packet resonant with the
     zero mode.
 
-    Channel 0 is the reflected weight; odd output channels form the
-    geometric series |t1|^2 q^(l-1); even output channels are dark.  For
-    q > 1 there is no in-gap mode and everything reflects.
+    Channel 0 is the reflected weight, ``reflection_theory(q)``; odd
+    output channels form the geometric series |t1|^2 q^(l-1); even output
+    channels are dark.  For q > 1 there is no in-gap mode and everything
+    reflects.
     """
     if not q > 0:  # NaN too
         raise PhysicsError(f"q must be positive, got {q}")
@@ -83,13 +84,11 @@ def predicted_probabilities(q: float, l: int) -> float:
         raise PhysicsError("q = 1 is the transition point; probabilities undefined")
     if l < 0:
         raise PhysicsError(f"channel index must be >= 0, got {l}")
-    if q > 1:
-        return 1.0 if l == 0 else 0.0
-    t1, r = zero_mode_amplitudes(q)
     if l == 0:
-        return r * r
-    if l % 2 == 0:
+        return reflection_theory(q)
+    if q > 1 or l % 2 == 0:
         return 0.0
+    t1 = zero_mode_amplitudes(q)[0]
     return t1 * t1 * q ** (l - 1)
 
 

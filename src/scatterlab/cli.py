@@ -469,7 +469,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         "lead": asdict(cfg.lead),
         "packet": asdict(cfg.packet),
         "incident_energy": energy,
-        "final_time": record.final_time,
+        "final_time": record.times[-1],
         "channel_probabilities": p,
         "center_probability": record.center_probability,
         "norm_initial": record.norms[0],
@@ -496,8 +496,7 @@ def run_steady(cfg: RunConfig, out_dir: Path) -> dict:
             "channel": np.arange(len(probs)),
             "amp_re": amps.real,
             "amp_im": amps.imag,
-            # scalar abs per amplitude: np.abs may differ in the last bit
-            "probability": [sol.reflectance, *(abs(amp) ** 2 for amp in sol.t)],
+            "probability": probs,
             "probability_theory": theory,
         },
     )

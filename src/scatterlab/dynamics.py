@@ -136,7 +136,8 @@ DEFAULT_CONFIG = PropagatorConfig()
 class TrajectoryRecord:
     """Everything recorded from one wave-packet experiment: snapshot
     times, per-site probabilities, norms, and the final per-channel
-    probability sums p_0..p_N.
+    probability sums p_0..p_N, each numpy's sum over its lead's offsets.
+    The run ends at ``times[-1]``.
 
     ``site_probabilities`` holds |psi|^2 of each snapshot as one row, the
     only copy of the snapshots: a view of the written rows of the array
@@ -147,7 +148,6 @@ class TrajectoryRecord:
     norms: np.ndarray
     channel_probabilities: np.ndarray
     center_probability: float
-    final_time: float
     final_state: np.ndarray
     network: NetworkSpec
     warnings: tuple[str, ...] = ()
@@ -155,14 +155,10 @@ class TrajectoryRecord:
     def channel_history(self) -> np.ndarray:
         """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1).
 
-        Each lead's sites are added one offset at a time, from the junction
-        outward, on the ``leads`` view of the snapshots: no copy of them,
-        and the order of a sequential sum over the offsets."""
-        lead = self.network.leads(self.site_probabilities)
-        total = lead[..., 0].copy()
-        for offset in range(1, lead.shape[-1]):
-            total += lead[..., offset]
-        return total
+        numpy's sum over each lead's offsets on the ``leads`` view of the
+        snapshots, no copy of them: the sum ``channel_probabilities`` takes,
+        so the last row equals it bit for bit."""
+        return self.network.leads(self.site_probabilities).sum(axis=-1)
 
 
 def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
@@ -527,7 +523,6 @@ def run_experiment(
         norms=np.asarray(norms),
         channel_probabilities=net.leads(prob).sum(axis=-1),
         center_probability=float(prob[: net.center.n_sites].sum()),
-        final_time=t,
         final_state=psi,
         network=net,
         warnings=tuple(notes),

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scatterlab as sl
+from scatterlab import cli
 
 # q strategies staying clear of the transition point and of q = sqrt(2),
 # where the closed-form denominators blow up in floating point.
@@ -76,6 +77,14 @@ def test_predicted_probabilities_reference_point():
     assert sl.predicted_probabilities(0.5, 0) == pytest.approx(1 / 49, rel=1e-14)
     assert sl.predicted_probabilities(0.5, 3) == pytest.approx(9 / 49, rel=1e-14)
     assert sl.predicted_probabilities(0.5, 2) == 0.0
+
+
+def test_zero_mode_reflection_has_one_formula():
+    # channel 0 of the zero-mode law is the reflection law, on fig 5's grid
+    q_values = dict(cli.figure_configs("5"))["fig5"].sweep.q_values
+    for q in q_values:
+        if q != 1.0:
+            assert sl.predicted_probabilities(q, 0) == sl.reflection_theory(q)
 
 
 def test_predicted_probabilities_trivial_side():

@@ -564,6 +564,19 @@ def test_mu_scan_summary_names_the_dark_states(tmp_path):
     assert summary["resonances"] == [pytest.approx(1.0, abs=1e-6)]
 
 
+def test_mu_scan_summary_names_the_dark_level_of_a_degenerate_pair(tmp_path):
+    # the triangle's twofold level -1 meets site 1 along one direction: one
+    # level of the pair is dark, whatever basis eig picks for the pair
+    config = {
+        "center": {"type": "custom", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+        "scan": {"mu_min": -2, "mu_max": 3, "step": 0.5},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dark_states"] == ["dark state at mu=-1"]
+
+
 @pytest.mark.parametrize("J", [1e308, -1e308])
 def test_mu_scan_refuses_a_scan_lead_beyond_the_float_range(tmp_path, capsys, J):
     # every row of scan.csv used to be NaN, with exit 0

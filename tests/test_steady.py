@@ -137,6 +137,15 @@ def test_degeneracy_warning_only_on_resonance(mu, warns):
     assert bool(sol.warnings) == warns
 
 
+def test_steady_probabilities_square_pythons_abs_of_each_amplitude():
+    # one |t|^2 for summary.json, the plot and amplitudes.csv: on fig 3a's
+    # chain off the zero mode, numpy's array np.abs rounded 16 of these 40
+    # apart in the last bit
+    sol = sl.solve_multichannel(_ssh(2.0), J=-0.1, mu=0.3, k=K)
+    assert sol.transmittance.tobytes() == np.array([abs(a) ** 2 for a in sol.t]).tobytes()
+    assert sol.flux_error == sol.reflectance + sol.transmittance.sum() - 1
+
+
 def test_degeneracy_warning_compares_the_gap_with_the_resonance_width():
     # figure 3b's edge pair is split by 0.0111: below the width 2|J| sin k
     # = 0.2, so the probe images the pair (fidelity 0.499 to either level)
@@ -293,6 +302,17 @@ def test_resonant_eigenvalues_of_the_figure_centres_are_unchanged():
         got_vals, got_weights = sl.resonant_eigenvalues(center, alpha)
         assert got_vals.tobytes() == vals[real].real.tobytes()
         assert got_weights.tobytes() == (np.abs(vecs[alpha - 1, real]) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_resonant_eigenvalues_finds_the_dark_level_of_a_degenerate_pair(alpha):
+    # the triangle's level -1 is twofold; e_alpha meets that eigenspace along
+    # one direction, weight 2/3, so one level of the pair is dark whatever
+    # basis eig picks for it
+    triangle = np.ones((3, 3)) - np.eye(3)
+    vals, weights = sl.resonant_eigenvalues(triangle, alpha)
+    np.testing.assert_allclose(vals, [-1.0, -1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(weights, [2 / 3, 0.0, 1 / 3], atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0, 3, -1])
