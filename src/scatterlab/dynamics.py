@@ -20,13 +20,16 @@ with parameter rho >= 1 (rho = 1 for Hermitian H); terms are kept while
 |J_n(R)| rho^n exceeds a fixed cutoff (Tal-Ezer & Kosloff, J. Chem. Phys.
 81, 3967, 1984).  The numerical range is a (1 + sqrt 2)-spectral set
 (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649, 2017), so the
-same weights would bound the truncation error for non-normal H, but on
-the gain/loss networks of figures 6a-d they do not fall below the cutoff
-before ``jv`` underflows: on figure 6a (rho = 1.643, R = 659.6) they reach 1.8e146 at n = 760 and
-are still 2.7e-4 at n = 1,394, the last order whose scipy ``jv`` is
-nonzero.  That series of 1,396 terms ends where ``jv`` underflows, not
-at the cutoff.  The accuracy of such a series rests on checks against
-dense ``expm``, not on a bound (ROADMAP item 12).
+same weights would bound the truncation error for non-normal H.  On the
+gain/loss networks of figures 6a-d that bound says little: on figure 6a
+(rho = 1.643, R = 659.6) the weights reach 2.9e146 at n = 741, and they
+fall below the cutoff only at n = 1,414, where J_n(R) = 6.3e-317 is a
+subnormal float, so each stride carries 1,415 terms.  The accuracy of
+such a series rests on checks against dense ``expm``, not on a bound
+(ROADMAP item 12).  The weights J_0(R) ... J_m(R) come from the Bessel
+recurrence taken backwards (``_bessel_j``), within 1.4e-16 of a 40-digit
+evaluation at the R of figures 3a-d and 6a, and each coefficient's phase
+(-i)^n is exact: every coefficient is exactly real or exactly imaginary.
 
 Each term costs one sparse matrix-vector product plus four in-place
 vector operations; the loop allocates nothing per term.  The product is
@@ -42,14 +45,16 @@ one (the gain/loss networks of figures 6a-d) on the complex state; all
 give the textbook recurrence's bits for a finite state, and
 ``propagate`` refuses any other.  The recurrence's factor 2 stays a
 vector pass of its own, since (2a) x rounds apart from 2 (a x) where a x
-falls below the normal float range.  scipy is loaded only when a network
-is assembled or a step is planned (``scipy.sparse`` in
-``assemble_network``, ``scipy.special.jv`` in ``_chebyshev_plan``), so
-importing the package and every steady-state run stay on numpy alone.
+falls below the normal float range.  scipy is loaded only as
+``scipy.sparse``, when a network is assembled or a step is planned
+(``assemble_network``, ``_chebyshev_plan``), so importing the package and
+every steady-state run stay on numpy alone.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -203,6 +208,37 @@ def _gershgorin_interval(m: sp.spmatrix) -> tuple[float, float]:
     return float((d.real - radii).min()), float((d.real + radii).max())
 
 
+def _bessel_j(m: int, x: float) -> np.ndarray:
+    """J_0(x) ... J_m(x) for x >= 0, the minimal solution of the three-term
+    recurrence taken backwards (Gautschi, SIAM Rev. 9, 24, 1967).
+
+    The ratios r_n = J_n / J_{n-1} = x / (2n - x r_{n+1}) run down from
+    order m + 20 + floor(sqrt(40 x)), taking r = 0 above it, where J_n is
+    negligible against every returned order; their products from 1 are
+    J_n / J_0, and one division by J_0 + 2 sum J_2k = 1, summed exactly by
+    ``math.fsum``, normalises them.  Ratios, products and weights share one
+    float64 array, 8 bytes per order.
+
+    A denominator that rounds to 0 (at order 4 for x = 9.76102312998167, a
+    zero of J_3) takes the rounding level of 2n instead: r_n is then huge
+    and r_{n-1} r_n = -1 to rounding, as J_n = -J_{n-2} where J_{n-1} = 0."""
+    top = m + 20 + int(math.sqrt(40.0 * x))
+    ratios = np.empty(top + 1)
+    ratios[0] = 1.0
+    r = 0.0
+    for n in range(top, 0, -1):
+        d = 2 * n - x * r
+        if d == 0:  # x is a zero of J_{n-1} to rounding: d takes the rounding level
+            d = math.ulp(2 * n)
+        r = x / d
+        ratios[n] = r
+    products = np.cumprod(ratios, out=ratios)
+    # J_0 + 2 sum J_2k, each even order listed twice: one rounding, no copy
+    norm = math.fsum(itertools.chain(products[:1], products[2::2], products[2::2]))
+    products[: m + 1] /= norm
+    return products[: m + 1]
+
+
 @lru_cache(maxsize=8)
 def _chebyshev_plan(H: Hamiltonian, t: float):
     """(phase, scaled operator, coefficients, ``_kernel`` of the scaled
@@ -211,13 +247,11 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     runs the series) the phase alone, with ``None`` for the other three.
     Memoised per network object and step.
 
-    Terms are kept while |J_n(R)| rho^n exceeds ``_CUTOFF``.  Where rho > 1
-    that weight need not fall below the cutoff before ``jv`` underflows to
-    0: on figure 6a it is still 2.7e-4 at n = 1,394, the last nonzero
-    order, so the series ends there and the cutoff bounds nothing (ROADMAP
-    item 12)."""
+    Terms are kept while |J_n(R)| rho^n exceeds ``_CUTOFF``, J_n(R) from
+    ``_bessel_j``.  Where rho > 1 that weight falls below the cutoff only
+    where J_n(R) is subnormal: on figure 6a at n = 1,414, with J_n(R) =
+    6.3e-317, after a peak of 2.9e146 at n = 741 (ROADMAP item 12)."""
     import scipy.sparse as sp
-    from scipy.special import jv
 
     m = H.matrix
     # entries near the float maximum overflow here; the check below refuses them
@@ -249,12 +283,13 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
         )
     m_max = int(order)
     orders = np.arange(m_max + 1)
-    bess = jv(orders, big_r)
+    bess = _bessel_j(m_max, big_r)
     # weight > cutoff, with rho^n taken in log space so that it cannot overflow
     above = np.nonzero(np.abs(bess) > _CUTOFF * np.exp(-orders * np.log(rho)))[0]
     top = int(above[-1]) + 1 if above.size else 2
     top = max(top, 2)
-    coeffs = 2.0 * (-1j) ** orders[: top + 1] * bess[: top + 1]
+    # (-i)^n by n mod 4: exact, where numpy's (-1j) ** n is not from n = 100 on
+    coeffs = 2.0 * np.array([1, -1j, -1, 1j])[orders[: top + 1] % 4] * bess[: top + 1]
     coeffs[0] *= 0.5
     scaled = (m - mid * sp.identity(m.shape[0], format="csr", dtype=complex)) * (1.0 / half)
     return np.exp(-1j * mid * t), scaled, coeffs, _kernel(scaled)

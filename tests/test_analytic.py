@@ -19,7 +19,7 @@ def test_zero_mode_probe_accepts_only_the_operating_point():
     sl.analytic.zero_mode_probe(sl.dispersion(-0.1, 0.0, np.pi / 2), np.pi / 2, -0.1)
     # k = -pi/2 is a J > 0 lead's incident wave at the band centre.  J -> -J
     # mirrors the network: a 12-cell v = 2, w = 4 chain measures p_1 =
-    # 0.734657153057 at J = 0.1, k = -pi/2 and at J = -0.1, k = pi/2 alike
+    # 0.734657153058 at J = 0.1, k = -pi/2 and at J = -0.1, k = pi/2 alike
     sl.analytic.zero_mode_probe(sl.dispersion(0.1, 0.0, -np.pi / 2), -np.pi / 2, 0.1)
     # off E = 0, off the band centre, or the wave moving away from the centre
     for energy, k, J in (

@@ -709,7 +709,7 @@ def test_zero_mode_overlay_for_either_sign_of_the_lead_hopping(tmp_path, J, k):
     }
     out = tmp_path / "out"
     assert cli.main(["dynamics", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
-    assert _csv_column(out / "channels.csv", "probability")[1] == "0.734657153057"
+    assert _csv_column(out / "channels.csv", "probability")[1] == "0.734657153058"
     assert _csv_column(out / "channels.csv", "probability_theory")[1] == "0.734693877551"
 
 
@@ -921,9 +921,9 @@ _GOLDEN = {
     "dynamics": (
         _small_dynamics_config,
         {
-            "channels.csv": "024c6183b1b9071591096b5e805f7c6e812e8bb9f9273418c49515706104b096",
-            "snapshots.csv": "b6b7973cdbb90e5165d8fb18ce1e5d397a3d7fd6068c63b832b7e68b81c22b5c",
-            "trajectory.csv": "2f780002f6f8991f4b6de6397ab0ae4d79061e733a1ed12a1bc46626d32a4b2a",
+            "channels.csv": "c6840942ac138920d2018399849f1e2b600fbc2789e4951ce7ec022cf80b3475",
+            "snapshots.csv": "046039cae734770f2c48d10e15d467a151b53dcc010e13e10074eb1187f02543",
+            "trajectory.csv": "7a4af8b45c0727fcffb429c1129348850c7677dd4692769f735c33e8c963e6f2",
         },
         {
             "center": {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 4},
@@ -973,8 +973,8 @@ def test_artifacts_match_golden(tmp_path, mode):
 # pins a mu != 0 network and the non-Hermitian propagator's output.
 _GAIN_LOSS_DYNAMICS_GOLDEN = {
     "channels.csv": "442469260003405958bd590bcae9161a31791a3327faf821bc01487ddeb74225",
-    "snapshots.csv": "b290a3105f13cc54321ca5ddf6266b8cc11050af548260ec0b465140cd246e07",
-    "trajectory.csv": "63ec98b5ad1caac25bacdea9702277c78c35840499168974764bd53b2e3dd6c9",
+    "snapshots.csv": "b7a596f0c36130b2440f083f224359c7671e07d677c1ab509d06a27bf09278d2",
+    "trajectory.csv": "e7dac5d8476d927642da876806fc40ca9bdafc87baf44768393379c4775afa72",
 }
 
 
@@ -994,9 +994,9 @@ def test_gain_loss_dynamics_artifacts_match_golden(tmp_path):
 # sha256 of every CSV and SVG of `reproduce-fig 3a`, recorded as above: the
 # figure-scale network (41 channels) and the trajectory heatmap.
 _FIG3A_GOLDEN = {
-    "channels.csv": "7472f33084e1cf540fdd8b18a18ca561b700bbc806827f24a39d6dffbc48a6b7",
-    "snapshots.csv": "520cf2b5b74f306f3cfa50778ea73abef8c443e0ab72979088bca8ea586b3836",
-    "trajectory.csv": "9ee3da73cbb0b108f7e43d37c13d922b9fc2f15030272330aabcffd486dc0e3b",
+    "channels.csv": "c4e4915f999ac63759018a16b40147486987a44af3920b73d5f06f15c4498cb3",
+    "snapshots.csv": "55c757cdcdd46b0b98acd4e826ff32f7a187375be2baaa24f9aa5706dc9c15bd",
+    "trajectory.csv": "0263dff1d2eb8fc86f88f98eaa9ec116f531f3e5c7ef42b84b012f10ba2e56e4",
     "final_state.svg": "62b00a9064e73584f8e6fb06d64cb30cd9dd3b34e2dbf49c1c34cca4500403ec",
     "trajectory.svg": "3ed06afb3c35f0b52a47104585864aa28c152fbb26a48b934585e1e8b23f7cc6",
 }
@@ -1235,6 +1235,26 @@ def test_cli_paths_leave_scipy_unloaded(tmp_path, path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_dynamics_run_loads_scipy_sparse_only(tmp_path):
+    # the Chebyshev weights come from dynamics._bessel_j: a dynamics run
+    # loads scipy.sparse for the network and its kernels, never
+    # scipy.special, whose import took 110-164 ms of reproduce-fig 3a
+    code = (
+        "import sys; from scatterlab import cli; "
+        "assert cli.main(['dynamics', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+        "print('scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    config = _write(tmp_path, _small_dynamics_config())
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        cwd=Path(sl.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only a pooled q-sweep needs concurrent.futures.process (and with it
     # multiprocessing); every other run skips that import
@@ -1317,7 +1337,6 @@ def test_fig3a_dynamics_allocates_less_than_its_snapshots_beyond_them(tmp_path, 
     # copy of the snapshots, a fancy-index copy of the lead sites and a whole
     # snapshots.csv table together read 2.44
     import scipy.sparse  # noqa: F401 -- imports are not the run's
-    import scipy.special  # noqa: F401
 
     cfg = dict(cli.figure_configs("3a"))["fig3a"]
     records = []

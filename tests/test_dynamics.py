@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -315,7 +316,9 @@ def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, network, min_ord
     net, packet, stride = step()
     H = network(net)
     _, _, coeffs, _ = sl.dynamics._chebyshev_plan(H, stride)
-    # past order 100, (-1j) ** n and the Bessel weights are no longer exact
+    # each series is a figure's full stride, past order 100 and, with gain
+    # and loss, past 1,000: the loop must keep the textbook's bits over a
+    # series as long as the figures run, not only over a short one
     assert len(coeffs) > min_order
     psi = sl.init_gaussian(net, packet)
     for _ in range(2):
@@ -324,6 +327,57 @@ def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, network, min_ord
         assert np.array_equal(_bits(new), _bits(_textbook_propagate(H, psi, stride)))
         assert np.array_equal(_bits(psi), _bits(kept))  # the input is never written
         psi = sl.propagate(H, sl.propagate(H, new, stride), stride)
+
+
+# x and the top order m of each case: one stride's R and the plan's order
+# bound on figures 3a-d and 6a, then the smallest subnormal, tiny and
+# moderate arguments, a float zero of J_0, and a float zero of J_3, where
+# the recurrence's denominator at order 4 rounds to 0
+@pytest.mark.parametrize(
+    "x, m",
+    [
+        (111.83333333333331, 211),
+        (130.16666666666666, 236),
+        (166.83333333333331, 286),
+        (185.16666666666666, 311),
+        (659.5666666666667, 1532),
+        (5e-324, 60),
+        (1e-300, 60),
+        (1e-12, 60),
+        (0.5, 60),
+        (2.404825557695773, 60),
+        (9.76102312998167, 60),
+        (30.0, 100),
+    ],
+    ids=["fig3a", "fig3b", "fig3c", "fig3d", "fig6a", "subnormal", "1e-300", "1e-12", "0.5",
+         "J0-zero", "J3-zero", "30"],
+)
+def test_bessel_weights_match_a_40_digit_evaluation(x, m):
+    # the recurrence measures 1.4e-16 at worst here; scipy's jv, which the
+    # plan used before, is 1.5e-14 off at figure 6a's R
+    with mpmath.workdps(40):
+        ref = [float(mpmath.besselj(n, mpmath.mpf(x))) for n in range(m + 1)]
+    assert np.abs(sl.dynamics._bessel_j(m, x) - ref).max() <= 2.5e-16
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-300], ids=["subnormal", "1e-300"])
+def test_propagate_over_a_tiny_step_is_finite_and_quiet(t):
+    # filterwarnings = error: a warning from the plan or the loop fails this
+    net, packet, _ = _figure_step("3a")
+    psi0 = sl.init_gaussian(net, packet)
+    psi = sl.propagate(sl.assemble_network(net), psi0, t)
+    assert np.isfinite(psi).all()
+    assert np.abs(psi - psi0).max() <= 1e-15
+
+
+def test_propagate_where_the_bessel_recurrence_meets_a_zero():
+    # R = t = 9.76102312998167 is a float zero of J_3; the recurrence's
+    # denominator at order 4 rounds to 0 there, and the step still matches
+    # dense expm
+    H = _custom([[0, 1], [1, 0]])
+    t = 9.76102312998167
+    oracle = expm(-1j * t * H.matrix.toarray())[:, 0]
+    assert np.abs(sl.propagate(H, np.array([1.0, 0.0]), t) - oracle).max() <= 1e-11
 
 
 def test_propagate_reads_a_strided_state_like_a_contiguous_one():
@@ -414,6 +468,17 @@ def test_hermitian_figures_take_the_real_kernel(fig, real):
         _, scaled, _, (_, dtype) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
         assert (dtype is np.float64) == real
         assert scaled.data.imag.any() != real
+
+
+@pytest.mark.parametrize("fig", ["3a", "3b", "3c", "3d", "5", "6a", "6b", "6c", "6d"])
+def test_every_chebyshev_coefficient_is_exactly_real_or_imaginary(fig):
+    # the phase (-i)^n is exact: numpy's (-1j) ** n leaves about 1e-15 in
+    # the part that should be 0 at every order from 100 on.  Each part is
+    # tested for 0 itself, since a product of two tiny parts can underflow
+    for net, packet in _figure_networks(fig):
+        stride = sl.stop_time(net, packet) / 60.0
+        _, _, coeffs, _ = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+        assert ((coeffs.real == 0) | (coeffs.imag == 0)).all()
 
 
 def test_propagate_refuses_a_half_width_beyond_the_float_range():
