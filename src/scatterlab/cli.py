@@ -13,7 +13,8 @@ not ('-3*pi/4').  A mu-scan runs at the lead's band centre
 its ``scan`` section has no settable ``k``; ``summary.json`` still echoes
 it with the section.  ``_MODES`` lists the sections each mode requires
 and tolerates (q-sweep's lead and packet default to figure 3's, its w
-and cells to the SSH chains'); any other section is rejected.  The time
+and cells to the SSH chains'); any other section is rejected, as is
+``lead.length`` in a steady run, whose leads are semi-infinite.  The time
 between stored snapshots of dynamics and q-sweep runs is
 ``propagator.snapshot_stride``.  ``reproduce-fig`` runs the jobs of one
 entry of ``_FIGURES``, built from the paper's inputs, each spelled once:
@@ -275,7 +276,8 @@ def parse_config(path, mode: str) -> RunConfig:
     """Load and validate a JSON config file for the given mode.
 
     Unknown keys are rejected with the offending key named; sections that
-    contradict the mode (e.g. a packet in a mu-scan) are rejected too.
+    contradict the mode (e.g. a packet in a mu-scan) are rejected too, and
+    so is a key the mode never reads (``lead.length`` in a steady run).
     """
     required, tolerated, _ = _mode(mode)
     path = Path(path)
@@ -304,6 +306,8 @@ def parse_config(path, mode: str) -> RunConfig:
             raise ConfigError(f"mode '{mode}' requires a '{name}' section")
 
     parsed = {name: _parse_section(name, section) for name, section in data.items()}
+    if mode == "steady" and "length" in data["lead"]:
+        raise ConfigError("lead.length has no effect in a steady run: its leads are semi-infinite")
     return RunConfig(mode=mode, **parsed)
 
 
@@ -606,10 +610,11 @@ def _or_nan(law, *args) -> float:
         return np.nan
 
 
-def _sweep_point(task: tuple) -> np.ndarray:
-    """Worker for one q-sweep point, given ``run_experiment``'s arguments;
-    module-level so it pickles."""
-    return run_experiment(*task).channel_probabilities
+def _sweep_point(task: tuple) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Worker for one q-sweep point, given ``run_experiment``'s arguments:
+    its channel probabilities and run warnings; module-level so it pickles."""
+    record = run_experiment(*task)
+    return record.channel_probabilities, record.warnings
 
 
 def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
@@ -644,7 +649,7 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
 
     q = np.array(sweep.q_values)
     vis, vis_th, refl, refl_th = np.full((4, q.size), np.nan)
-    for i, point, p in zip(np.flatnonzero(q != 1.0).tolist(), points, results):
+    for i, point, (p, _) in zip(np.flatnonzero(q != 1.0).tolist(), points, results):
         vis[i], refl[i] = _or_nan(visibility, p), p[0]
         if on_point:
             vis_th[i] = _or_nan(analytic.visibility_theory, point)
@@ -678,6 +683,9 @@ def run_q_sweep(cfg: RunConfig, out_dir: Path, workers: int | None) -> dict:
         "lead": asdict(lead),
         "packet": asdict(packet),
         "rows": [dict(zip(table, row)) for row in zip(*table.values())],
+        "warnings": [
+            f"q={point}: {msg}" for point, (_, notes) in zip(points, results) for msg in notes
+        ],
     }
 
 

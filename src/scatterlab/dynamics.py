@@ -34,16 +34,19 @@ evaluation at the R of figures 3a-d and 6a, and each coefficient's phase
 Each term costs one sparse matrix-vector product plus four in-place
 vector operations; the loop allocates nothing per term.  The product is
 split by rows once, in the memoised plan (``_kernel``).  The lead chains'
-rows, a band within one site of the diagonal and all but 2N + 1 rows of
-an N-site centre's network, run through scipy's ``dia_matvec`` without
-index indirection.  The junction rows (the centre and each lead's first
-site) run through ``csr_matvecs`` on a small CSR remainder and overwrite
-their rows of the banded product.  Both kernels are called straight into
-reused buffers.  A real scaled operator, as every Hermitian network has
-(figures 3a-d and 5), runs on the float64 view of the state, a complex
-one (the gain/loss networks of figures 6a-d) on the complex state; all
-give the textbook recurrence's bits for a finite state, and
-``propagate`` refuses any other.  The recurrence's factor 2 stays a
+rows, all but 2N + 1 rows of an N-site centre's network, are real and
+within one site of the diagonal on every figure's network, Hermitian
+(figures 3a-d and 5) or gain/loss (6a-d).  They form a real band that
+runs through scipy's ``dia_matvec`` on the float64 view of the state,
+without index indirection.  The junction rows (the centre and each
+lead's first site) run through ``csr_matvecs`` on a small complex CSR
+remainder, on the complex state, and overwrite their rows of the banded
+product; so does any other row that is complex, reaches further or is
+stored out of order.  A custom centre with unbalanced gain or loss
+shifts the lead diagonal off the real axis, and every row of its
+network runs in the remainder.  Both kernels are called straight into
+reused buffers and give the textbook recurrence's bits for a finite
+state; ``propagate`` refuses any other.  The recurrence's factor 2 stays a
 vector pass of its own, since (2a) x rounds apart from 2 (a x) where a x
 falls below the normal float range.  scipy is loaded only as
 ``scipy.sparse``, when a network is assembled or a step is planned
@@ -295,66 +298,60 @@ def _chebyshev_plan(H: Hamiltonian, t: float):
     return np.exp(-1j * mid * t), scaled, coeffs, _kernel(scaled)
 
 
-def _kernel(scaled: sp.csr_matrix) -> tuple[tuple, type]:
+def _kernel(scaled: sp.csr_matrix) -> tuple:
     """Arguments that make scipy's kernels compute scaled x, split by
-    rows, and the dtype of the views of complex x and y they take:
-    ``((band, rows, remainder), dtype)``.
+    rows: ``(band, rows, remainder)``.
 
-    A band row stores its entries within one site of the diagonal, in
-    ascending column order: every lead site but the first.  ``band`` holds
-    those rows as diagonals, offsets ascending, for ``dia_matvec``, which
-    adds each row's products in offset order, the CSR row sum's order.  A
-    row that lacks an entry holds a stored zero there, adding +-0 to a sum
-    that starts at +0 and so is never -0: no bit of a finite state moves.
-    A diagonal of zeros only (the main one without an on-site term) is
-    left out.  The other ``rows`` (the centre and each lead's first site)
-    form the compact CSR ``remainder``, entries in their stored order, for
-    ``csr_matvecs``; its product overwrites theirs in the banded one.
-    scipy's arithmetic can leave the rows of a CSR built out of order
-    unsorted; such a row is summed in its stored order, in the remainder.
+    A band row stores only real entries, within one site of the diagonal,
+    in ascending column order: every lead site but the first, on every
+    figure's network.  ``band`` holds those rows as real diagonals for
+    ``dia_matvec`` on the interleaved (re, im) float64 view of x: as
+    A (x) I_2, offsets 2 (kept - 1) ascending, so each row's products are
+    added in offset order, the CSR row sum's order.  A complex product
+    (a + 0i)(x_r + i x_i) rounds to exactly a x_r and a x_i, apart from
+    the sign of a zero, so the real kernel gives the complex one's bits
+    with fewer operations per entry.  A row that lacks an entry holds a
+    stored zero there, adding +-0 to a sum that starts at +0 and so is
+    never -0: no bit of a finite state moves.  A diagonal of zeros only
+    (the main one without an on-site term) is left out.
 
-    A real operator (every imaginary part exactly 0, as for any Hermitian
-    network) runs on the interleaved (re, im) float64 view: as A (x) I_2,
-    diagonals at offsets -2, 0, +2, and the remainder on two vectors, the
-    (n, 2) view.  A complex product (a + 0i)(x_r + i x_i) rounds to
-    exactly a x_r and a x_i, apart from the sign of a zero, which the row
-    sum from +0 drops; so the real kernels give the complex kernel's bits
-    with fewer operations per entry.  A complex operator keeps complex
-    arithmetic: a real 2n form would round each entry's two products apart
-    and move the last bits."""
-    n, indptr, indices = scaled.shape[0], scaled.indptr, scaled.indices
-    real = not scaled.data.imag.any()
-    data = scaled.data.real if real else scaled.data
-    s = 2 if real else 1  # float64 values per state entry
+    Every other row, in ``rows`` (the centre and each lead's first site,
+    and any row that is complex, reaches further or is stored out of
+    order), forms the compact complex CSR ``remainder``, entries in their
+    stored order, for ``csr_matvecs`` with one vector on complex x: the
+    textbook product's arithmetic.  Its product overwrites those rows of
+    the banded one.  scipy's arithmetic can leave the rows of a CSR built
+    out of order unsorted; such a row is summed in its stored order."""
+    n, indptr, indices, data = scaled.shape[0], scaled.indptr, scaled.indices, scaled.data
     row = np.repeat(np.arange(n), np.diff(indptr))
     offset = indices - row
-    fits = np.abs(offset) <= 1
+    fits = (np.abs(offset) <= 1) & (data.imag == 0)
     fits[1:] &= (indices[1:] > indices[:-1]) | (row[1:] != row[:-1])
     is_band = np.ones(n, dtype=bool)
     is_band[row[~fits]] = False
     in_band = is_band[row]
-    diagonals = np.zeros((3, n), dtype=data.dtype)
-    diagonals[offset[in_band] + 1, indices[in_band]] = data[in_band]
+    diagonals = np.zeros((3, n))
+    diagonals[offset[in_band] + 1, indices[in_band]] = data.real[in_band]
     kept = np.flatnonzero(diagonals.any(axis=1))
     band = (
-        s * n,
-        s * n,
+        2 * n,
+        2 * n,
         kept.size,
-        s * n,
-        (s * (kept - 1)).astype(indices.dtype),
-        np.repeat(diagonals[kept], s, axis=1),
+        2 * n,
+        (2 * (kept - 1)).astype(indices.dtype),
+        np.repeat(diagonals[kept], 2, axis=1),
     )
     rows = np.flatnonzero(~is_band)
     remainder_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr)[rows])))
     remainder = (
         rows.size,
         n,
-        s,
+        1,
         remainder_ptr.astype(indptr.dtype),
         indices[~in_band],
         data[~in_band],
     )
-    return (band, rows, remainder), (np.float64 if real else np.complex128)
+    return band, rows, remainder
 
 
 def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -378,22 +375,23 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     # the kernels add scaled x to a zeroed result, without scipy's dispatch
     from scipy.sparse._sparsetools import csr_matvecs, dia_matvec
 
-    (band, rows, remainder), dtype = kernel
+    band, rows, remainder = kernel
     phi_prev = np.array(psi0)  # a contiguous copy: the buffers below are overwritten
     phi, y, tmp = np.zeros_like(phi_prev), np.empty_like(phi_prev), np.empty_like(phi_prev)
     r = np.empty(rows.size, dtype=complex)
-    # each state beside the view of it that the kernels read
-    prev, cur = (phi_prev, phi_prev.view(dtype)), (phi, phi.view(dtype))
-    y_view, r_view = y.view(dtype), r.view(dtype)
+    # each state beside the float64 view the band reads, made once: a view
+    # per product would cost about 1.5% of a figure 3a run
+    prev, cur = (phi_prev, phi_prev.view(np.float64)), (phi, phi.view(np.float64))
+    y_view = y.view(np.float64)
 
-    def product(x_view, out, out_view):  # out = scaled x
+    def product(x, x_view, out, out_view):  # out = scaled x
         out.fill(0)
         dia_matvec(*band, x_view, out_view)
         r.fill(0)
-        csr_matvecs(*remainder, x_view, r_view)
+        csr_matvecs(*remainder, x, r)
         out[rows] = r
 
-    product(prev[1], phi, cur[1])
+    product(*prev, *cur)
     acc = coeffs[0] * phi_prev + coeffs[1] * phi
     for coeff in coeffs[2:]:
         # prev, cur = cur, 2 scaled cur - prev; acc += coeff * cur.  y + y is the
@@ -401,7 +399,7 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
         # only at -0, which a row sum from +0 never is.  The scalar stays the
         # first operand: numpy's SIMD complex multiply fuses differently for
         # cur * coeff, which moves the last bits.
-        product(cur[1], y, y_view)
+        product(*cur, y, y_view)
         np.add(y, y, out=y)
         np.subtract(y, prev[0], out=prev[0])
         prev, cur = cur, prev
@@ -519,37 +517,35 @@ def run_experiment(
     network = assemble_network(net)
 
     probs = np.empty((int(n_snapshots), net.dim))
-    prob = probs[0]
-    np.abs(psi, out=prob)
-    np.square(prob, out=prob)
-    times = [0.0]
-    norms = [float(np.linalg.norm(psi))]
+    times: list[float] = []
+    norms: list[float] = []
     notes: list[str] = []
 
-    for n, (step, t) in enumerate(_schedule(stride, t_max, len(probs) - 1), start=1):
-        psi = propagate(network, psi, step)
+    # snapshot 0 is the packet itself, then one per step of the schedule
+    steps = itertools.chain([(0.0, 0.0)], _schedule(stride, t_max, len(probs) - 1))
+    for n, (step, t) in enumerate(steps):
+        if n:
+            psi = propagate(network, psi, step)
         prob = probs[n]
         np.abs(psi, out=prob)
         np.square(prob, out=prob)
         times.append(t)
         norms.append(float(np.linalg.norm(psi)))
-        if t + 1e-9 >= t_base and _edge_probability(prob, net, np.s_[:5]) < FINISH_THRESHOLD:
+        if n and t + 1e-9 >= t_base and _edge_probability(prob, net, np.s_[:5]) < FINISH_THRESHOLD:
             break
     else:
-        msg = (
+        notes.append(
             f"t_max={t_max:.6g} reached with {_edge_probability(prob, net, np.s_[:5]):.3e} "
             "probability still near the junctions; scattering unfinished"
         )
-        notes.append(msg)
-        _warnings.warn(msg, stacklevel=2)
 
     leakage = _edge_probability(prob, net, np.s_[-5:])
     if leakage > FINISH_THRESHOLD:
-        msg = (
+        notes.append(
             f"probability {leakage:.3e} within 5 sites of a truncated lead end at "
             f"t={t:.6g}; results may carry finite-lead artifacts"
         )
-        notes.append(msg)
+    for msg in notes:
         _warnings.warn(msg, stacklevel=2)
 
     return TrajectoryRecord(

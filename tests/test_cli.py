@@ -459,6 +459,20 @@ def test_steady_run_trivial_phase_reflects_everything(tmp_path):
     assert (out / "final_state.svg").exists()
 
 
+def test_steady_refuses_a_lead_length(tmp_path, capsys):
+    # a steady solve treats its leads as semi-infinite: a length would be
+    # accepted and do nothing
+    payload = _small_steady_config()
+    payload["lead"]["length"] = 5
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(_write(tmp_path, payload)), "--out", str(out)]) == 2
+    assert (
+        "configuration error: lead.length has no effect in a steady run: its leads are "
+        "semi-infinite"
+    ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_center_summary_names_its_size(tmp_path):
     config = {
         "center": {"type": "custom", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
@@ -750,7 +764,7 @@ def test_gain_loss_overlays_outside_the_closed_form(tmp_path, gamma):
         "lead": {"J": -0.1, "mu": 6.9, "length": 60},
         "packet": {"center_site": -30, "sigma": 6, "k": "pi/2"},
     }
-    steady = {"center": center, "lead": dynamics["lead"], "steady": {"k": "pi/2"}}
+    steady = {"center": center, "lead": {"J": -0.1, "mu": 6.9}, "steady": {"k": "pi/2"}}
     for mode, config, table in [
         ("dynamics", dynamics, "channels.csv"), ("steady", steady, "amplitudes.csv")
     ]:
@@ -777,11 +791,12 @@ def test_gain_loss_overlay_follows_the_incident_energy(tmp_path, mode, offset, d
     level = sl.nh_spectrum(8.0, 2.0, 1.0, 2)[0].real_energy
     config = {
         "center": {"type": "nh_ssh", "v": 8.0, "w": 2.0, "gamma": 1.0, "cells": 2},
-        "lead": {"J": -1.0, "mu": level + offset, "length": 60},
+        "lead": {"J": -1.0, "mu": level + offset},
     }
     if mode == "steady":
         config["steady"] = {"k": "pi/3"}
     else:
+        config["lead"]["length"] = 60
         config["packet"] = {"center_site": -30, "sigma": 6, "k": "pi/3"}
     out = tmp_path / "out"
     assert cli.main([mode, "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
@@ -901,6 +916,7 @@ def test_q_sweep_summary_is_strict_json(tmp_path):
     assert by_q[1.0]["reflectance_theory"] is None
     assert by_q[1.5]["visibility_theory"] is None
     assert by_q[0.5]["visibility_theory"] == pytest.approx(0.6)
+    assert json.loads((out / "summary.json").read_text())["warnings"] == []
 
 
 # sha256 of each CSV artifact and the config echo of summary.json for the
@@ -1075,6 +1091,27 @@ def test_q_sweep_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
     assert created == [2]  # q = 1 is excluded, leaving two points
     got = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
     assert got == csv_hashes["sweep.csv"]
+
+
+def test_q_sweep_summary_keeps_its_points_run_warnings(tmp_path, monkeypatch):
+    # a point that reaches t_max still reads "ok" in sweep.csv; its warning
+    # goes to summary.json under its q, from the pool's workers too
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _serial_pool(created))
+    config = _small_q_sweep_config()
+    config["sweep"]["q_values"] = [0.5, 1.5]
+    config["propagator"] = {"t_max": 50}
+    out = tmp_path / "out"
+    argv = ["q-sweep", "--config", str(_write(tmp_path, config)), "--out", str(out)]
+    with pytest.warns(UserWarning, match="scattering unfinished"):
+        assert cli.main(argv + ["--workers", "2"]) == 0
+    assert created == [2]
+    assert _csv_column(out / "sweep.csv", "status") == ["ok", "ok"]
+    assert json.loads((out / "summary.json").read_text())["warnings"] == [
+        f"q={q}: t_max=50 reached with {left} probability still near the junctions; "
+        "scattering unfinished"
+        for q, left in [(0.5, "5.439e-01"), (1.5, "5.467e-01")]
+    ]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

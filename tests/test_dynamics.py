@@ -190,6 +190,17 @@ def _custom(matrix):
     return sl.Hamiltonian(sp.csr_matrix(np.array(matrix, dtype=complex)))
 
 
+def _unbalanced_loss_network():
+    # loss on both centre sites moves the rectangle's centre off the real
+    # axis: the lead rows carry a complex diagonal and leave the real band
+    return sl.assemble_network(
+        sl.NetworkSpec(
+            center=sl.CustomCenter(np.array([[-0.5j, 2], [2, -0.5j]])),
+            lead=sl.LeadSpec(J=-0.1, mu=0.0, length=40),
+        )
+    )
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "make, t",
@@ -202,9 +213,10 @@ def _custom(matrix):
         (lambda: _custom([[-10j, 1], [1, -10j]]), 5.0),
         (lambda: _custom([[0, 1], [0, 0]]), 5.0),
         (lambda: _custom([[0, 1], [-1, 0]]), 5.0),
+        (_unbalanced_loss_network, 40.0),
     ],
     ids=["gain-loss-ssh-short", "gain-loss-ssh-long", "gain", "uniform-loss", "nilpotent",
-         "skew"],
+         "skew", "unbalanced-loss"],
 )
 def test_propagate_non_hermitian_matches_dense_expm(make, t):
     H = make()
@@ -266,6 +278,16 @@ def _complex_hopping_step():
     return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
 
 
+def _unbalanced_loss_step():
+    """Figure 3a's chain with loss -0.5i on all 40 centre sites, on its lead
+    and packet: the rectangle's centre leaves the real axis, so every lead
+    row carries a complex diagonal and every row runs in the remainder."""
+    ((_, cfg),) = cli.figure_configs("3a")
+    center = sl.CustomCenter(sl.center_matrix(cfg.center) - 0.5j * np.eye(cfg.center.n_sites))
+    net = sl.NetworkSpec(center, cfg.lead)
+    return net, cfg.packet, sl.stop_time(net, cfg.packet) / 60.0
+
+
 def _unsorted_network(net):
     """The network of ``net`` plus an on-site 0.37 on the output leads, 0.5
     on the centre and a long-range bond from the first centre site to the
@@ -303,16 +325,18 @@ def _bits(z):
         (lambda: _figure_step("3a", mu=0.37), sl.assemble_network, 150),
         (_complex_hopping_step, sl.assemble_network, 150),
         (lambda: _figure_step("3a"), _unsorted_network, 150),
+        (_unbalanced_loss_step, sl.assemble_network, 150),
     ],
     ids=["fig3a-hermitian", "fig3d", "fig6a-gain-loss", "fig3a-lead-mu", "complex-hopping",
-         "unsorted-csr"],
+         "unsorted-csr", "unbalanced-loss"],
 )
 def test_propagate_is_the_textbook_recurrence_bit_for_bit(step, network, min_order):
     # the in-place loop and the banded kernel must not move a single bit of
     # the figures: checked from the packet and from the state three strides
-    # on.  Real operators, with a diagonal (lead mu) or without, run on the
-    # float view; the gain/loss network and the complex hopping in complex
-    # arithmetic; rows stored out of order in the CSR remainder
+    # on.  Lead chains, with a diagonal (lead mu) or without, run on the real
+    # band, Hermitian or gain/loss; the junction rows, the complex hopping's
+    # centre rows and rows stored out of order in the complex CSR remainder,
+    # and with unbalanced loss every row
     net, packet, stride = step()
     H = network(net)
     _, _, coeffs, _ = sl.dynamics._chebyshev_plan(H, stride)
@@ -390,24 +414,24 @@ def test_propagate_reads_a_strided_state_like_a_contiguous_one():
     assert np.array_equal(_bits(sl.propagate(H, strided, 40.0)), _bits(ref))
 
 
-@pytest.mark.parametrize("fig, dtype", [("3a", np.float64), ("6a", np.complex128)])
-def test_banded_and_remainder_kernels_are_the_sparse_product(fig, dtype):
+@pytest.mark.parametrize("fig", ["3a", "6a"])
+def test_banded_and_remainder_kernels_are_the_sparse_product(fig):
     # propagate calls scipy's private kernels directly; a scipy release that
-    # moves or changes one must fail here, not shift the figures' digits.  A
-    # real operator runs them on the float view of the state, a complex one
-    # on the state itself
+    # moves or changes one must fail here, not shift the figures' digits.  The
+    # real band runs on the float view of the state, the complex remainder on
+    # the state itself, for a Hermitian (3a) and a gain/loss (6a) network
     from scipy.sparse._sparsetools import csr_matvecs, dia_matvec
 
     net, _, stride = _figure_step(fig)
-    _, scaled, _, kernel = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
-    (band, rows, remainder), view = kernel
-    assert view is dtype
+    _, scaled, _, (band, rows, remainder) = sl.dynamics._chebyshev_plan(
+        sl.assemble_network(net), stride
+    )
     rng = np.random.default_rng(7)
     x = rng.normal(size=net.dim) + 1j * rng.normal(size=net.dim)
     ref = scaled @ x
     y, r = np.zeros(net.dim, dtype=complex), np.zeros(rows.size, dtype=complex)
-    dia_matvec(*band, x.view(dtype), y.view(dtype))
-    csr_matvecs(*remainder, x.view(dtype), r.view(dtype))
+    dia_matvec(*band, x.view(np.float64), y.view(np.float64))
+    csr_matvecs(*remainder, x, r)
     assert np.array_equal(_bits(r), _bits(ref[rows]))
     band_rows = np.ones(net.dim, dtype=bool)
     band_rows[rows] = False
@@ -418,15 +442,15 @@ def test_banded_and_remainder_kernels_are_the_sparse_product(fig, dtype):
 @pytest.mark.parametrize("mu, offsets", [(0.0, [-2, 2]), (0.37, [-2, 0, 2])])
 def test_fig3a_remainder_is_its_junction_rows(mu, offsets):
     # only the centre and each lead's first site leave the band: 81 of the
-    # 8,240 rows of A, 162 rows of its float view.  The main diagonal is
-    # kept only when the lead has an on-site term
+    # 8,240 rows of A, run as 81 complex rows.  The main diagonal is kept
+    # only when the lead has an on-site term
     net, _, stride = _figure_step("3a", mu=mu)
-    _, _, _, ((band, rows, remainder), _) = sl.dynamics._chebyshev_plan(
+    _, _, _, (band, rows, remainder) = sl.dynamics._chebyshev_plan(
         sl.assemble_network(net), stride
     )
     junctions = np.union1d(np.arange(net.center.n_sites), net.leads(np.arange(net.dim))[:, 0])
     assert np.array_equal(rows, junctions)
-    assert rows.size == 81 and remainder[0] * remainder[2] == 162
+    assert rows.size == 81 and remainder[0] * remainder[2] == 81
     assert band[4].tolist() == offsets
 
 
@@ -434,14 +458,20 @@ def test_rows_out_of_order_go_to_the_remainder():
     # a band-shaped row stored out of order must not be summed in the
     # band's column order: the input lead's rows here
     net, _, stride = _figure_step("3a")
-    _, scaled, _, ((_, rows, _), _) = sl.dynamics._chebyshev_plan(
-        _unsorted_network(net), stride
-    )
+    _, scaled, _, (_, rows, _) = sl.dynamics._chebyshev_plan(_unsorted_network(net), stride)
     sites = net.leads(np.arange(net.dim))
     j = sites[0, 1]
     assert scaled.indices[scaled.indptr[j] : scaled.indptr[j + 1]].tolist() == [j, j + 1, j - 1]
     assert np.isin(sites[0], rows).all()
     assert not np.isin(sites[1:, 1:], rows).any()
+
+
+def test_unbalanced_loss_runs_every_row_in_the_remainder():
+    # the trade of one layout: a complex lead diagonal leaves no band row
+    net, _, stride = _unbalanced_loss_step()
+    _, _, _, (band, rows, _) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
+    assert band[2] == 0
+    assert np.array_equal(rows, np.arange(net.dim))
 
 
 def _figure_networks(fig):
@@ -461,13 +491,20 @@ def _figure_networks(fig):
     + [(f"6{panel}", False) for panel in "abcd"],
 )
 def test_hermitian_figures_take_the_real_kernel(fig, real):
-    # every Hermitian figure network has a real scaled operator, so its
-    # Chebyshev terms run on the float view; a gain/loss network cannot
+    # a Hermitian figure network has a real scaled operator, a gain/loss one
+    # has not; yet on both, the lead chains are real after the shift and run
+    # on the real band, and only the 2N + 1 junction rows (the centre and
+    # each lead's first site) go to the complex remainder
     for net, packet in _figure_networks(fig):
         stride = sl.stop_time(net, packet) / 60.0
-        _, scaled, _, (_, dtype) = sl.dynamics._chebyshev_plan(sl.assemble_network(net), stride)
-        assert (dtype is np.float64) == real
+        _, scaled, _, (band, rows, _) = sl.dynamics._chebyshev_plan(
+            sl.assemble_network(net), stride
+        )
         assert scaled.data.imag.any() != real
+        assert band[5].dtype == np.float64
+        junctions = np.union1d(np.arange(net.center.n_sites), net.leads(np.arange(net.dim))[:, 0])
+        assert rows.size == 2 * net.center.n_sites + 1
+        assert np.array_equal(rows, junctions)
 
 
 @pytest.mark.parametrize("fig", ["3a", "3b", "3c", "3d", "5", "6a", "6b", "6c", "6d"])
