@@ -137,10 +137,13 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
 
     Level n in [0, cells-1] carries kappa = (n+1) pi / (cells + 1) and
     energy sqrt((v - w cos kappa)^2 - gamma^2).  Levels with negative
-    radicand are flagged complex rather than rejected.
+    radicand are flagged complex rather than rejected.  A chain with
+    v <= w is outside the regime and raises ``PhysicsError``.
     """
     if not all(0 < x < np.inf for x in (v, w, gamma)):
         raise PhysicsError(f"nh_spectrum requires finite v, w, gamma > 0, got {v}, {w}, {gamma}")
+    if v <= w:
+        raise PhysicsError(f"nh_spectrum is the closed form for v >> w, got v={v} <= w={w}")
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
     levels = []

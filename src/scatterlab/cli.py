@@ -411,19 +411,19 @@ def _channel_plot(out_dir: Path, p: np.ndarray, theory: np.ndarray, title: str) 
 
 def _snapshot_blocks(net: NetworkSpec, times: np.ndarray, prob: np.ndarray):
     """snapshots.csv as one block per snapshot: the sites above 1e-12 in
-    index order.  Each time's text is formatted once, and each site's
-    region, channel and offset text once per run."""
+    index order.  Each site's ``region,channel,offset`` text is joined
+    once per run, from ``NetworkSpec.labels()`` with ``csv_cells`` for the
+    integers, and written as one column under that joined key, so a row
+    formats one label cell and one probability.  Each time's text is
+    formatted once and is its block's constant column."""
     region, channel, offset = net.labels()
-    channel, offset = csv_cells(channel), csv_cells(offset)
+    labels = np.array(
+        [f"{r},{c},{o}" for r, c, o in zip(region, csv_cells(channel), csv_cells(offset))],
+        dtype=object,
+    )
     for time, row in zip(csv_cells(times), prob):
         si = np.flatnonzero(row > 1e-12)
-        yield {
-            "time": np.full(si.size, time, dtype=object),
-            "region": region[si],
-            "channel": channel[si],
-            "offset": offset[si],
-            "probability": row[si],
-        }
+        yield {"time": time, "region,channel,offset": labels[si], "probability": row[si]}
 
 
 def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
@@ -439,15 +439,13 @@ def run_dynamics(cfg: RunConfig, out_dir: Path) -> dict:
         {"channel": channels, "probability": p, "probability_theory": theory},
     )
 
-    history = record.channel_history()
-    n_times, n_channels = history.shape
+    channel_cells = csv_cells(channels)
     write_csv(
         out_dir / "trajectory.csv",
-        {
-            "time": np.repeat(record.times, n_channels),
-            "channel": np.tile(channels, n_times),
-            "probability": history.ravel(),
-        },
+        (
+            {"time": time, "channel": channel_cells, "probability": row}
+            for time, row in zip(csv_cells(record.times), record.channel_history())
+        ),
     )
 
     prob = record.site_probabilities

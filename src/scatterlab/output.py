@@ -14,8 +14,10 @@ A CSV table maps header names to columns, and may come as a stream of
 such blocks; one printf template per block, a piece per column by its
 dtype kind, writes every row: ``%d`` for integers, ``%.12g`` for floats
 (NaN prints as ``nan``), ``%s`` for strings and objects.  A bool or
-complex column raises ``TypeError``.  ``csv_cells`` gives the same text
-ahead of time, for a value that repeats over many rows.  Rows are
+complex column raises ``TypeError``.  A column given as a ``str`` is text
+that every row of its block carries: it goes into the block's template
+once, not through ``%``.  ``csv_cells`` gives a column's text ahead of
+time, for a value that repeats over many rows or blocks.  Rows are
 formatted ``_CSV_BLOCK`` at a time, a block with one ``%`` (``_format_rows``,
 which the SVG path data and heatmap cells share).  The JSON summary writes
 non-finite floats as ``null``, so strict parsers accept it.
@@ -42,7 +44,9 @@ _CSV_BLOCK = 4_096
 _CSV_PIECES = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s", "O": "%s"}
 
 
-def write_csv(path, table: Mapping[str, Sequence] | Iterable[Mapping[str, Sequence]]) -> None:
+def write_csv(
+    path, table: Mapping[str, Sequence | str] | Iterable[Mapping[str, Sequence | str]]
+) -> None:
     """Write a versioned CSV table: the version line, the header (the keys
     of ``table``), then one line per row of its columns, arrays or lists.
 
@@ -52,7 +56,10 @@ def write_csv(path, table: Mapping[str, Sequence] | Iterable[Mapping[str, Sequen
     case.  Each column's piece of a block's row template is chosen by the
     dtype kind of its ``np.asarray`` (``_CSV_PIECES``): ``%d`` integers,
     ``%.12g`` floats, ``%s`` strings and object arrays (such as
-    ``NetworkSpec.labels()``'s regions, or ``csv_cells``' text).  Any
+    ``NetworkSpec.labels()``'s regions, or ``csv_cells``' text).  A
+    column given as a ``str`` is a constant: every row of its block
+    carries that text, written as it is (a ``%`` in it too), and the
+    block's other columns give its rows (none if it has no other).  Any
     other kind (bool, complex) raises ``TypeError``, and columns of
     unequal length or a block with other keys ``ValueError``: for the
     first block before the file is opened, for a later one when it is
@@ -75,11 +82,18 @@ def write_csv(path, table: Mapping[str, Sequence] | Iterable[Mapping[str, Sequen
             f.writelines(_csv_rows(block))
 
 
-def _csv_rows(table: Mapping[str, Sequence]) -> Iterator[str]:
+def _csv_rows(table: Mapping[str, Sequence | str]) -> Iterator[str]:
     """The text of ``table``'s rows, ``_CSV_BLOCK`` rows per string, its
-    columns checked (``write_csv``) before the first one is made."""
-    columns = [np.asarray(column) for column in table.values()]
-    template = ",".join(_csv_piece(name, column) for name, column in zip(table, columns)) + "\n"
+    columns checked (``write_csv``) before the first one is made.  A
+    ``str`` column is written into the row template, its ``%`` doubled."""
+    pieces, columns = [], []
+    for name, column in table.items():
+        if isinstance(column, str):
+            pieces.append(column.replace("%", "%%"))
+        else:
+            columns.append(np.asarray(column))
+            pieces.append(_csv_piece(name, columns[-1]))
+    template = ",".join(pieces) + "\n"
     lengths = sorted({len(column) for column in columns})
     if len(lengths) > 1:
         raise ValueError(f"write_csv columns have unequal lengths {lengths}")

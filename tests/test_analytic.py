@@ -186,6 +186,11 @@ def test_nh_spectrum_rejects_nonpositive_parameters():
         sl.nh_spectrum(0.0, 1.0, 1.0, 2)
     with pytest.raises(sl.PhysicsError):
         sl.nh_spectrum(1.0, 1.0, -1.0, 2)
+    # the closed form is for v >> w: v < w and v = w are outside it
+    with pytest.raises(sl.PhysicsError, match="v >> w"):
+        sl.nh_spectrum(2.0, 4.0, 0.5, 20)
+    with pytest.raises(sl.PhysicsError, match="v >> w"):
+        sl.nh_spectrum(4.0, 4.0, 0.5, 20)
 
 
 # A NaN q or a non-finite chain parameter is outside every law's domain,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import scatterlab as sl
 from scatterlab import cli
-from scatterlab.output import CSV_VERSION_LINE, write_csv
+from scatterlab.output import _CSV_BLOCK, CSV_VERSION_LINE, write_csv
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -589,6 +589,20 @@ def test_mu_scan_summary_names_the_dark_level_of_a_degenerate_pair(tmp_path):
     assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dark_states"] == ["dark state at mu=-1"]
+
+
+def test_mu_scan_of_a_gain_loss_chain_with_v_below_w_has_no_analytic_energy(tmp_path):
+    # the gain/loss closed form holds for v >> w; with v < w it used to
+    # answer 0.1-0.2 away from every resonance
+    config = {
+        "center": {"type": "nh_ssh", "v": 2.0, "w": 4.0, "gamma": 0.5, "cells": 20},
+        "scan": {"mu_min": -3.0, "mu_max": 3.0, "step": 1e-3},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["mu-scan", "--config", str(_write(tmp_path, config)), "--out", str(out)]) == 0
+    assert len(_csv_column(out / "resonances.csv", "mu_star")) > 0
+    assert set(_csv_column(out / "resonances.csv", "analytic_energy")) == {"nan"}
+    assert set(_csv_column(out / "resonances.csv", "analytic_distance")) == {"nan"}
 
 
 @pytest.mark.parametrize("J", [1e308, -1e308])
@@ -1341,13 +1355,16 @@ def _whole_table_snapshots(path, net, times, prob):
 
 def test_streamed_snapshots_match_the_whole_table(tmp_path):
     # snapshot 1 holds no row above 1e-12 (one exactly at it), so its block
-    # is empty; the times and probabilities span the %.12g cases
-    net = sl.NetworkSpec(sl.SSHCenter(2.0, 4.0, 1), sl.LeadSpec(J=-0.1, length=6))
+    # is empty; every site of snapshot 4 is above it, more rows than one
+    # _CSV_BLOCK; the times and probabilities span the %.12g cases
+    net = sl.NetworkSpec(sl.SSHCenter(2.0, 4.0, 1), sl.LeadSpec(J=-0.1, length=1400))
+    assert net.dim > _CSV_BLOCK
     rng = np.random.default_rng(3)
-    prob = 10.0 ** rng.uniform(-16, 0, (4, net.dim))
+    prob = 10.0 ** rng.uniform(-16, 0, (5, net.dim))
     prob[1] = np.minimum(prob[1], 1e-12)
     prob[2, ::3] = 1e-12
-    times = np.array([0.0, 1 / 3, 2.5e-7, 1e5 + 0.1])
+    prob[4] = 10.0 ** rng.uniform(-11, 0, net.dim)
+    times = np.array([0.0, 1 / 3, 2.5e-7, 1e5 + 0.1, 7.0])
     write_csv(tmp_path / "streamed.csv", cli._snapshot_blocks(net, times, prob))
     _whole_table_snapshots(tmp_path / "whole.csv", net, times, prob)
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

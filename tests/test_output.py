@@ -152,6 +152,25 @@ def test_csv_rows_cross_the_block_boundary_unchanged():
     assert _written(table) == _reference_csv(table)
 
 
+@pytest.mark.parametrize("constant", ["", "0.25", "%", "100%", "%d%%", "%(x)s"])
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK + 1])
+def test_csv_constant_column_is_the_column_it_repeats(constant, n):
+    # a str column is written literally in every row of its block, a % in
+    # it too, beside numeric columns and across the block boundary; with
+    # no rows it writes none
+    rng = np.random.default_rng(11)
+    columns = {"i": np.arange(n), "x": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)}
+    table = {"t": constant, **columns, "s": constant}
+    assert _written(table) == _reference_csv({"t": [constant] * n, **columns, "s": [constant] * n})
+
+
+def test_csv_blocks_write_their_own_constants():
+    blocks = [{"t": "a%", "x": [0.5]}, {"t": "b", "x": []}, {"t": "c", "x": [1.0, -0.0]}]
+    assert _written(blocks) == f"{CSV_VERSION_LINE}\nt,x\na%,0.5\nc,1\nc,-0\n"
+    # a block of constants alone has no rows
+    assert _written({"t": "a", "u": "b"}) == f"{CSV_VERSION_LINE}\nt,u\n"
+
+
 def test_csv_empty_rows_write_the_header_only():
     table = {"a": [], "b": np.array([], dtype=np.int64), "c": np.array([], dtype=object)}
     assert _written(table) == f"{CSV_VERSION_LINE}\na,b,c\n"
