@@ -19,7 +19,6 @@ from .dynamics import (
     PropagatorConfig,
     TrajectoryRecord,
     WavePacketSpec,
-    channel_probabilities,
     init_gaussian,
     propagate,
     run_experiment,
@@ -70,7 +69,6 @@ __all__ = [
     "WavePacketSpec",
     "assemble_network",
     "center_matrix",
-    "channel_probabilities",
     "dispersion",
     "edge_state_amplitudes",
     "eigenfunction_from_transmissions",

@@ -5,9 +5,9 @@ plain values: the edge-state amplitudes (an array), the resonant
 transmission/reflection amplitudes of the topological zero mode (a pair),
 channel probabilities for an incident packet, the visibility and
 reflection laws as functions of q = v/w (floats), and the approximate
-spectrum of the gain/loss chain in the strongly dimerized regime (a tuple
-of ``NHLevel``) with each level's transmission profile (an array).  These
-serve as test oracles and as theory overlays in CLI output.
+real spectrum of the gain/loss chain in the strongly dimerized regime (a
+tuple of ``NHLevel``) with each level's transmission profile (an array).
+These serve as test oracles and as theory overlays in CLI output.
 
 Each law owns its domain: outside it the function raises
 ``PhysicsError``, and callers read that as "no theory here".  The ratio
@@ -113,32 +113,22 @@ def reflection_theory(q: float) -> float:
 
 @dataclass(frozen=True)
 class NHLevel:
-    """One level of the gain/loss chain: standing-wave momentum kappa,
-    energy, and the internal phase phi with tan(phi) = gamma/energy.
-    ``is_real`` is False when the squared energy is negative (broken-
-    reality regime); such levels are excluded from scattering use."""
+    """One real level of the gain/loss chain: standing-wave momentum
+    kappa and its real energy."""
 
-    n: int
     kappa: float
-    energy: complex
-    phase: float
-    is_real: bool
-
-    @property
-    def real_energy(self) -> float:
-        if not self.is_real:
-            raise PhysicsError(f"level n={self.n} has complex energy")
-        return self.energy.real
+    real_energy: float
 
 
 def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, ...]:
-    """Approximate positive-branch spectrum of the staggered gain/loss
+    """Approximate positive-branch real spectrum of the staggered gain/loss
     chain in the strongly dimerized regime v >> w.
 
     Level n in [0, cells-1] carries kappa = (n+1) pi / (cells + 1) and
-    energy sqrt((v - w cos kappa)^2 - gamma^2).  Levels with negative
-    radicand are flagged complex rather than rejected.  A chain with
-    v <= w is outside the regime and raises ``PhysicsError``.
+    energy sqrt((v - w cos kappa)^2 - gamma^2).  Only levels with a real
+    energy are listed: one with a negative radicand (broken reality) has
+    no transmission peak to show.  A chain with v <= w is outside the
+    regime and raises ``PhysicsError``.
     """
     if not all(0 < x < np.inf for x in (v, w, gamma)):
         raise PhysicsError(f"nh_spectrum requires finite v, w, gamma > 0, got {v}, {w}, {gamma}")
@@ -150,17 +140,8 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
     for n in range(cells):
         kappa = (n + 1) * np.pi / (cells + 1)
         radicand = (v - w * np.cos(kappa)) ** 2 - gamma * gamma
-        eps = float(np.sqrt(abs(radicand)))
-        real = bool(radicand >= 0)
-        levels.append(
-            NHLevel(
-                n=n,
-                kappa=kappa,
-                energy=complex(eps) if real else 1j * eps,
-                phase=float(np.arctan2(gamma, eps)) if real else float("nan"),
-                is_real=real,
-            )
-        )
+        if radicand >= 0:
+            levels.append(NHLevel(kappa=kappa, real_energy=float(np.sqrt(radicand))))
     return tuple(levels)
 
 
@@ -171,8 +152,6 @@ def nh_transmission_profile(level: NHLevel, cells: int) -> np.ndarray:
     Entry m-1 is proportional to sin^2(kappa m); the two leads of cell m
     (channels 2m-1 and 2m) share this value.
     """
-    if not level.is_real:
-        raise PhysicsError(f"level n={level.n} is complex; no scattering profile")
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
     m = np.arange(1, cells + 1)

@@ -367,8 +367,7 @@ def _nh_theory_levels(center: CenterSpec) -> tuple[analytic.NHLevel, ...]:
     other centers or where the closed form does not apply."""
     if isinstance(center, NonHermitianSSHCenter):
         with suppress(PhysicsError):
-            levels = analytic.nh_spectrum(center.v, center.w, center.gamma, center.cells)
-            return tuple(lv for lv in levels if lv.is_real)
+            return analytic.nh_spectrum(center.v, center.w, center.gamma, center.cells)
     return ()
 
 
@@ -711,7 +710,10 @@ def run(cfg: RunConfig, out_dir, workers: int | None = None) -> dict:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     *_, runner = _mode(cfg.mode)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     pool_args = (workers,) if runner is run_q_sweep else ()
     summary = {"mode": cfg.mode, **runner(cfg, out_dir, *pool_args)}
     write_summary(out_dir / "summary.json", summary)

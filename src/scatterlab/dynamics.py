@@ -116,6 +116,8 @@ class WavePacketSpec:
         _require_finite(self, "sigma", "k")
         if self.sigma <= 0:
             raise PhysicsError(f"packet width sigma must be positive, got {self.sigma}")
+        if 2.0 * self.sigma**2 == 0:  # the envelope's denominator underflows
+            raise PhysicsError(f"packet width sigma={self.sigma} is so small that 2 sigma^2 is 0")
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,8 @@ DEFAULT_CONFIG = PropagatorConfig()
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Everything recorded from one wave-packet experiment: snapshot
-    times, per-site probabilities, norms, and the final per-channel
-    probability sums p_0..p_N, each numpy's sum over its lead's offsets.
-    The run ends at ``times[-1]``.
+    times, per-site probabilities and norms.  The run ends at
+    ``times[-1]``, and every readout is derived from the snapshots.
 
     ``site_probabilities`` holds |psi|^2 of each snapshot as one row, the
     only copy of the snapshots: a view of the written rows of the array
@@ -154,8 +155,6 @@ class TrajectoryRecord:
     times: np.ndarray
     site_probabilities: np.ndarray
     norms: np.ndarray
-    channel_probabilities: np.ndarray
-    center_probability: float
     final_state: np.ndarray
     network: NetworkSpec
     warnings: tuple[str, ...] = ()
@@ -164,9 +163,20 @@ class TrajectoryRecord:
         """Per-snapshot channel probabilities, shape (n_snapshots, n_channels+1).
 
         numpy's sum over each lead's offsets on the ``leads`` view of the
-        snapshots, no copy of them: the sum ``channel_probabilities`` takes,
-        so the last row equals it bit for bit."""
+        snapshots, no copy of them: p[0] over the input lead, p[l] over
+        output lead l."""
         return self.network.leads(self.site_probabilities).sum(axis=-1)
+
+    @property
+    def channel_probabilities(self) -> np.ndarray:
+        """Final per-channel probabilities p_0..p_N: the last row of
+        ``channel_history()``, bit for bit."""
+        return self.network.leads(self.site_probabilities[-1]).sum(axis=-1)
+
+    @property
+    def center_probability(self) -> float:
+        """Final probability on the centre sites."""
+        return float(self.site_probabilities[-1, : self.network.center.n_sites].sum())
 
 
 def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
@@ -408,13 +418,6 @@ def propagate(H: Hamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
     return phase * acc
 
 
-def channel_probabilities(psi: np.ndarray, net: NetworkSpec) -> np.ndarray:
-    """Probability collected in each channel of ``net``: p[0] over the
-    input lead (the reflected part after scattering), p[l] over output
-    lead l."""
-    return net.leads(np.abs(np.asarray(psi)) ** 2).sum(axis=-1)
-
-
 def visibility(p: np.ndarray, eta: int = 1) -> float:
     """Contrast of neighboring odd channels:
     |p_{2 eta + 1} - p_{2 eta - 1}| / (p_{2 eta + 1} + p_{2 eta - 1}).
@@ -498,8 +501,8 @@ def run_experiment(
     snapshot's |psi|^2 is written into its row in place (the bits of
     ``np.abs(psi) ** 2``), rows the run never reaches are never touched,
     and the record's ``site_probabilities`` is the view of the written
-    rows.  The final channel and centre probabilities are read off the
-    last row.
+    rows, from whose last row the record derives the final channel and
+    centre probabilities.
     """
     _require_fit(net, packet)
     t_base = stop_time(net, packet)
@@ -552,8 +555,6 @@ def run_experiment(
         times=np.asarray(times),
         site_probabilities=probs[: n + 1],
         norms=np.asarray(norms),
-        channel_probabilities=net.leads(prob).sum(axis=-1),
-        center_probability=float(prob[: net.center.n_sites].sum()),
         final_state=psi,
         network=net,
         warnings=tuple(notes),

@@ -497,12 +497,15 @@ def mu_scan(
     is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``, looked up
     through this module's global: the chain recursion, or the dense
     solve, whose singular-system rule a grid point exactly on a dark
-    level follows.  The grid is walked as Python floats straight into the
-    |r|^2 array.  A grid of more than 10,000,000 points, or a lead whose
-    band edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
-    ``PhysicsError`` before the grid is allocated; a grid whose
-    consecutive points are not strictly increasing in floating point (a
-    step below the float spacing of mu) raises it before any solve.
+    level follows.  The grid is mu_min + n resolution for each whole n
+    with n resolution <= mu_max - mu_min, where a width that divides to
+    within 1e-9 below a whole count of steps counts as that count; it is
+    walked as Python floats straight into the |r|^2 array.  A grid of
+    more than 10,000,000 points, or a lead whose band edge 2|J| +
+    max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError`` before
+    the grid is allocated; a grid whose consecutive points are not
+    strictly increasing in floating point (a step below the float spacing
+    of mu) raises it before any solve.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -517,7 +520,7 @@ def mu_scan(
             f"scan lead band edge 2|J| + max|mu| is not finite for J={J}, "
             f"mu in [{mu_lo}, {mu_hi}]"
         )
-    n_steps = np.floor((mu_hi - mu_lo) / resolution + 0.5)
+    n_steps = np.floor((mu_hi - mu_lo) / resolution + 1e-9)
     if not n_steps < _MAX_SCAN_POINTS:
         raise PhysicsError(
             f"scan of [{mu_lo}, {mu_hi}] at step {resolution} needs {n_steps + 1:.3g} "

@@ -158,27 +158,28 @@ def test_nh_spectrum_reference_level():
     expected = np.sqrt((40.0 - 2.0 * np.cos(np.pi / 5)) ** 2 - 100.0)
     assert lv.real_energy == pytest.approx(expected, rel=1e-14)
     assert lv.real_energy == pytest.approx(37.05638021837479, rel=1e-12)
-    assert np.tan(lv.phase) == pytest.approx(10.0 / lv.real_energy, rel=1e-12)
+    assert type(lv.kappa) is float and type(lv.real_energy) is float
 
 
 def test_nh_spectrum_hermitian_limit_continuity():
     spec = sl.nh_spectrum(40.0, 2.0, 1e-12, 4)
+    assert len(spec) == 4
     for lv in spec:
-        assert lv.is_real
         assert lv.real_energy == pytest.approx(
             abs(40.0 - 2.0 * np.cos(lv.kappa)), rel=1e-9
         )
 
 
 def test_nh_spectrum_flags_broken_reality():
-    spec = sl.nh_spectrum(1.0, 0.5, 2.0, 1)
-    lv = spec[0]
-    assert not lv.is_real
-    assert tuple(lv for lv in spec if lv.is_real) == ()
-    with pytest.raises(sl.PhysicsError):
-        lv.real_energy  # noqa: B018
-    with pytest.raises(sl.PhysicsError):
-        sl.nh_transmission_profile(lv, 1)
+    # (1 - 0.5 cos(pi/2))^2 - 2^2 < 0: the only level has complex energy
+    assert sl.nh_spectrum(1.0, 0.5, 2.0, 1) == ()
+    # kappa = pi/4, pi/2, 3pi/4: (2 - cos kappa)^2 - 1.5^2 < 0 at pi/4 only
+    spec = sl.nh_spectrum(2.0, 1.0, 1.5, 3)
+    assert [lv.kappa for lv in spec] == [2 * np.pi / 4, 3 * np.pi / 4]
+    for lv in spec:
+        assert lv.real_energy == pytest.approx(
+            np.sqrt((2.0 - np.cos(lv.kappa)) ** 2 - 2.25), rel=1e-14
+        )
 
 
 def test_nh_spectrum_rejects_nonpositive_parameters():
@@ -195,7 +196,7 @@ def test_nh_spectrum_rejects_nonpositive_parameters():
 
 # A NaN q or a non-finite chain parameter is outside every law's domain,
 # so each law raises rather than answer NaN (nh_spectrum: NaN levels
-# flagged complex).
+# dropped as complex).
 @pytest.mark.parametrize(
     "law",
     [

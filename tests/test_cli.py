@@ -473,6 +473,24 @@ def test_steady_refuses_a_lead_length(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, out, named",
+    [("reproduce-fig", "file", "file/fig7b"), ("steady", "file/x", "file/x")],
+    ids=["reproduce-fig-7-into-a-file", "steady-below-a-file"],
+)
+def test_an_output_path_that_cannot_be_a_directory_is_a_config_error(
+    tmp_path, capsys, mode, out, named
+):
+    # creating the directory raised NotADirectoryError with a traceback (exit 1)
+    (tmp_path / "file").write_text("")
+    config = str(_write(tmp_path, _small_steady_config()))
+    args = ["7"] if mode == "reproduce-fig" else ["--config", config]
+    assert cli.main([mode, *args, "--out", str(tmp_path / out)]) == cli.EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot create output directory {tmp_path / named}" in err
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_custom_center_summary_names_its_size(tmp_path):
     config = {
         "center": {"type": "custom", "matrix": [[0.0, 1.0], [1.0, 0.0]]},

@@ -550,7 +550,7 @@ def test_propagation_plan_does_not_leak_between_networks():
 def test_channel_probabilities_before_scattering():
     net = _small_net()
     psi = sl.init_gaussian(net, _packet())
-    p = sl.channel_probabilities(psi, net)
+    p = net.leads(np.abs(psi) ** 2).sum(axis=-1)
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(p[1:] == 0.0)
 
@@ -659,7 +659,7 @@ def test_figure_record_holds_each_snapshot_once(figure_record):
     # the written rows of one array, the last one the final state's
     assert snapshots.base is not None and snapshots.base.shape[1:] == (net.dim,)
     assert snapshots[-1].tobytes() == (np.abs(rec.final_state) ** 2).tobytes()
-    p = sl.channel_probabilities(rec.final_state, net)
+    p = net.leads(np.abs(rec.final_state) ** 2).sum(axis=-1)
     assert rec.channel_probabilities.tobytes() == p.tobytes()
 
 
@@ -825,8 +825,10 @@ def test_propagator_config_refuses_non_finite_times(field, value):
 @pytest.mark.parametrize(
     "kwargs, message",
     [({"center_site": 0}, "must be a negative input-lead site"),
-     ({"sigma": 0.0}, "sigma must be positive")],
-    ids=["center-site-0", "sigma-0"],
+     ({"sigma": 0.0}, "sigma must be positive"),
+     # 2 sigma^2 underflows to 0: the envelope divided by zero, with NaN after
+     ({"sigma": 1e-200}, r"sigma=1e-200 is so small that 2 sigma\^2 is 0")],
+    ids=["center-site-0", "sigma-0", "sigma-underflow"],
 )
 def test_packet_spec_rejects_a_packet_off_the_input_lead_or_without_width(kwargs, message):
     with pytest.raises(sl.PhysicsError, match=message):

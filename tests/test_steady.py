@@ -244,8 +244,21 @@ def test_mu_scan_gain_loss_center():
     np.testing.assert_allclose(sorted(scan.resonances), exact, atol=1e-6)
     # the strong-dimerization formula carries a few-percent-of-a-site error
     spec = sl.nh_spectrum(40.0, 2.0, 10.0, 4)
-    analytic = np.sort([lv.real_energy for lv in spec if lv.is_real])
+    analytic = np.sort([lv.real_energy for lv in spec])
     assert np.max(np.abs(np.sort(scan.resonances) - analytic)) < 0.03
+
+
+@pytest.mark.parametrize(
+    "mu_range, step, grid",
+    [((0.0, 1.0), 0.4, [0.0, 0.4, 0.8]), ((0.0, 0.3), 0.1, [0.0, 0.1, 0.2, 0.30000000000000004])],
+    ids=["2.5-steps", "0.3/0.1-just-below-3"],
+)
+def test_mu_scan_grid_stays_in_its_window(mu_range, step, grid):
+    # the step count used to round to nearest: 2.5 steps sampled mu = 1.2 on
+    # [0, 1].  A width of whole steps counts them all, though 0.3 / 0.1 is
+    # 2.9999999999999996 in floating point
+    scan = sl.mu_scan(_ssh(2.0), alpha=1, J=1.0, mu_range=mu_range, resolution=step)
+    assert scan.mu_grid.tolist() == grid
 
 
 def test_mu_scan_empty_window():
