@@ -116,7 +116,9 @@ class WavePacketSpec:
         _require_finite(self, "sigma", "k")
         if self.sigma <= 0:
             raise PhysicsError(f"packet width sigma must be positive, got {self.sigma}")
-        if 2.0 * self.sigma**2 == 0:  # the envelope's denominator underflows
+        # the envelope's denominator underflows; a product, not **, which
+        # raises OverflowError where a huge sigma is left to the lead fit
+        if 2.0 * self.sigma * self.sigma == 0:
             raise PhysicsError(f"packet width sigma={self.sigma} is so small that 2 sigma^2 is 0")
 
 

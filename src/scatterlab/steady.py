@@ -498,12 +498,13 @@ def mu_scan(
     through this module's global: the chain recursion, or the dense
     solve, whose singular-system rule a grid point exactly on a dark
     level follows.  The grid is mu_min + n resolution for each whole n
-    with n resolution <= mu_max - mu_min, where a width that divides to
-    within 1e-9 below a whole count of steps counts as that count; it is
-    walked as Python floats straight into the |r|^2 array.  A grid of
-    more than 10,000,000 points, or a lead whose band edge 2|J| +
-    max(|mu_min|, |mu_max|) is not finite, raises ``PhysicsError`` before
-    the grid is allocated; a grid whose consecutive points are not
+    with n resolution <= mu_max - mu_min, where a width of s steps that
+    falls short of a whole count by at most 1e-9 max(1, s) steps, well
+    above the rounding of s at any grid size up to the cap, counts as
+    that count; it is walked as Python floats straight into the |r|^2
+    array.  A grid of more than 10,000,000 points, or a lead whose band
+    edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
+    ``PhysicsError`` before the grid is allocated; a grid whose consecutive points are not
     strictly increasing in floating point (a step below the float spacing
     of mu) raises it before any solve.
     """
@@ -520,7 +521,8 @@ def mu_scan(
             f"scan lead band edge 2|J| + max|mu| is not finite for J={J}, "
             f"mu in [{mu_lo}, {mu_hi}]"
         )
-    n_steps = np.floor((mu_hi - mu_lo) / resolution + 1e-9)
+    steps = (mu_hi - mu_lo) / resolution
+    n_steps = np.floor(steps + 1e-9 * max(1.0, steps))
     if not n_steps < _MAX_SCAN_POINTS:
         raise PhysicsError(
             f"scan of [{mu_lo}, {mu_hi}] at step {resolution} needs {n_steps + 1:.3g} "

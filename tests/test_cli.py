@@ -529,6 +529,17 @@ def test_packet_centre_beyond_the_float_range_is_refused(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_packet_width_whose_square_overflows_is_refused_by_the_lead_fit(tmp_path, capsys):
+    # sigma**2 raised OverflowError out of the packet spec (exit 1)
+    payload = _small_dynamics_config()
+    payload["packet"]["sigma"] = 1e200
+    out = tmp_path / "out"
+    argv = ["dynamics", "--config", str(_write(tmp_path, payload)), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_PHYSICS == 3
+    assert "overflows the 60-site input lead" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_dynamics_run_artifacts_and_determinism(tmp_path):
     # 12 cells separate the two edge states enough for p_1 to reach its
     # semi-infinite value 36/49; at 4 cells the hybridised pair gives 0.08
