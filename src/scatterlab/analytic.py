@@ -21,6 +21,7 @@ J > 0; ``zero_mode_probe`` is the one check of it, and raises elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,8 @@ def zero_mode_amplitudes(q: float) -> tuple[float, float]:
     r = -q^2/(2-q^2).  Satisfies t1 - r = 1 identically."""
     if not np.isfinite(q):
         raise PhysicsError(f"amplitudes need a finite q, got q={q}")
+    # no double squares to exactly 2.0, so the denominator is never 0
     denom = 2.0 - q * q
-    if denom == 0:
-        raise PhysicsError("amplitudes undefined at q = sqrt(2)")
     return 2.0 * (1.0 - q * q) / denom, -q * q / denom
 
 
@@ -128,7 +128,8 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
     energy sqrt((v - w cos kappa)^2 - gamma^2).  Only levels with a real
     energy are listed: one with a negative radicand (broken reality) has
     no transmission peak to show.  A chain with v <= w is outside the
-    regime and raises ``PhysicsError``.
+    regime and raises ``PhysicsError``, as does one whose (v + w)^2 +
+    gamma^2 overflows the float range.
     """
     if not all(0 < x < np.inf for x in (v, w, gamma)):
         raise PhysicsError(f"nh_spectrum requires finite v, w, gamma > 0, got {v}, {w}, {gamma}")
@@ -136,6 +137,12 @@ def nh_spectrum(v: float, w: float, gamma: float, cells: int) -> tuple[NHLevel, 
         raise PhysicsError(f"nh_spectrum is the closed form for v >> w, got v={v} <= w={w}")
     if cells < 1:
         raise PhysicsError("cells must be >= 1")
+    # |v - w cos kappa| <= v + w: a finite bound keeps every radicand finite
+    bound, g = float(v) + float(w), float(gamma)
+    if not math.isfinite(bound * bound + g * g):
+        raise PhysicsError(
+            f"nh_spectrum overflows the float range at v={v}, w={w}, gamma={gamma}"
+        )
     levels = []
     for n in range(cells):
         kappa = (n + 1) * np.pi / (cells + 1)

@@ -32,9 +32,14 @@ an SSH center where ``analytic.zero_mode_probe`` accepts the probe (as do
 the q-sweep's theory columns), for a gain/loss center the per-cell
 profile of a real level within 0.5 of the incident energy, NaN elsewhere.
 Every run is fully deterministic, so identical configs produce
-byte-identical CSV artifacts.  ``--workers`` must be at least 1; q-sweep
-(and figure 5) runs its points in that many processes (default: the CPU
-count), capped at the number of sweep points.  Exit codes: 0 success,
+byte-identical CSV artifacts.  A run's warnings (a dynamics run that
+ends at t_max or reaches a truncated lead end, each such q-sweep point
+under its q, a steady solve's) are recorded by its engine and listed in
+``summary.json`` under ``warnings``; ``main`` prints each to stderr as
+``warning: ...``, ``run`` prints nothing, and no Python warning is
+raised.  ``--workers`` must be at least 1; q-sweep (and figure 5) runs
+its points in that many processes (default: the CPU count), capped at
+the number of sweep points.  Exit codes: 0 success,
 2 configuration error, 3 physics precondition violated, 4 numerical
 failure.
 
@@ -748,7 +753,9 @@ def main(argv=None) -> int:
             jobs = (("", parse_config(args.config, args.mode)),)
         for name, cfg in jobs:
             target = Path(args.out) / name if name else Path(args.out)
-            run(cfg, target, workers=getattr(args, "workers", None))
+            summary = run(cfg, target, workers=getattr(args, "workers", None))
+            for msg in summary.get("warnings", ()):  # a mu-scan has none
+                print(f"warning: {msg}", file=sys.stderr)
             print(f"wrote artifacts to {target}")
         return EXIT_OK
     except ConfigError as exc:

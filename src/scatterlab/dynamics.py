@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -116,9 +115,10 @@ class WavePacketSpec:
         _require_finite(self, "sigma", "k")
         if self.sigma <= 0:
             raise PhysicsError(f"packet width sigma must be positive, got {self.sigma}")
-        # the envelope's denominator underflows; a product, not **, which
-        # raises OverflowError where a huge sigma is left to the lead fit
-        if 2.0 * self.sigma * self.sigma == 0:
+        # the envelope's denominator 2 sigma**2 underflows to 0, spelled as
+        # init_gaussian spells it; ** only below 1, past which it would raise
+        # OverflowError where a huge sigma is left to the lead fit
+        if self.sigma < 1 and 2.0 * self.sigma**2 == 0:
             raise PhysicsError(f"packet width sigma={self.sigma} is so small that 2 sigma^2 is 0")
 
 
@@ -200,7 +200,9 @@ def init_gaussian(net: NetworkSpec, spec: WavePacketSpec) -> np.ndarray:
     L = net.lead.length
     psi = np.zeros(net.dim, dtype=complex)
     j = -np.arange(1.0, L + 1.0)
-    envelope = np.exp(-((j - spec.center_site) ** 2) / (2.0 * spec.sigma**2))
+    # a tiny sigma overflows the exponent to -inf, whose exp 0 is the exact limit
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-((j - spec.center_site) ** 2) / (2.0 * spec.sigma**2))
     net.leads(psi)[0] = envelope * np.exp(1j * spec.k * j)
     psi /= np.linalg.norm(psi)
     return psi
@@ -491,12 +493,16 @@ def run_experiment(
 
     The stop check runs from the base ``stop_time`` estimate onward: the
     run ends when every lead holds less than ``FINISH_THRESHOLD``
-    probability within 5 sites of its junction, or at ``t_max`` (with a
-    warning).  A warning is also attached when probability has reached the
-    truncated far ends, since whatever follows is a finite-lead artifact.
-    A packet that does not fit its lead or is not incoming (``stop_time``),
-    and a run that would store more than ``_MAX_SNAPSHOT_VALUES`` snapshot
-    values, raise ``PhysicsError`` before the network is assembled.
+    probability within 5 sites of its junction, or at ``t_max``.  The
+    record's ``warnings`` notes a run that ends at t_max, and one whose
+    probability has reached the truncated far ends, since whatever follows
+    is a finite-lead artifact; nothing is printed or raised as a Python
+    warning (``cli.main`` prints them).  A snapshot whose squared norm
+    overflows the float range, as on an amplifying network, raises
+    ``NumericalError`` naming its time.  A packet that does not fit its
+    lead or is not incoming (``stop_time``), and a run that would store
+    more than ``_MAX_SNAPSHOT_VALUES`` snapshot values, raise
+    ``PhysicsError`` before the network is assembled.
 
     The snapshots go into one float64 array of the run's budget, ceil(t_max
     / stride) + 1 rows of the network dimension, allocated once: each
@@ -531,11 +537,20 @@ def run_experiment(
     for n, (step, t) in enumerate(steps):
         if n:
             psi = propagate(network, psi, step)
+        # each |psi_j|^2 is at most norm^2, so a finite norm^2 keeps every
+        # square below finite: an amplifying network stops here, not in numpy
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(psi))
+        if not math.isfinite(norm * norm):
+            raise NumericalError(
+                f"snapshot at t={t:.6g} has state norm {norm:.6g}, whose square overflows "
+                "the float range"
+            )
         prob = probs[n]
         np.abs(psi, out=prob)
         np.square(prob, out=prob)
         times.append(t)
-        norms.append(float(np.linalg.norm(psi)))
+        norms.append(norm)
         if n and t + 1e-9 >= t_base and _edge_probability(prob, net, np.s_[:5]) < FINISH_THRESHOLD:
             break
     else:
@@ -550,8 +565,6 @@ def run_experiment(
             f"probability {leakage:.3e} within 5 sites of a truncated lead end at "
             f"t={t:.6g}; results may carry finite-lead artifacts"
         )
-    for msg in notes:
-        _warnings.warn(msg, stacklevel=2)
 
     return TrajectoryRecord(
         times=np.asarray(times),

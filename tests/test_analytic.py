@@ -122,6 +122,14 @@ def test_zero_mode_amplitude_continuity(q):
     assert t1 - r == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("direction", [0.0, 2.0], ids=["below-sqrt2", "above-sqrt2"])
+def test_zero_mode_amplitudes_next_to_sqrt2_are_finite(direction):
+    # the doubles next to sqrt(2) square to 2 -+ 4.4e-16, never to 2.0
+    q = float(np.nextafter(np.sqrt(2.0), direction))
+    assert q * q != 2.0
+    assert all(np.isfinite(sl.zero_mode_amplitudes(q)))
+
+
 def test_visibility_theory_values():
     assert sl.visibility_theory(0.5) == pytest.approx(0.6, rel=1e-14)
     assert sl.visibility_theory(1e-9) == pytest.approx(1.0, abs=1e-12)
@@ -192,6 +200,9 @@ def test_nh_spectrum_rejects_nonpositive_parameters():
         sl.nh_spectrum(2.0, 4.0, 0.5, 20)
     with pytest.raises(sl.PhysicsError, match="v >> w"):
         sl.nh_spectrum(4.0, 4.0, 0.5, 20)
+    # (v - w cos kappa)^2 would overflow and drop a real level as NaN
+    with pytest.raises(sl.PhysicsError, match="overflows the float range"):
+        sl.nh_spectrum(1e200, 1e199, 1e200, 2)
 
 
 # A NaN q or a non-finite chain parameter is outside every law's domain,

@@ -1146,8 +1146,7 @@ def test_q_sweep_summary_keeps_its_points_run_warnings(tmp_path, monkeypatch):
     config["propagator"] = {"t_max": 50}
     out = tmp_path / "out"
     argv = ["q-sweep", "--config", str(_write(tmp_path, config)), "--out", str(out)]
-    with pytest.warns(UserWarning, match="scattering unfinished"):
-        assert cli.main(argv + ["--workers", "2"]) == 0
+    assert cli.main(argv + ["--workers", "2"]) == 0
     assert created == [2]
     assert _csv_column(out / "sweep.csv", "status") == ["ok", "ok"]
     assert json.loads((out / "summary.json").read_text())["warnings"] == [
@@ -1155,6 +1154,78 @@ def test_q_sweep_summary_keeps_its_points_run_warnings(tmp_path, monkeypatch):
         "scattering unfinished"
         for q, left in [(0.5, "5.439e-01"), (1.5, "5.467e-01")]
     ]
+
+
+_EDGE_SSH = {"type": "ssh", "v": 2.0, "w": 4.0, "cells": 2}
+_EDGE_LEAD = {"J": -0.1, "length": 40}
+_EDGE_PACKET = {"center_site": -15, "sigma": 4, "k": "pi/2"}
+_HUGE_NH = {"type": "nh_ssh", "v": 1e200, "w": 1e199, "gamma": 1e200, "cells": 2}
+
+
+def _edge_dynamics(center=_EDGE_SSH, lead=_EDGE_LEAD, **overrides):
+    return {"center": center, "lead": lead, "packet": _EDGE_PACKET, **overrides}
+
+
+# Configs on which an engine once raised a Python warning, or numpy leaked
+# one; a run under -W error then died with a traceback and no artifacts.
+# (mode, config, extra argv, exit code, fragments of the expected warning lines)
+_EDGE_RUNS = {
+    "t-max-reached": (
+        "dynamics", _edge_dynamics(propagator={"t_max": 20}), [], 0, ["scattering unfinished"],
+    ),
+    "truncated-lead-end": (
+        "dynamics",
+        _edge_dynamics(lead={"J": -0.1, "length": 30},
+                       packet={**_EDGE_PACKET, "center_site": -12}),
+        [], 0, ["truncated lead end"],
+    ),
+    "tiny-sigma": (
+        "dynamics", _edge_dynamics(packet={**_EDGE_PACKET, "sigma": 1e-160}), [], 0,
+        ["scattering unfinished", "truncated lead end"],
+    ),
+    "pooled-q-sweep": (
+        "q-sweep",
+        {"sweep": {"q_values": [0.5, 1.5], "w": 4.0, "cells": 2}, "lead": _EDGE_LEAD,
+         "packet": _EDGE_PACKET, "propagator": {"t_max": 20}},
+        ["--workers", "2"], 0, ["q=0.5: ", "q=1.5: "],
+    ),
+    "steady-huge-nh-chain": (
+        "steady", {"center": _HUGE_NH, "lead": {"J": -0.1}, "steady": {"k": "pi/2"}}, [], 0, [],
+    ),
+    "mu-scan-huge-nh-chain": (
+        "mu-scan", {"center": _HUGE_NH, "scan": {"mu_min": -1, "mu_max": 1, "step": 0.1}},
+        [], 0, [],
+    ),
+    "amplifying-custom-centre": (
+        "dynamics",
+        _edge_dynamics(center={"type": "custom", "matrix": [[[0, 5], 1], [1, [0, 5]]]}),
+        [], 4, [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_RUNS))
+def test_edge_run_prints_its_summary_warnings_and_raises_none(tmp_path, capfd, case):
+    # under filterwarnings = error a Python warning from an engine, a pooled
+    # worker (fd-level capture sees theirs) or numpy fails the run; the
+    # warnings summary.json lists are main's only warning lines on stderr
+    mode, config, extra, code, expected = _EDGE_RUNS[case]
+    out = tmp_path / "out"
+    argv = [mode, "--config", str(_write(tmp_path, config)), "--out", str(out), *extra]
+    assert cli.main(argv) == code
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    lines = [line[len("warning: "):] for line in err.splitlines() if line.startswith("warning: ")]
+    if code:
+        assert lines == [] and not (out / "summary.json").exists()
+        assert "numerical failure: snapshot at t=74.25 has state norm inf" in err
+        return
+    summary = json.loads((out / "summary.json").read_text())
+    assert lines == summary.get("warnings", [])
+    assert len(lines) == len(expected)
+    assert all(fragment in line for fragment, line in zip(expected, lines))
+    if mode == "steady":  # no theory for a chain beyond nh_spectrum's range
+        assert set(_csv_column(out / "amplitudes.csv", "probability_theory")) == {"nan"}
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -1399,15 +1470,17 @@ def test_streamed_snapshots_match_the_whole_table(tmp_path):
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
-def test_snapshots_of_a_run_clipped_at_t_max_match_the_whole_table(tmp_path):
+def test_snapshots_of_a_run_clipped_at_t_max_match_the_whole_table(tmp_path, capsys):
     config = {**_small_dynamics_config(), "propagator": {"snapshot_stride": 7.0, "t_max": 50.0}}
     cfg = cli.parse_config(_write(tmp_path, config), "dynamics")
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="unfinished"):
-        summary = cli.run(cfg, out)
-        net = sl.NetworkSpec(cfg.center, cfg.lead)
-        rec = sl.run_experiment(net, cfg.packet, cfg.propagator)
+    summary = cli.run(cfg, out)
+    net = sl.NetworkSpec(cfg.center, cfg.lead)
+    rec = sl.run_experiment(net, cfg.packet, cfg.propagator)
     assert summary["final_time"] == rec.times[-1] == 50.0
+    assert summary["warnings"] == list(rec.warnings)
+    assert rec.warnings[0].endswith("scattering unfinished")
+    assert capsys.readouterr() == ("", "")  # only main prints a run's warnings
     _whole_table_snapshots(tmp_path / "whole.csv", net, rec.times, rec.site_probabilities)
     assert (out / "snapshots.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
