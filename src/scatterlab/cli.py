@@ -210,6 +210,8 @@ class SweepSection:
             raise ConfigError("sweep.q_values must be positive")
         if not self.w > 0:
             raise ConfigError(f"sweep.w must be positive, got {self.w}")
+        if self.cells < 1:
+            raise ConfigError(f"sweep.cells must be >= 1, got {self.cells}")
 
 
 @dataclass(frozen=True)

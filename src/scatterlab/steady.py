@@ -41,10 +41,13 @@ numpy's long double is plain double (MSVC builds) the gain/loss chain
 is no more accurate than a complex one.
 The lead's terms 2J cos q, 2J e^{iq} and 2iJ sin q are computed once per
 (J, k), for both geometries, so a probe on a real chain costs plain
-Python arithmetic only.  Sites past a zero bond are cut off the chain,
-so a level dark from alpha there drops out by construction.  A centre
-with any entry off the tridiagonal band falls back to a dense LU, as
-does one whose bond products overflow.
+Python arithmetic only.  A classified chain goes straight to the
+recursion; only an unclassified centre is classified per call.  An empty
+side (alpha at a chain end, as on every fig 7 panel) costs nothing: its
+self-energy is 0, and x - 0.0 is x for every x, -0 included.  Sites past
+a zero bond are cut off the chain, so a level dark from alpha there
+drops out by construction.  A centre with any entry off the tridiagonal
+band falls back to a dense LU, as does one whose bond products overflow.
 A scan runs at the lead's band centre ``lattice.BAND_CENTRE_K``, where
 the probe energy equals mu.  All functions are pure; scans are
 deterministic.
@@ -325,9 +328,11 @@ def two_lead_solve(
     ``k`` is the magnitude of the incident wave vector q, which is -k for
     J > 0 (see the module notes, which also give the chain recursion).
     ``center`` is the dense matrix, its ``center_chain(center, alpha)`` or
-    ``mu_scan``'s classification of it.  A tridiagonal centre is solved
-    by the chain recursion, any other by the dense solve, where a probe
-    energy exactly on a level dark from alpha drops that level.
+    ``mu_scan``'s classification of it.  A ``CenterChain`` goes straight
+    to the recursion, where an empty side costs nothing; only other input
+    is classified, on every call.  A tridiagonal centre is solved by the
+    chain recursion, any other by the dense solve, where a probe energy
+    exactly on a level dark from alpha drops that level.
 
     At the band centre k = ``BAND_CENTRE_K`` (pi/2), where E = mu, with mu
     equal to a real center eigenvalue whose wavefunction does not vanish
@@ -339,31 +344,34 @@ def two_lead_solve(
     band, lead, drive = _lead_terms(J, k)
     if not math.isfinite(mu):
         raise PhysicsError(f"lead potential mu={mu} must be finite")
-    chain = _two_lead_system(center, alpha)
-    if isinstance(chain, _DenseCenter):
-        sites = attachment_sites(chain.matrix.shape[0], alpha)
-        psi = _attached_solve(chain.matrix, sites, band + float(mu), lead, drive)
-        t = None if psi is None else psi[0]
-    else:
-        if alpha != chain.alpha:
-            raise PhysicsError(f"attachment site {alpha} differs from the chain's {chain.alpha}")
-        self_energy = _self_energy
-        if isinstance(chain.onsite, np.clongdouble):
-            band, lead, drive = _extended_lead_terms(J, k)
-            self_energy = _extended_self_energy
-        # in extended precision E keeps 2J cos q, 1e-16 at the band centre
-        energy = band + float(mu)
-        denom = (
-            chain.onsite
-            - energy
-            + lead
-            - self_energy(chain.left, energy)
-            - self_energy(chain.right, energy)
-        )
-        t = drive / denom if denom else None
-    if t is None:
+    chain = center
+    if not isinstance(chain, CenterChain):
+        chain = _two_lead_system(center, alpha)
+        if isinstance(chain, _DenseCenter):
+            sites = attachment_sites(chain.matrix.shape[0], alpha)
+            psi = _attached_solve(chain.matrix, sites, band + float(mu), lead, drive)
+            if psi is None:
+                raise NumericalError(f"singular two-lead system at mu={mu}, k={k}")
+            return complex(psi[0] - 1.0), complex(psi[0])
+    if alpha != chain.alpha:
+        raise PhysicsError(f"attachment site {alpha} differs from the chain's {chain.alpha}")
+    extended = isinstance(chain.onsite, np.clongdouble)
+    if extended:
+        band, lead, drive = _extended_lead_terms(J, k)
+    # in extended precision E keeps 2J cos q, 1e-16 at the band centre
+    energy = band + float(mu)
+    denom = chain.onsite - energy + lead
+    # an empty side's self-energy is 0, and x - 0.0 is x: skipping it is exact
+    self_energy = _extended_self_energy if extended else _self_energy
+    if chain.left:
+        denom -= self_energy(chain.left, energy)
+    if chain.right:
+        denom -= self_energy(chain.right, energy)
+    if not denom:
         raise NumericalError(f"singular two-lead system at mu={mu}, k={k}")
-    return complex(t - 1.0), complex(t)
+    t = drive / denom
+    # the float path's t is already a Python complex
+    return (complex(t - 1.0), complex(t)) if extended else (t - 1.0, t)
 
 
 @lru_cache(maxsize=64)
@@ -495,18 +503,21 @@ def mu_scan(
     The centre is classified once, into its ``center_chain`` or, off the
     tridiagonal band, a dense block, and every grid point and secant step
     is one ``two_lead_solve`` call on it at ``BAND_CENTRE_K``, looked up
-    through this module's global: the chain recursion, or the dense
-    solve, whose singular-system rule a grid point exactly on a dark
-    level follows.  The grid is mu_min + n resolution for each whole n
-    with n resolution <= mu_max - mu_min, where a width of s steps that
-    falls short of a whole count by at most 1e-9 max(1, s) steps, well
-    above the rounding of s at any grid size up to the cap, counts as
-    that count; it is walked as Python floats straight into the |r|^2
-    array.  A grid of more than 10,000,000 points, or a lead whose band
-    edge 2|J| + max(|mu_min|, |mu_max|) is not finite, raises
-    ``PhysicsError`` before the grid is allocated; a grid whose consecutive points are not
-    strictly increasing in floating point (a step below the float spacing
-    of mu) raises it before any solve.
+    through this module's global: a chain goes straight to the recursion,
+    with no classification per call; a dense block to the dense solve,
+    whose singular-system rule a grid point exactly on a dark level
+    follows.  The grid pass calls ``two_lead_solve`` directly, the secant
+    through a one-line wrapper that returns r.  The grid is mu_min + n
+    resolution for each whole n with n resolution <= mu_max - mu_min,
+    where a width of s steps that falls short of a whole count by at most
+    1e-9 max(1, s) steps, well above the rounding of s at any grid size up
+    to the cap, counts as that count; it is walked as Python floats
+    straight into the |r|^2 array.  A grid of more than 10,000,000 points,
+    or a lead whose band edge 2|J| + max(|mu_min|, |mu_max|) is not
+    finite, raises ``PhysicsError`` before the grid is allocated; a grid
+    whose consecutive points are not strictly increasing in floating
+    point (a step below the float spacing of mu) raises it before any
+    solve.
     """
     mu_lo, mu_hi = mu_range
     if not (np.isfinite(resolution) and resolution > 0):
@@ -540,7 +551,11 @@ def mu_scan(
     def reflection(mu: float) -> complex:
         return two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)[0]
 
-    curve = np.fromiter((abs(reflection(mu)) ** 2 for mu in grid.tolist()), dtype=float, count=n)
+    curve = np.fromiter(
+        (abs(two_lead_solve(system, alpha, J, mu, BAND_CENTRE_K)[0]) ** 2 for mu in grid.tolist()),
+        dtype=float,
+        count=n,
+    )
 
     # candidates: local minima (strict on the left) below CANDIDATE_R2
     mid = curve[1:-1]
@@ -609,7 +624,8 @@ def resonant_eigenvalues(center: np.ndarray, alpha: int) -> tuple[np.ndarray, np
     vals, vecs = vals[order], vecs[:, order]
     weights = np.abs(vecs[alpha - 1, :]) ** 2
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    bounds = np.flatnonzero(np.abs(np.diff(vals)) > tol) + 1
+    with np.errstate(over="ignore"):  # an infinite gap ends a degenerate run
+        bounds = np.flatnonzero(np.abs(np.diff(vals)) > tol) + 1
     starts, stops = np.r_[0, bounds], np.r_[bounds, len(vals)]
     runs = stops - starts > 1
     for a, b in zip(starts[runs].tolist(), stops[runs].tolist()):

@@ -1196,6 +1196,18 @@ _EDGE_RUNS = {
         "mu-scan", {"center": _HUGE_NH, "scan": {"mu_min": -1, "mu_max": 1, "step": 0.1}},
         [], 0, [],
     ),
+    "mu-scan-levels-beyond-the-float-range": (
+        "mu-scan",
+        {"center": {"type": "custom", "matrix": [[1, 1e308], [1e308, 1]]},
+         "scan": {"mu_min": -1, "mu_max": 1, "step": 0.5}},
+        [], 0, [],
+    ),
+    "mu-scan-huge-gapped-nh-chain": (
+        "mu-scan",
+        {"center": {"type": "nh_ssh", "v": 1e308, "w": 1e307, "gamma": 1, "cells": 2},
+         "scan": {"mu_min": -1, "mu_max": 1, "step": 0.5}},
+        [], 0, [],
+    ),
     "amplifying-custom-centre": (
         "dynamics",
         _edge_dynamics(center={"type": "custom", "matrix": [[[0, 5], 1], [1, [0, 5]]]}),
@@ -1248,6 +1260,14 @@ def test_q_sweep_rejects_a_nonpositive_w(tmp_path, capsys, w):
     path = _write(tmp_path, payload)
     assert cli.main(["q-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"configuration error: sweep.w must be positive, got {w}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_q_sweep_rejects_fewer_than_one_cell(tmp_path, capsys):
+    # refused at parse time, as w is, before the run makes its output directory
+    path = _write(tmp_path, {"sweep": {"q_values": [0.5], "cells": 0}})
+    assert cli.main(["q-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error: sweep.cells must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

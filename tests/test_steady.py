@@ -328,6 +328,15 @@ def test_resonant_eigenvalues_finds_the_dark_level_of_a_degenerate_pair(alpha):
     np.testing.assert_allclose(weights, [2 / 3, 0.0, 1 / 3], atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_resonant_eigenvalues_takes_a_gap_beyond_the_float_range_as_two_levels(alpha):
+    # the levels 1 -+ 1e308 are 2e308 apart: the gap overflows to inf, which
+    # ends a degenerate run, and numpy's overflow warning is an error here
+    vals, weights = sl.resonant_eigenvalues(np.array([[1.0, 1e308], [1e308, 1.0]]), alpha)
+    assert vals.tolist() == [-1e308, 1e308]
+    np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-15)
+
+
 @pytest.mark.parametrize("alpha", [0, 3, -1])
 def test_resonant_eigenvalues_rejects_site_outside_center(alpha):
     # alpha = 0 would read site N through vecs[-1]; alpha = N + 1 an IndexError
@@ -701,11 +710,12 @@ def _complex_copy(chain):
     )
 
 
-def _solve_bits(chain, J, mu, k):
+def _solve_bits(chain, J, mu, k, alpha=None):
     """(r, t) of ``two_lead_solve`` as the hex of every part, so that the
-    sign of a zero counts, or the name of the error it raises."""
+    sign of a zero counts, or the name of the error it raises.  ``chain``
+    may be a raw centre, attached at ``alpha``."""
     try:
-        r, t = sl.two_lead_solve(chain, chain.alpha, J, mu, k)
+        r, t = sl.two_lead_solve(chain, chain.alpha if alpha is None else alpha, J, mu, k)
     except sl.ScatterlabError as exc:
         return type(exc).__name__
     return tuple(x.hex() for z in (r, t) for x in (z.real, z.imag))
@@ -723,6 +733,51 @@ def test_real_chain_in_floats_is_bitwise_its_complex_copy(case):
     for side, twin_side in ((chain.left, twin.left), (chain.right, twin.right)):
         s, s_twin = steady._self_energy(side, energy), steady._self_energy(twin_side, energy)
         assert s.hex() == s_twin.real.hex() and s_twin.imag == 0
+
+
+@st.composite
+def _gain_loss_chains(draw):
+    """(centre, alpha, J, mu, k) for a ``_tridiagonal_centres`` centre with
+    gain or loss at alpha, so that its chain runs in extended precision."""
+    center, alpha = draw(_tridiagonal_centres())
+    center[alpha - 1, alpha - 1] += draw(st.sampled_from([1e-300, -0.5, 2.0])) * 1j
+    J = draw(st.sampled_from([-1.0, -0.1, 0.3, 1.0]))
+    k = draw(st.just(BAND_CENTRE_K) | _wave_vector)
+    return center, alpha, J, draw(st.floats(-4, 4)), k
+
+
+def _expression_bits(chain, J, mu, k):
+    """``_solve_bits`` of the probe written out as one expression,
+    onsite - E + 2J e^{iq} - S_left - S_right, an empty side's S being 0.0,
+    in the chain's precision."""
+    if isinstance(chain.onsite, np.clongdouble):
+        band, lead, drive = steady._extended_lead_terms(J, k)
+        energy = band + float(mu)
+        s_left = steady._extended_self_energy(chain.left, energy) if chain.left else 0.0
+        s_right = steady._extended_self_energy(chain.right, energy) if chain.right else 0.0
+    else:
+        band, lead, drive = steady._lead_terms(J, k)
+        energy = band + float(mu)
+        s_left = steady._self_energy(chain.left, energy) if chain.left else 0.0
+        s_right = steady._self_energy(chain.right, energy) if chain.right else 0.0
+    denom = chain.onsite - energy + lead - s_left - s_right
+    if not denom:
+        return "NumericalError"
+    t = drive / denom
+    return tuple(x.hex() for z in (complex(t - 1.0), complex(t)) for x in (z.real, z.imag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_real_chains() | _gain_loss_chains())
+def test_chain_probe_is_bitwise_the_written_out_expression(case):
+    # alpha at either end, inside, and on 1-site chains, where both sides
+    # are empty; the raw centre is classified per call onto the same chain
+    center, alpha, J, mu, k = case
+    chain = steady.center_chain(center, alpha)
+    assert chain is not None
+    expected = _expression_bits(chain, J, mu, k)
+    assert _solve_bits(chain, J, mu, k) == expected
+    assert _solve_bits(center, J, mu, k, alpha) == expected
 
 
 def test_zero_denominator_gives_an_infinite_self_energy_on_both_types():
